@@ -18,6 +18,7 @@ from .config import (
     validate,
 )
 from .designs import (
+    CountTable,
     DESIGN_CAL,
     DESIGN_SPT,
     DESIGN_TD,
@@ -28,6 +29,7 @@ from .designs import (
     build_esnt_cal,
     build_esnt_td,
     build_spt,
+    count_table,
     describe_replicate,
 )
 from .estimators import (
@@ -75,6 +77,7 @@ __all__ = [
     "AnalysisResult",
     "Cohort",
     "ConfigError",
+    "CountTable",
     "DESIGN_CAL",
     "DESIGN_SPT",
     "DESIGN_TD",
@@ -100,6 +103,7 @@ __all__ = [
     "builtin_scenarios",
     "censoring_weights",
     "cohort_true_rr",
+    "count_table",
     "crude_rr",
     "describe_replicate",
     "draw_cohort",

@@ -2,8 +2,9 @@
 
 Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
 0 success, 1 I/O failure, 2 usage error, 3 infeasible calibration. Partial
-outputs are removed on failure so downstream steps never read a truncated
-run.
+outputs are removed on any failure or interrupt so downstream steps never
+read a truncated run, and simulate removes the derived files of an earlier
+run in the same directory that it did not rewrite.
 """
 
 from __future__ import annotations
@@ -182,9 +183,18 @@ class _OutputTracker:
     def write(self, name: str, header: tuple[str, ...], rows) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
-        output.write_csv(path, header, rows)
+        # registered before opening, so a write that fails midway is discarded
         self.written.append(path)
+        output.write_csv(path, header, rows)
         return path
+
+    def remove_unwritten(self, names: tuple[str, ...]) -> None:
+        """Delete the named outputs of an earlier run that this one did not
+        rewrite, so a reused directory holds no stale results."""
+        for name in names:
+            path = self.out_dir / name
+            if path not in self.written:
+                path.unlink(missing_ok=True)
 
     def discard_all(self) -> None:
         for path in self.written:
@@ -266,6 +276,10 @@ def _cmd_simulate(specs, run, tracker) -> None:
             output.FIGURE_COLUMNS,
             output.figure_rows(summary, output.FIGURE_ATT_TARGETS),
         )
+    # describe_summary.csv always derives from an earlier describe.csv
+    tracker.remove_unwritten(
+        ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summary.csv")
+    )
 
 
 def _cmd_summarize(specs, run, tracker) -> None:
@@ -341,7 +355,7 @@ def execute(args: argparse.Namespace) -> int:
         tracker.discard_all()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception:
+    except BaseException:
         tracker.discard_all()
         raise
     return EXIT_OK

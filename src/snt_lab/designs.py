@@ -229,6 +229,57 @@ def build_esnt_td(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
 
 
 @dataclass(frozen=True)
+class CountTable:
+    """Index counts and weight sums of one design, cell by cell.
+
+    Cells are initiator-person (the index's person has a treated index in
+    this design) x arm x severity at index x follow-up state. The four
+    follow-up states are: event in year 1; exit at year 1 without an event
+    (censored); event in year 2; event-free through year 2. So the year-t
+    risk set is states 2(t-1) onward and its events are state 2(t-1).
+    Every risk, standardization target and descriptive row of the design is
+    a function of this table.
+    """
+
+    design: str
+    counts: np.ndarray  # (2, 2, 2, 4) int: indexes per cell
+    weight_sums: np.ndarray  # (2, 2, 2, 2, 4) float: [year 1 or 2][cell]
+    n_people: int  # persons with at least one index
+    n_initiators: int  # persons with a treated index
+
+
+def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
+    """Tabulate one design. weights is the (n, 2) per-index weight schedule
+    of follow-up years 1 and 2; without it every index weighs 1. Follow-up
+    times must be 1 or 2 years, as the designs build them."""
+    pid = idx.person_id
+    n_slots = int(pid.max(initial=-1)) + 1
+    ever_init = np.zeros(n_slots, dtype=bool)
+    ever_init[pid.compress(idx.treated)] = True
+    # one binary digit per axis, the state being the pair (futime == 2, no event)
+    code = ever_init[pid].view(np.uint8)
+    for digit in (idx.treated, idx.severity_at_index == 1, idx.futime == 2, ~idx.event):
+        code *= 2
+        code |= digit
+    code = code.astype(np.intp)
+    counts = np.bincount(code, minlength=32)
+    if weights is None:
+        sums = np.stack([counts, counts]).astype(float)
+    else:
+        sums = np.stack([
+            np.bincount(code, weights[:, 0], minlength=32),
+            np.bincount(code, weights[:, 1], minlength=32),
+        ])
+    return CountTable(
+        design=idx.design,
+        counts=counts.reshape(2, 2, 2, 4),
+        weight_sums=sums.reshape(2, 2, 2, 2, 4),
+        n_people=int(np.count_nonzero(np.bincount(pid))),
+        n_initiators=int(ever_init.sum()),
+    )
+
+
+@dataclass(frozen=True)
 class DescribeRow:
     design: str
     group: str
@@ -239,27 +290,6 @@ class DescribeRow:
     avg_indexes_per_person: float
 
 
-def _group_rows(design: str, group: str, person_mask: np.ndarray, idx: IndexSet,
-                index_mask: np.ndarray) -> list[DescribeRow]:
-    n_people = int(person_mask.sum())
-    sev = idx.severity_at_index[index_mask]
-    n_by_sev = [int((sev == z).sum()) for z in (0, 1)]
-    total = n_by_sev[0] + n_by_sev[1]
-    pct_high = 100.0 * n_by_sev[1] / total if total else float("nan")
-    return [
-        DescribeRow(
-            design=design,
-            group=group,
-            severity=SEVERITY_LABELS[z],
-            n_people=n_people,
-            n_indexes=n_by_sev[z],
-            pct_high=pct_high,
-            avg_indexes_per_person=(n_by_sev[z] / n_people) if n_people else float("nan"),
-        )
-        for z in (0, 1)
-    ]
-
-
 def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
     """Descriptive rows for one design.
 
@@ -268,21 +298,31 @@ def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
     indexes those persons contribute, so a non-initiator's censored Visit 1
     index of an eventual initiator counts toward the initiator group.
     """
-    ever_init = np.zeros(n_persons, dtype=bool)
-    ever_init[idx.person_id[idx.treated]] = True
-
-    contributes = np.zeros(n_persons, dtype=bool)
-    contributes[idx.person_id] = True
-    treated_person = np.zeros(n_persons, dtype=bool)
-    treated_person[idx.person_id[idx.treated]] = True
-
-    init_idx = ever_init[idx.person_id]
+    table = count_table(idx)
+    by_cell = table.counts.sum(axis=3)  # [initiator-person][arm][severity]
+    groups = (
+        (GROUP_ALL, table.n_people, by_cell.sum(axis=(0, 1))),
+        (GROUP_TREATED, table.n_initiators, by_cell[:, 1].sum(axis=0)),
+        (GROUP_INITIATOR, table.n_initiators, by_cell[1].sum(axis=0)),
+        (GROUP_NONINITIATOR, n_persons - table.n_initiators, by_cell[0].sum(axis=0)),
+    )
     rows: list[DescribeRow] = []
-    rows += _group_rows(idx.design, GROUP_ALL, contributes, idx,
-                        np.ones(len(idx), dtype=bool))
-    rows += _group_rows(idx.design, GROUP_TREATED, treated_person, idx, idx.treated)
-    rows += _group_rows(idx.design, GROUP_INITIATOR, ever_init, idx, init_idx)
-    rows += _group_rows(idx.design, GROUP_NONINITIATOR, ~ever_init, idx, ~init_idx)
+    for group, n_people, by_severity in groups:
+        n_by_sev = by_severity.tolist()
+        total = n_by_sev[0] + n_by_sev[1]
+        pct_high = 100.0 * n_by_sev[1] / total if total else float("nan")
+        rows += [
+            DescribeRow(
+                design=idx.design,
+                group=group,
+                severity=SEVERITY_LABELS[z],
+                n_people=n_people,
+                n_indexes=n_by_sev[z],
+                pct_high=pct_high,
+                avg_indexes_per_person=(n_by_sev[z] / n_people) if n_people else float("nan"),
+            )
+            for z in (0, 1)
+        ]
     return rows
 
 

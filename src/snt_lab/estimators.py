@@ -13,18 +13,19 @@ probability of remaining uncensored given that severity.
 
 Every analysis contrasts a treated and an untreated risk through the risk
 ratio; standardized analyses mix (arm x severity) stratum risks with the
-target population's severity shares first.
+target population's severity shares first. Risks and shares are read off
+one count table per design (designs.count_table), never off the indexes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioSpec, WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER
-from .designs import DESIGN_SPT, IndexSet
+from .designs import DESIGN_SPT, CountTable, IndexSet, count_table
 from .population import Cohort, UndefinedRatioError, cohort_true_rr
 
 ANALYSIS_TRUE = "true_rr"
@@ -97,16 +98,41 @@ def censoring_weights(
     hazard = tp if mode == WEIGHT_MODE_PAPER else dp * tp
     p_uncensored = 1.0 - hazard
 
-    n = len(indexes)
-    w = np.ones((n, 2))
     at_risk = ~indexes.treated & (indexes.index_visit == 1)
-    p = p_uncensored[indexes.severity_next[at_risk]]
+    p = np.where(at_risk, p_uncensored[indexes.severity_next], 1.0)
     if np.any(p <= 0.0):
         raise DegenerateWeightError(
             "certain censoring: Pr(uncensored) = 0 for some severity level"
         )
-    w[at_risk, 1] = 1.0 / p
+    w = np.ones((len(indexes), 2))
+    w[:, 1] = 1.0 / p
     return w
+
+
+def _km(year_sums: list[list[float]], tau: int = 2) -> float:
+    """Product-limit risk from one stratum's per-state weight sums of
+    follow-up years 1 and 2. An empty risk set leaves the curve flat."""
+    surv = 1.0
+    for t in range(min(tau, 2)):
+        denom = sum(year_sums[t][2 * t:])
+        if denom <= 0.0:
+            break
+        surv *= 1.0 - year_sums[t][2 * t] / denom
+    return 1.0 - surv
+
+
+def _risks(table: CountTable, tau: int = 2) -> dict[tuple[int, int | None], float | None]:
+    """Risk of each arm (severity None) and each (arm x severity) stratum;
+    None where the stratum has no indexes."""
+    counts = table.counts.sum(axis=(0, 3)).tolist()  # [arm][severity]
+    strata = table.weight_sums.sum(axis=1).tolist()  # [year][arm][severity][state]
+    arms = table.weight_sums.sum(axis=(1, 3)).tolist()  # [year][arm][state]
+    risks: dict[tuple[int, int | None], float | None] = {}
+    for arm in (0, 1):
+        risks[arm, None] = _km([y[arm] for y in arms], tau) if sum(counts[arm]) else None
+        for sev in (0, 1):
+            risks[arm, sev] = _km([y[arm][sev] for y in strata], tau) if counts[arm][sev] else None
+    return risks
 
 
 def ipcw_km_risk(
@@ -122,66 +148,87 @@ def ipcw_km_risk(
     Raises EmptyRiskSetError when the year 1 risk set is empty. An empty
     year 2 risk set leaves the curve flat at its year 1 value.
     """
-    mask = indexes.treated == treated
-    if severity is not None:
-        mask &= indexes.severity_at_index == severity
-    if not mask.any():
+    risk = _risks(count_table(indexes, weights), tau).get((int(treated), severity))
+    if risk is None:
         raise EmptyRiskSetError(
             f"no indexes with treated={treated}"
             + ("" if severity is None else f", severity={severity}")
         )
+    return risk
 
-    surv = 1.0
-    futime, event = indexes.futime, indexes.event
-    for t in range(1, tau + 1):
-        at_risk = mask & (futime >= t)
-        wt = weights[:, t - 1]
-        denom = float(wt[at_risk].sum())
-        if denom <= 0.0:
-            break
-        num = float(wt[at_risk & event & (futime == t)].sum())
-        surv *= 1.0 - num / denom
-    return 1.0 - surv
+
+def _severity_shares(table: CountTable, subset: str) -> tuple[float, float] | None:
+    by_arm = table.counts.sum(axis=(0, 3))  # [arm][severity]
+    n_low, n_high = (by_arm[1] if subset == "treated" else by_arm.sum(axis=0)).tolist()
+    total = n_low + n_high
+    return (1.0 - n_high / total, n_high / total) if total else None
 
 
 def severity_distribution(indexes: IndexSet, subset: str = "all") -> tuple[float, float]:
     """Empirical (low, high) severity-at-index shares over all or treated
     indexes; the standardization target of the ATE and ATT analyses."""
-    if subset == "all":
-        sev = indexes.severity_at_index
-    elif subset == "treated":
-        sev = indexes.severity_at_index[indexes.treated]
-    else:
+    if subset not in ("all", "treated"):
         raise ValueError(f"unknown subset {subset!r}")
-    total = sev.shape[0]
-    if total == 0:
+    shares = _severity_shares(count_table(indexes), subset)
+    if shares is None:
         raise EmptyRiskSetError(f"no {subset} indexes to standardize to")
-    n_high = int((sev == 1).sum())
-    return (1.0 - n_high / total, n_high / total)
+    return shares
 
 
-def _contrast(
-    base: AnalysisResult, risk_treated: float, risk_untreated: float, flags: list[str]
-) -> AnalysisResult:
-    rr = float("nan")
-    log_rr = float("nan")
-    if not flags:
-        if risk_untreated == 0.0:
-            flags.append(FLAG_ZERO_RISK_UNTREATED)
+def _targets(table: CountTable) -> list[tuple[float, float] | str]:
+    """Severity shares of all and of treated indexes; the empty_target flag
+    in place of the shares of an empty subset."""
+    return [
+        _severity_shares(table, subset) or f"{FLAG_EMPTY_TARGET}:{subset}"
+        for subset in ("all", "treated")
+    ]
+
+
+def _analyses(
+    table: CountTable, specs: list[tuple[str, str, tuple[float, float] | str | None]]
+) -> list[AnalysisResult]:
+    """One result per (analysis, target population, target) spec. A target of
+    None is the crude arm contrast, shares standardize the (arm x severity)
+    stratum risks, and a flag string marks an empty target. Empty arms and
+    strata are flagged, never raised."""
+    risks = _risks(table)
+    n_untreated, n_treated = table.counts.sum(axis=(0, 2, 3)).tolist()
+    results = []
+    for analysis, target_population, target in specs:
+        flags: list[str] = []
+        arm_risk = [float("nan"), float("nan")]
+        if isinstance(target, str):
+            flags.append(target)
+        elif target is None:
+            for arm in (0, 1):
+                if risks[arm, None] is None:
+                    flags.append(f"{FLAG_EMPTY_STRATUM}:arm{arm}")
+                else:
+                    arm_risk[arm] = risks[arm, None]
         else:
-            rr = risk_treated / risk_untreated
-            if rr > 0.0:
-                log_rr = math.log(rr)
+            for arm in (0, 1):
+                arm_risk[arm] = 0.0
+                for sev in (0, 1):
+                    if risks[arm, sev] is None:
+                        flags.append(f"{FLAG_EMPTY_STRATUM}:arm{arm}/sev{sev}")
+                    else:
+                        arm_risk[arm] += target[sev] * risks[arm, sev]
+        risk_treated, risk_untreated = arm_risk[1], arm_risk[0]
+        rr = log_rr = float("nan")
+        if not flags:
+            if risk_untreated == 0.0:
+                flags.append(FLAG_ZERO_RISK_UNTREATED)
             else:
-                flags.append(FLAG_ZERO_RISK_TREATED)
-    return replace(
-        base,
-        risk_treated=risk_treated,
-        risk_untreated=risk_untreated,
-        rr=rr,
-        log_rr=log_rr,
-        degenerate=";".join(flags),
-    )
+                rr = risk_treated / risk_untreated
+                if rr > 0.0:
+                    log_rr = math.log(rr)
+                else:
+                    flags.append(FLAG_ZERO_RISK_TREATED)
+        results.append(AnalysisResult(
+            table.design, analysis, target_population, risk_treated, risk_untreated,
+            rr, log_rr, n_treated, n_untreated, ";".join(flags),
+        ))
+    return results
 
 
 def standardized_rr(
@@ -194,61 +241,13 @@ def standardized_rr(
     """Directly standardized risk ratio: per-arm stratum risks mixed with
     the target severity distribution. An empty (arm x stratum) cell flags
     the result as degenerate instead of raising."""
-    base = _result_shell(indexes, analysis, target_population)
-    flags: list[str] = []
-    std = {0: 0.0, 1: 0.0}
-    for arm in (0, 1):
-        for sev in (0, 1):
-            try:
-                risk = ipcw_km_risk(indexes, weights, treated=bool(arm), severity=sev)
-            except EmptyRiskSetError:
-                flags.append(f"{FLAG_EMPTY_STRATUM}:arm{arm}/sev{sev}")
-                continue
-            std[arm] += target[sev] * risk
-    return _contrast(base, std[1], std[0], flags)
+    return _analyses(count_table(indexes, weights), [(analysis, target_population, target)])[0]
 
 
 def crude_rr(indexes: IndexSet, weights: np.ndarray, analysis: str = ANALYSIS_CRUDE,
              target_population: str = TARGET_NONE) -> AnalysisResult:
     """Arm-level weighted risks with no standardization."""
-    base = _result_shell(indexes, analysis, target_population)
-    flags: list[str] = []
-    risks = {0: float("nan"), 1: float("nan")}
-    for arm in (0, 1):
-        try:
-            risks[arm] = ipcw_km_risk(indexes, weights, treated=bool(arm))
-        except EmptyRiskSetError:
-            flags.append(f"{FLAG_EMPTY_STRATUM}:arm{arm}")
-    return _contrast(base, risks[1], risks[0], flags)
-
-
-def _result_shell(indexes: IndexSet, analysis: str, target_population: str) -> AnalysisResult:
-    n_treated = int(indexes.treated.sum())
-    return AnalysisResult(
-        design=indexes.design,
-        analysis=analysis,
-        target_population=target_population,
-        risk_treated=float("nan"),
-        risk_untreated=float("nan"),
-        rr=float("nan"),
-        log_rr=float("nan"),
-        n_treated=n_treated,
-        n_untreated=len(indexes) - n_treated,
-    )
-
-
-def _safe_distribution(indexes: IndexSet, subset: str):
-    try:
-        return severity_distribution(indexes, subset), None
-    except EmptyRiskSetError:
-        return None, FLAG_EMPTY_TARGET + ":" + subset
-
-
-def _standardized_or_flag(indexes, weights, target, flag, analysis, target_population):
-    if target is None:
-        base = _result_shell(indexes, analysis, target_population)
-        return replace(base, degenerate=flag)
-    return standardized_rr(indexes, weights, target, analysis, target_population)
+    return _analyses(count_table(indexes, weights), [(analysis, target_population, None)])[0]
 
 
 def analyze_replicate(
@@ -266,76 +265,34 @@ def analyze_replicate(
     severity distributions. Each emulation: the censoring-weighted crude
     contrast, standardizations to its own index populations, and
     standardizations to the single point trial's populations from the same
-    cohort. Degenerate cells are flagged, never dropped.
+    cohort. Every result comes from one count table per design. Degenerate
+    cells are flagged, never dropped.
     """
-    results: list[AnalysisResult] = []
-
     n = len(cohort)
-    base_true = AnalysisResult(
-        design=DESIGN_SPT,
-        analysis=ANALYSIS_TRUE,
-        target_population=TARGET_NONE,
-        risk_treated=float("nan"),
-        risk_untreated=float("nan"),
-        rr=float("nan"),
-        log_rr=float("nan"),
-        n_treated=n,
-        n_untreated=n,
-    )
     try:
         truth = cohort_true_rr(cohort, tau=spec.horizon_tau)
-        results.append(
-            replace(
-                base_true,
-                risk_treated=truth.risk_treated,
-                risk_untreated=truth.risk_untreated,
-                rr=truth.rr,
-                log_rr=truth.log_rr,
-                degenerate="" if truth.rr > 0 else FLAG_ZERO_RISK_TREATED,
-            )
-        )
+        risks = (truth.risk_treated, truth.risk_untreated, truth.rr, truth.log_rr)
+        flag = "" if truth.rr > 0 else FLAG_ZERO_RISK_TREATED
     except UndefinedRatioError:
-        results.append(replace(base_true, degenerate=FLAG_UNDEFINED_TRUTH))
+        risks = (float("nan"),) * 4
+        flag = FLAG_UNDEFINED_TRUTH
+    results = [AnalysisResult(DESIGN_SPT, ANALYSIS_TRUE, TARGET_NONE, *risks, n, n, flag)]
 
-    unit = np.ones((len(spt), 2))
-    spt_all, flag_all = _safe_distribution(spt, "all")
-    spt_treated, flag_treated = _safe_distribution(spt, "treated")
-
-    results.append(crude_rr(spt, unit))
-    results.append(
-        _standardized_or_flag(spt, unit, spt_all, flag_all, ANALYSIS_ATE_SPT, TARGET_SPT_ALL)
-    )
-    results.append(
-        _standardized_or_flag(
-            spt, unit, spt_treated, flag_treated, ANALYSIS_ATT_SPT, TARGET_SPT_TREATED
-        )
-    )
-
+    spt_table = count_table(spt)
+    spt_all, spt_treated = _targets(spt_table)
+    results += _analyses(spt_table, [
+        (ANALYSIS_CRUDE, TARGET_NONE, None),
+        (ANALYSIS_ATE_SPT, TARGET_SPT_ALL, spt_all),
+        (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED, spt_treated),
+    ])
     for emulation, mode in ((cal, cal_weight_mode), (td, WEIGHT_MODE_INITIATION)):
-        w = censoring_weights(emulation, spec, mode)
-        own_all, flag_own_all = _safe_distribution(emulation, "all")
-        own_treated, flag_own_treated = _safe_distribution(emulation, "treated")
-        results.append(crude_rr(emulation, w))
-        results.append(
-            _standardized_or_flag(
-                emulation, w, own_all, flag_own_all, ANALYSIS_ATE_SNT, TARGET_SNT_ALL
-            )
-        )
-        results.append(
-            _standardized_or_flag(
-                emulation, w, own_treated, flag_own_treated, ANALYSIS_ATT_SNT,
-                TARGET_SNT_TREATED,
-            )
-        )
-        results.append(
-            _standardized_or_flag(
-                emulation, w, spt_all, flag_all, ANALYSIS_ATE_SPT, TARGET_SPT_ALL
-            )
-        )
-        results.append(
-            _standardized_or_flag(
-                emulation, w, spt_treated, flag_treated, ANALYSIS_ATT_SPT,
-                TARGET_SPT_TREATED,
-            )
-        )
+        table = count_table(emulation, censoring_weights(emulation, spec, mode))
+        own_all, own_treated = _targets(table)
+        results += _analyses(table, [
+            (ANALYSIS_CRUDE, TARGET_NONE, None),
+            (ANALYSIS_ATE_SNT, TARGET_SNT_ALL, own_all),
+            (ANALYSIS_ATT_SNT, TARGET_SNT_TREATED, own_treated),
+            (ANALYSIS_ATE_SPT, TARGET_SPT_ALL, spt_all),
+            (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED, spt_treated),
+        ])
     return results

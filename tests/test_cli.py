@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import snt_lab
+from snt_lab import output
 from snt_lab.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from snt_lab.output import (
     DESCRIBE_COLUMNS,
@@ -171,6 +175,44 @@ class TestSimulateVerb:
         assert code == EXIT_OK
         assert (tmp_path / "estimates.csv").exists()
 
+    def test_rerun_into_used_directory_leaves_no_stale_outputs(self, tmp_path):
+        common = ("simulate", "--n", "100", "--seed", "5", "--out", str(tmp_path))
+        assert run_cli(*common, "--scenario", "all", "--reps", "3") == EXIT_OK
+        assert run_cli("describe", "--out", str(tmp_path)) == EXIT_OK
+        (tmp_path / "notes.txt").write_text("kept")
+        assert run_cli(*common, "--scenario", "S1", "--reps", "1") == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ("hazards.csv", "truth.csv", "estimates.csv", "describe.csv", "notes.txt")
+        )
+        assert {r.scenario_id for r in read_estimates(tmp_path / "estimates.csv")} == {"S1"}
+
+    @staticmethod
+    def fail_during_estimates_write(monkeypatch, exc):
+        """Raise exc once estimates.csv has its header and one row."""
+        real_row, calls = output.estimate_row, []
+
+        def estimate_row(record):
+            calls.append(record)
+            if len(calls) > 1:
+                raise exc
+            return real_row(record)
+
+        monkeypatch.setattr(output, "estimate_row", estimate_row)
+
+    def test_write_failure_midway_removes_the_partial_file(self, tmp_path, monkeypatch):
+        self.fail_during_estimates_write(monkeypatch, OSError("disk full"))
+        assert run_cli(*simulate_args(tmp_path)) == EXIT_IO
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(9)])
+    def test_interrupt_during_writes_removes_outputs_and_reraises(
+        self, tmp_path, monkeypatch, exc
+    ):
+        self.fail_during_estimates_write(monkeypatch, exc)
+        with pytest.raises(type(exc)):
+            run_cli(*simulate_args(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReaggregationVerbs:
     @pytest.fixture()
@@ -250,9 +292,12 @@ class TestEnvironmentDefaults:
             ).read_bytes()
 
     def test_console_entry_point(self, tmp_path):
+        # the child runs the same package copy as this process, installed or not
+        path = [str(Path(snt_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "snt_lab", "solve", "--out", str(tmp_path)],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert (tmp_path / "hazards.csv").exists()

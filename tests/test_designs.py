@@ -13,12 +13,14 @@ from snt_lab.designs import (
     GROUP_INITIATOR,
     GROUP_NONINITIATOR,
     GROUP_TREATED,
+    IndexRecord,
     IndexSet,
     TreatmentAssignment,
     assign_treatments,
     build_esnt_cal,
     build_esnt_td,
     build_spt,
+    count_table,
     describe_dataset,
     describe_replicate,
 )
@@ -278,6 +280,33 @@ class TestBuildEsnt:
         for field in ("person_id", "index_visit", "severity_at_index", "treated",
                       "futime", "event", "censored", "severity_next"):
             assert np.array_equal(getattr(rebuilt, field), getattr(cal, field))
+
+
+class TestCountTable:
+    def test_cells_and_weight_sums(self):
+        def rec(pid, visit, sev, treated, futime, event):
+            return IndexRecord(pid, visit, sev, treated, futime, event,
+                               censored=futime == 1 and not event, severity_next=0)
+
+        idx = IndexSet.from_records(DESIGN_CAL, [
+            rec(0, 1, 0, False, 1, True),  # person 0 initiates at Visit 2
+            rec(0, 2, 1, True, 2, False),
+            rec(1, 1, 1, False, 1, False),
+            rec(5, 1, 0, False, 2, True),
+            rec(5, 2, 0, False, 2, True),
+        ])
+        weights = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 2.5], [0.5, 4.0], [1.0, 3.0]])
+        table = count_table(idx, weights)
+        # [initiator-person, arm, severity, state]
+        assert [tuple(c) for c in np.argwhere(table.counts)] == [
+            (0, 0, 0, 2), (0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 3),
+        ]
+        assert table.counts[0, 0, 0, 2] == 2
+        assert table.weight_sums[:, 0, 0, 0, 2].tolist() == [1.5, 7.0]
+        assert table.weight_sums[:, 0, 0, 1, 1].tolist() == [1.0, 2.5]
+        assert (table.n_people, table.n_initiators) == (3, 1)
+        unit = count_table(idx)
+        assert np.array_equal(unit.weight_sums, np.stack([unit.counts, unit.counts]))
 
 
 class TestDescribe:

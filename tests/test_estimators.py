@@ -86,6 +86,17 @@ class TestCensoringWeights:
         with pytest.raises(DegenerateWeightError):
             censoring_weights(dataset([record(severity_next=1)]), spec)
 
+    def test_certain_censoring_of_uncensorable_indexes_is_harmless(self):
+        spec, _ = spec_and_hazards("S1")
+        spec = dataclasses.replace(spec, decision_prob=(1.0, 1.0), treat_prob=(0.5, 1.0))
+        idx = dataset([
+            record(treated=True, severity_next=1),
+            record(index_visit=2, severity_next=1),
+            record(severity_next=0),
+        ])
+        w = censoring_weights(idx, spec)
+        assert w[:, 1].tolist() == [1.0, 1.0, 2.0]
+
     def test_unknown_mode_rejected(self):
         spec, _ = spec_and_hazards("S1")
         with pytest.raises(ValueError):
