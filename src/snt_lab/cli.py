@@ -4,7 +4,9 @@ Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
 0 success, 1 I/O failure, 2 usage error, 3 infeasible calibration. Partial
 outputs are removed on any failure or interrupt so downstream steps never
 read a truncated run, and simulate removes the derived files of an earlier
-run in the same directory that it did not rewrite.
+run in the same directory that it did not rewrite. A simulate whose summary
+has a cell with fewer than two usable replicates keeps its complete
+per-replicate files, writes no summary and exits 2.
 """
 
 from __future__ import annotations
@@ -196,6 +198,10 @@ class _OutputTracker:
             if path not in self.written:
                 path.unlink(missing_ok=True)
 
+    def keep_written(self) -> None:
+        """Keep the files written so far even if the invocation fails."""
+        self.written.clear()
+
     def discard_all(self) -> None:
         for path in self.written:
             try:
@@ -225,6 +231,11 @@ def _cmd_truth(specs, run, tracker) -> None:
         for s in specs
     }
     tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_rows(truths))
+
+
+#: Files derived from simulate's per-replicate outputs; describe_summary.csv
+#: always derives from an earlier describe.csv.
+_DERIVED_FILES = ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summary.csv")
 
 
 def _cmd_simulate(specs, run, tracker) -> None:
@@ -262,7 +273,16 @@ def _cmd_simulate(specs, run, tracker) -> None:
         "describe.csv", output.DESCRIBE_COLUMNS, output.describe_rows(all_results)
     )
     if run.n_replicates >= 2:
-        summary = summarize(records, truths, run.truth_override)
+        try:
+            summary = summarize(records, truths, run.truth_override)
+        except InsufficientReplicatesError as exc:
+            # the per-replicate files are complete; only the summary is missing
+            tracker.remove_unwritten(_DERIVED_FILES)
+            tracker.keep_written()
+            raise InsufficientReplicatesError(
+                f"{exc}; kept hazards.csv, truth.csv, estimates.csv and describe.csv, "
+                "wrote no summary or figure files"
+            ) from exc
         tracker.write(
             "summary.csv", output.SUMMARY_COLUMNS, map(output.summary_row, summary)
         )
@@ -276,10 +296,7 @@ def _cmd_simulate(specs, run, tracker) -> None:
             output.FIGURE_COLUMNS,
             output.figure_rows(summary, output.FIGURE_ATT_TARGETS),
         )
-    # describe_summary.csv always derives from an earlier describe.csv
-    tracker.remove_unwritten(
-        ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summary.csv")
-    )
+    tracker.remove_unwritten(_DERIVED_FILES)
 
 
 def _cmd_summarize(specs, run, tracker) -> None:

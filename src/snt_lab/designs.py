@@ -24,9 +24,13 @@ import numpy as np
 from .config import ScenarioSpec
 from .population import (
     Cohort,
+    HIGH,
+    N_BASE_TYPES,
     PATTERN_NEVER,
     PATTERN_VISIT1,
     PATTERN_VISIT2,
+    base_severity,
+    expand_base_codes,
 )
 
 DESIGN_SPT = "SPT"
@@ -41,6 +45,11 @@ GROUP_NONINITIATOR = "noninitiator-person"
 DESCRIBE_GROUPS = (GROUP_ALL, GROUP_TREATED, GROUP_INITIATOR, GROUP_NONINITIATOR)
 
 SEVERITY_LABELS = ("low", "high")
+
+#: A person type is the base type (population.N_BASE_TYPES) followed by three
+#: treatment bits: the SPT arm, Visit 1 initiation and the Visit 2 initiation
+#: draw. A replicate's outputs depend only on its count of each type.
+N_TYPES = N_BASE_TYPES * 8
 
 
 @dataclass
@@ -121,27 +130,62 @@ class IndexSet:
         )
 
 
-def assign_treatments(
-    rng: np.random.Generator, cohort: Cohort, spec: ScenarioSpec
-) -> TreatmentAssignment:
-    """Draw the SPT arm and the emulation-world initiation indicators.
+def draw_treatment_bits(
+    rng: np.random.Generator, high1: np.ndarray, high2: np.ndarray, spec: ScenarioSpec
+) -> np.ndarray:
+    """Draw each person's three treatment bits (SPT arm, Visit 1 initiation,
+    Visit 2 initiation draw, high bit first) given high severity at Visits 1
+    and 2. The SPT arm is marginal; the initiation draws compare against the
+    severity-specific probability."""
+    tp_low, tp_high = spec.treat_prob
+    bits = (rng.random(len(high1)) < spec.spt_treat_prob).astype(np.uint16)
+    for high in (high1, high2):
+        bits *= 2
+        bits |= rng.random(len(high)) < np.where(high, tp_high, tp_low)
+    return bits
 
-    The SPT arm is marginal. Visit 1 initiation depends on severity at
-    Visit 1. Visit 2 initiation requires: untreated at Visit 1, no observed
-    outcome in year 1, a decision point at Visit 2, and an initiation draw
-    against the severity-specific probability.
+
+def person_type_codes(
+    rng: np.random.Generator, base: np.ndarray, spec: ScenarioSpec
+) -> np.ndarray:
+    """Append the treatment bits drawn from rng to each base code."""
+    bits = draw_treatment_bits(rng, base_severity(base, 0), base_severity(base, 1), spec)
+    code = base << 3
+    code |= bits
+    return code
+
+
+def assignment_from_bits(cohort: Cohort, bits: np.ndarray) -> TreatmentAssignment:
+    """Expand treatment bits into the observed treatment of each person.
+
+    Visit 2 initiation requires: untreated at Visit 1, no observed outcome in
+    year 1, a decision point at Visit 2, and the initiation draw.
     """
-    n = len(cohort)
-    tp = np.asarray(spec.treat_prob)
-    spt_arm = rng.random(n) < spec.spt_treat_prob
-    a1 = rng.random(n) < tp[cohort.severity[:, 0]]
-    init2 = rng.random(n) < tp[cohort.severity[:, 1]]
+    a1 = (bits & 2) > 0
     alive1 = cohort.event_time[:, PATTERN_NEVER] != 1
-    a2 = ~a1 & alive1 & cohort.decision2 & init2
+    a2 = ~a1 & alive1 & cohort.decision2 & ((bits & 1) > 0)
     observed = np.where(
         a1, PATTERN_VISIT1, np.where(a2, PATTERN_VISIT2, PATTERN_NEVER)
     ).astype(np.int8)
-    return TreatmentAssignment(spt_arm=spt_arm, a1=a1, a2=a2, observed_pattern=observed)
+    return TreatmentAssignment(spt_arm=bits >= 4, a1=a1, a2=a2, observed_pattern=observed)
+
+
+def assign_treatments(
+    rng: np.random.Generator, cohort: Cohort, spec: ScenarioSpec
+) -> TreatmentAssignment:
+    """Draw the SPT arm and the emulation-world initiation indicators
+    (draw_treatment_bits, then assignment_from_bits)."""
+    high = cohort.severity == HIGH
+    return assignment_from_bits(
+        cohort, draw_treatment_bits(rng, high[:, 0], high[:, 1], spec)
+    )
+
+
+def type_cohort() -> tuple[Cohort, TreatmentAssignment]:
+    """One person of each of the N_TYPES person types, person k of type k."""
+    codes = np.arange(N_TYPES)
+    cohort = expand_base_codes(codes >> 3)
+    return cohort, assignment_from_bits(cohort, codes & 7)
 
 
 def _follow(pattern_time: np.ndarray, start_year: int, tau: int = 2):
@@ -242,41 +286,86 @@ class CountTable:
     """
 
     design: str
-    counts: np.ndarray  # (2, 2, 2, 4) int: indexes per cell
+    counts: np.ndarray  # (2, 2, 2, 4): indexes per cell, float if frequency-weighted
     weight_sums: np.ndarray  # (2, 2, 2, 2, 4) float: [year 1 or 2][cell]
     n_people: int  # persons with at least one index
     n_initiators: int  # persons with a treated index
 
 
-def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
-    """Tabulate one design. weights is the (n, 2) per-index weight schedule
-    of follow-up years 1 and 2; without it every index weighs 1. Follow-up
-    times must be 1 or 2 years, as the designs build them."""
+@dataclass(frozen=True)
+class TableMap:
+    """Where the indexes of each person of one design fall in its count
+    table, so that the table of any cohort of such persons is a weighted
+    tabulation of the person counts.
+
+    The indexes are sorted into groups that share a cell and a weight
+    schedule; a table sums the person counts of each group, then the groups
+    of each cell.
+    """
+
+    design: str
+    person: np.ndarray  # the person of each index, grouped
+    starts: np.ndarray  # the first index of each group
+    cell: np.ndarray  # the count-table cell of each group
+    weights: np.ndarray | None  # (2, n_groups): years 1 and 2, or None for 1
+    indexed: np.ndarray  # bool per person: has an index
+    initiator: np.ndarray  # bool per person: has a treated index
+
+    def table(self, people: np.ndarray) -> CountTable:
+        """The count table of a cohort with people[k] persons like person k.
+        Float people are frequency weights and give a table of the same."""
+        per_group = np.add.reduceat(people[self.person], self.starts)
+        counts = np.bincount(self.cell, per_group, minlength=32)
+        if self.weights is None:
+            sums = np.stack([counts, counts])
+        else:
+            sums = np.stack([
+                np.bincount(self.cell, per_group * w, minlength=32) for w in self.weights
+            ])
+        return CountTable(
+            design=self.design,
+            counts=counts.astype(people.dtype).reshape(2, 2, 2, 4),
+            weight_sums=sums.reshape(2, 2, 2, 2, 4),
+            n_people=people[self.indexed].sum().item(),
+            n_initiators=people[self.initiator].sum().item(),
+        )
+
+
+def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> TableMap:
+    """The table map of one design. weights is the (n, 2) per-index weight
+    schedule of follow-up years 1 and 2; without it every index weighs 1.
+    Follow-up times must be 1 or 2 years, as the designs build them."""
     pid = idx.person_id
     n_slots = int(pid.max(initial=-1)) + 1
-    ever_init = np.zeros(n_slots, dtype=bool)
-    ever_init[pid.compress(idx.treated)] = True
+    initiator = np.zeros(n_slots, dtype=bool)
+    initiator[pid.compress(idx.treated)] = True
     # one binary digit per axis, the state being the pair (futime == 2, no event)
-    code = ever_init[pid].view(np.uint8)
+    code = initiator[pid].view(np.uint8)
     for digit in (idx.treated, idx.severity_at_index == 1, idx.futime == 2, ~idx.event):
         code *= 2
         code |= digit
-    code = code.astype(np.intp)
-    counts = np.bincount(code, minlength=32)
-    if weights is None:
-        sums = np.stack([counts, counts]).astype(float)
-    else:
-        sums = np.stack([
-            np.bincount(code, weights[:, 0], minlength=32),
-            np.bincount(code, weights[:, 1], minlength=32),
-        ])
-    return CountTable(
+    # sort by cell, then weights; a group starts wherever the sorted key changes
+    key = np.vstack([code.astype(float), *([] if weights is None else weights.T)])
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    first = np.ones(len(pid), dtype=bool)
+    first[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    starts = np.flatnonzero(first)
+    return TableMap(
         design=idx.design,
-        counts=counts.reshape(2, 2, 2, 4),
-        weight_sums=sums.reshape(2, 2, 2, 2, 4),
-        n_people=int(np.count_nonzero(np.bincount(pid))),
-        n_initiators=int(ever_init.sum()),
+        person=pid[order],
+        starts=starts,
+        cell=key[0, starts].astype(np.intp),
+        weights=None if weights is None else key[1:, starts],
+        indexed=np.bincount(pid, minlength=n_slots) > 0,
+        initiator=initiator,
     )
+
+
+def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
+    """Tabulate one design, every person counted once (see table_map)."""
+    tmap = table_map(idx, weights)
+    return tmap.table(np.ones(len(tmap.indexed), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -290,47 +379,51 @@ class DescribeRow:
     avg_indexes_per_person: float
 
 
-def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
-    """Descriptive rows for one design.
+def describe_tables(tables: list[CountTable], n_persons: int) -> list[DescribeRow]:
+    """Descriptive rows of each design's count table.
 
     Index-level groups ('all', 'treated') summarize indexes directly;
     person-level groups split persons by ever-initiator status and count the
     indexes those persons contribute, so a non-initiator's censored Visit 1
     index of an eventual initiator counts toward the initiator group.
     """
-    table = count_table(idx)
-    by_cell = table.counts.sum(axis=3)  # [initiator-person][arm][severity]
-    groups = (
-        (GROUP_ALL, table.n_people, by_cell.sum(axis=(0, 1))),
-        (GROUP_TREATED, table.n_initiators, by_cell[:, 1].sum(axis=0)),
-        (GROUP_INITIATOR, table.n_initiators, by_cell[1].sum(axis=0)),
-        (GROUP_NONINITIATOR, n_persons - table.n_initiators, by_cell[0].sum(axis=0)),
-    )
     rows: list[DescribeRow] = []
-    for group, n_people, by_severity in groups:
-        n_by_sev = by_severity.tolist()
-        total = n_by_sev[0] + n_by_sev[1]
-        pct_high = 100.0 * n_by_sev[1] / total if total else float("nan")
-        rows += [
-            DescribeRow(
-                design=idx.design,
-                group=group,
-                severity=SEVERITY_LABELS[z],
-                n_people=n_people,
-                n_indexes=n_by_sev[z],
-                pct_high=pct_high,
-                avg_indexes_per_person=(n_by_sev[z] / n_people) if n_people else float("nan"),
-            )
-            for z in (0, 1)
-        ]
+    for table in tables:
+        by_cell = table.counts.sum(axis=3)  # [initiator-person][arm][severity]
+        groups = (
+            (GROUP_ALL, table.n_people, by_cell.sum(axis=(0, 1))),
+            (GROUP_TREATED, table.n_initiators, by_cell[:, 1].sum(axis=0)),
+            (GROUP_INITIATOR, table.n_initiators, by_cell[1].sum(axis=0)),
+            (GROUP_NONINITIATOR, n_persons - table.n_initiators, by_cell[0].sum(axis=0)),
+        )
+        for group, n_people, by_severity in groups:
+            n_by_sev = by_severity.tolist()
+            total = n_by_sev[0] + n_by_sev[1]
+            pct_high = 100.0 * n_by_sev[1] / total if total else float("nan")
+            rows += [
+                DescribeRow(
+                    design=table.design,
+                    group=group,
+                    severity=SEVERITY_LABELS[z],
+                    n_people=n_people,
+                    n_indexes=n_by_sev[z],
+                    pct_high=pct_high,
+                    avg_indexes_per_person=(
+                        n_by_sev[z] / n_people if n_people else float("nan")
+                    ),
+                )
+                for z in (0, 1)
+            ]
     return rows
+
+
+def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
+    """Descriptive rows for one design (describe_tables)."""
+    return describe_tables([count_table(idx)], n_persons)
 
 
 def describe_replicate(
     spt: IndexSet, cal: IndexSet, td: IndexSet, n_persons: int
 ) -> list[DescribeRow]:
     """Descriptive rows for the three designs built from one cohort."""
-    rows: list[DescribeRow] = []
-    for idx in (spt, cal, td):
-        rows += describe_dataset(idx, n_persons)
-    return rows
+    return describe_tables([count_table(idx) for idx in (spt, cal, td)], n_persons)

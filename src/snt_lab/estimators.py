@@ -14,19 +14,33 @@ probability of remaining uncensored given that severity.
 Every analysis contrasts a treated and an untreated risk through the risk
 ratio; standardized analyses mix (arm x severity) stratum risks with the
 target population's severity shares first. Risks and shares are read off
-one count table per design (designs.count_table), never off the indexes.
+one count table per design, never off the indexes. A replicate's tables come
+from its person-type counts through person_type_map; analyze_replicate
+tabulates a person-level cohort's index sets instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioSpec, WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER
-from .designs import DESIGN_SPT, CountTable, IndexSet, count_table
-from .population import Cohort, UndefinedRatioError, cohort_true_rr
+from .designs import (
+    DESIGN_SPT,
+    CountTable,
+    IndexSet,
+    TableMap,
+    build_esnt_cal,
+    build_esnt_td,
+    build_spt,
+    count_table,
+    table_map,
+    type_cohort,
+)
+from .population import Cohort, UndefinedRatioError, pattern_events, true_rr
 
 ANALYSIS_TRUE = "true_rr"
 ANALYSIS_CRUDE = "crude"
@@ -80,6 +94,22 @@ class AnalysisResult:
     degenerate: str = ""
 
 
+_CERTAIN_CENSORING = "certain censoring: Pr(uncensored) = 0 for some severity level"
+
+
+def _uncensored_prob(indexes: IndexSet, spec: ScenarioSpec, mode: str) -> np.ndarray:
+    """Pr(uncensored) of each index under censoring_weights' rule."""
+    if mode not in (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER):
+        raise ValueError(f"unknown weight mode {mode!r}")
+    tp = np.asarray(spec.treat_prob)
+    dp = np.asarray(spec.decision_prob)
+    hazard = tp if mode == WEIGHT_MODE_PAPER else dp * tp
+    p_uncensored = 1.0 - hazard
+
+    at_risk = ~indexes.treated & (indexes.index_visit == 1)
+    return np.where(at_risk, p_uncensored[indexes.severity_next], 1.0)
+
+
 def censoring_weights(
     indexes: IndexSet, spec: ScenarioSpec, mode: str = WEIGHT_MODE_INITIATION
 ) -> np.ndarray:
@@ -91,19 +121,9 @@ def censoring_weights(
     Pr(decision point) * Pr(initiate | decision point) under the default
     'initiation' mode and just Pr(initiate) under 'paper_simplified'.
     """
-    if mode not in (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER):
-        raise ValueError(f"unknown weight mode {mode!r}")
-    tp = np.asarray(spec.treat_prob)
-    dp = np.asarray(spec.decision_prob)
-    hazard = tp if mode == WEIGHT_MODE_PAPER else dp * tp
-    p_uncensored = 1.0 - hazard
-
-    at_risk = ~indexes.treated & (indexes.index_visit == 1)
-    p = np.where(at_risk, p_uncensored[indexes.severity_next], 1.0)
+    p = _uncensored_prob(indexes, spec, mode)
     if np.any(p <= 0.0):
-        raise DegenerateWeightError(
-            "certain censoring: Pr(uncensored) = 0 for some severity level"
-        )
+        raise DegenerateWeightError(_CERTAIN_CENSORING)
     w = np.ones((len(indexes), 2))
     w[:, 1] = 1.0 / p
     return w
@@ -250,27 +270,26 @@ def crude_rr(indexes: IndexSet, weights: np.ndarray, analysis: str = ANALYSIS_CR
     return _analyses(count_table(indexes, weights), [(analysis, target_population, None)])[0]
 
 
-def analyze_replicate(
-    cohort: Cohort,
-    spt: IndexSet,
-    cal: IndexSet,
-    td: IndexSet,
-    spec: ScenarioSpec,
-    cal_weight_mode: str = WEIGHT_MODE_INITIATION,
+def battery(
+    tables: tuple[CountTable, CountTable, CountTable],
+    true_events: tuple[int, int],
+    n: int,
 ) -> list[AnalysisResult]:
     """The full analysis battery for one replicate: 14 results.
+
+    tables are the SPT's and the two emulations' (censoring-weighted) count
+    tables; true_events counts the n persons with an event by tau under
+    sustained initiation and under never initiating.
 
     SPT: the within-cohort true risk ratio, the crude contrast, and
     standardizations to its own all-participant and treated-participant
     severity distributions. Each emulation: the censoring-weighted crude
     contrast, standardizations to its own index populations, and
     standardizations to the single point trial's populations from the same
-    cohort. Every result comes from one count table per design. Degenerate
-    cells are flagged, never dropped.
+    cohort. Degenerate cells are flagged, never dropped.
     """
-    n = len(cohort)
     try:
-        truth = cohort_true_rr(cohort, tau=spec.horizon_tau)
+        truth = true_rr(*true_events, n)
         risks = (truth.risk_treated, truth.risk_untreated, truth.rr, truth.log_rr)
         flag = "" if truth.rr > 0 else FLAG_ZERO_RISK_TREATED
     except UndefinedRatioError:
@@ -278,15 +297,14 @@ def analyze_replicate(
         flag = FLAG_UNDEFINED_TRUTH
     results = [AnalysisResult(DESIGN_SPT, ANALYSIS_TRUE, TARGET_NONE, *risks, n, n, flag)]
 
-    spt_table = count_table(spt)
+    spt_table, *emulations = tables
     spt_all, spt_treated = _targets(spt_table)
     results += _analyses(spt_table, [
         (ANALYSIS_CRUDE, TARGET_NONE, None),
         (ANALYSIS_ATE_SPT, TARGET_SPT_ALL, spt_all),
         (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED, spt_treated),
     ])
-    for emulation, mode in ((cal, cal_weight_mode), (td, WEIGHT_MODE_INITIATION)):
-        table = count_table(emulation, censoring_weights(emulation, spec, mode))
+    for table in emulations:
         own_all, own_treated = _targets(table)
         results += _analyses(table, [
             (ANALYSIS_CRUDE, TARGET_NONE, None),
@@ -296,3 +314,68 @@ def analyze_replicate(
             (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED, spt_treated),
         ])
     return results
+
+
+def _weight_modes(cal_weight_mode: str) -> tuple[str, str]:
+    """Censoring-weight modes of eSNT-CAL and eSNT-TD; eSNT-TD always uses
+    the decision-point product form."""
+    return cal_weight_mode, WEIGHT_MODE_INITIATION
+
+
+def analyze_replicate(
+    cohort: Cohort,
+    spt: IndexSet,
+    cal: IndexSet,
+    td: IndexSet,
+    spec: ScenarioSpec,
+    cal_weight_mode: str = WEIGHT_MODE_INITIATION,
+) -> list[AnalysisResult]:
+    """The battery of one replicate's cohort and designs, each design
+    tabulated from its indexes."""
+    cal_mode, td_mode = _weight_modes(cal_weight_mode)
+    tables = (
+        count_table(spt),
+        count_table(cal, censoring_weights(cal, spec, cal_mode)),
+        count_table(td, censoring_weights(td, spec, td_mode)),
+    )
+    events = pattern_events(cohort, spec.horizon_tau)
+    return battery(tables, tuple(int(np.count_nonzero(e)) for e in events), len(cohort))
+
+
+@dataclass(frozen=True)
+class PersonTypeMap:
+    """The fixed map from a replicate's count of each person type
+    (designs.N_TYPES) to its three count tables and its true-RR counts, for
+    one scenario and calendar-emulation weight mode."""
+
+    designs: tuple[TableMap, TableMap, TableMap]
+    blocked: np.ndarray  # bool per type: an index with Pr(uncensored) <= 0
+    events: tuple[np.ndarray, np.ndarray]  # bool per type, see pattern_events
+
+    def tables(self, counts: np.ndarray) -> tuple[CountTable, CountTable, CountTable]:
+        if counts[self.blocked].any():
+            raise DegenerateWeightError(_CERTAIN_CENSORING)
+        return tuple(tmap.table(counts) for tmap in self.designs)
+
+    def true_events(self, counts: np.ndarray) -> tuple[int, int]:
+        treated, untreated = self.events
+        return counts[treated].sum().item(), counts[untreated].sum().item()
+
+
+@functools.lru_cache(maxsize=8)
+def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
+    """Run the design builders and the censoring-weight rule once over one
+    person of each type (designs.type_cohort). The map is cached per
+    process and shared by its callers, which only read it."""
+    cohort, assignment = type_cohort()
+    maps = [table_map(build_spt(cohort, assignment))]
+    blocked = np.zeros(len(cohort), dtype=bool)
+    for build, mode in zip((build_esnt_cal, build_esnt_td), _weight_modes(cal_weight_mode)):
+        idx = build(cohort, assignment)
+        p = _uncensored_prob(idx, spec, mode)
+        certain = p <= 0.0
+        blocked[idx.person_id[certain]] = True
+        w = np.ones((len(idx), 2))
+        w[:, 1] = 1.0 / np.where(certain, np.inf, p)  # blocked types raise before use
+        maps.append(table_map(idx, w))
+    return PersonTypeMap(tuple(maps), blocked, pattern_events(cohort, spec.horizon_tau))

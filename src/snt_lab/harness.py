@@ -20,7 +20,6 @@ can be overridden with a fixed risk-ratio value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +29,26 @@ from .designs import (
     DESIGNS,
     DescribeRow,
     DESCRIBE_GROUPS,
+    N_TYPES,
     SEVERITY_LABELS,
+    describe_tables,
+    person_type_codes,
+)
+from .estimators import ANALYSES, AnalysisResult, battery, person_type_map
+from .hazards import HazardSet, solve
+from .population import TruthTable, draw_base_codes, enumerate_truth
+
+# run_replicate no longer takes the person-level path. Its entry points stay
+# importable from this module, where perfbench/trace.py wraps them.
+from .designs import (
+    assign_treatments,
     build_esnt_cal,
     build_esnt_td,
     build_spt,
     describe_replicate,
-    assign_treatments,
 )
-from .estimators import ANALYSES, AnalysisResult, analyze_replicate
-from .hazards import HazardSet, solve
-from .population import Cohort, TruthTable, draw_cohort, enumerate_truth
+from .estimators import analyze_replicate
+from .population import draw_cohort
 
 #: Substream namespace for the optional finite superpopulation pool; real
 #: replicates are numbered from 1.
@@ -111,10 +120,11 @@ def replicate_stream(
 
 def draw_superpopulation(
     spec: ScenarioSpec, hazards: HazardSet, run: RunConfig
-) -> Cohort:
-    """Materialize the finite pool for with-replacement cohort sampling."""
+) -> np.ndarray:
+    """Draw the base codes of the finite pool for with-replacement cohort
+    sampling."""
     rng = replicate_stream(run.master_seed, spec.scenario_id, _POOL_STREAM_ID)
-    return draw_cohort(rng, spec, hazards, run.superpop)
+    return draw_base_codes(rng, spec, hazards, run.superpop)
 
 
 def run_replicate(
@@ -122,26 +132,26 @@ def run_replicate(
     hazards: HazardSet,
     replicate_id: int,
     run: RunConfig,
-    pool: Cohort | None = None,
+    pool: np.ndarray | None = None,
 ) -> ReplicateResult:
-    """Execute one replicate: draw (or resample) the cohort, assign
-    treatments, build the three designs, analyze, and describe."""
+    """Execute one replicate: draw (or resample from the pool) the base
+    codes, draw the treatment bits, count the person types, and read the
+    three designs' tables, the analyses and the descriptive rows off the
+    counts."""
     rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
+    n = run.n_individuals
     if pool is None:
-        cohort = draw_cohort(rng, spec, hazards, run.n_individuals)
+        base = draw_base_codes(rng, spec, hazards, n)
     else:
-        cohort = pool.take(rng.integers(0, len(pool), size=run.n_individuals))
-    assignment = assign_treatments(rng, cohort, spec)
-    spt = build_spt(cohort, assignment)
-    cal = build_esnt_cal(cohort, assignment)
-    td = build_esnt_td(cohort, assignment)
-    analyses = analyze_replicate(cohort, spt, cal, td, spec, run.cal_weight_mode)
-    descriptives = describe_replicate(spt, cal, td, len(cohort))
+        base = pool[rng.integers(0, len(pool), size=n)]
+    counts = np.bincount(person_type_codes(rng, base, spec), minlength=N_TYPES)
+    types = person_type_map(spec, run.cal_weight_mode)
+    tables = types.tables(counts)
     return ReplicateResult(
         scenario_id=spec.scenario_id,
         replicate=replicate_id,
-        analyses=analyses,
-        descriptives=descriptives,
+        analyses=battery(tables, types.true_events(counts), n),
+        descriptives=describe_tables(tables, n),
     )
 
 
@@ -183,6 +193,8 @@ def run_scenario(
         (spec, hazards, run, replicate_ids[i : i + chunk_size], pool)
         for i in range(0, len(replicate_ids), chunk_size)
     ]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
+
     results: list[ReplicateResult] = []
     with ProcessPoolExecutor(max_workers=workers) as executor:
         for part in executor.map(_run_chunk, chunks):

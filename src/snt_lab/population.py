@@ -9,7 +9,8 @@ counted in years from Visit 1. An outcome determined at visit t is observed
 at year t; nothing is generated past year 3.
 
 Severity is monotone: low may progress to high between visits, high never
-reverts.
+reverts. So a person's draws fit in a 9-bit base code (draw_base_codes),
+which expand_base_codes unpacks into the cohort's arrays.
 """
 
 from __future__ import annotations
@@ -160,10 +161,23 @@ def event_time_under_pattern(ind: Individual, pattern: int) -> int | None:
     return None
 
 
-def draw_cohort(
+#: A person's base type packs the severity path, the decision point and the
+#: outcome grid into 9 bits, most significant first: the path's number of
+#: high-severity visits (2 bits), decision2, then po[visit][arm] in visit and
+#: then arm order (6 bits).
+N_BASE_TYPES = 512
+
+
+def base_severity(base: np.ndarray, visit: int) -> np.ndarray:
+    """High severity at 0-based visit of each base code: a monotone path is
+    high at visit v once it has more than 2 - v high visits."""
+    return base >= (3 - visit) << 7
+
+
+def draw_base_codes(
     rng: np.random.Generator, spec: ScenarioSpec, hazards: HazardSet, n: int
-) -> Cohort:
-    """Draw n individuals i.i.d. from the generative law.
+) -> np.ndarray:
+    """Draw the base types of n individuals i.i.d. from the generative law.
 
     Draw order is fixed (baseline severity, the two progression steps, the
     decision-point indicator, then the per-visit-per-arm outcome grid) so a
@@ -173,17 +187,39 @@ def draw_cohort(
     s1 = rng.random(n) < spec.baseline_high_prob
     s2 = s1 | (rng.random(n) < pi)
     s3 = s2 | (rng.random(n) < pi)
-    severity = np.stack([s1, s2, s3], axis=1).astype(np.int8)
+    dec_low, dec_high = spec.decision_prob
+    decision2 = rng.random(n) < np.where(s2, dec_high, dec_low)
 
-    dec_p = np.asarray(spec.decision_prob)
-    decision2 = rng.random(n) < dec_p[severity[:, 1]]
-
-    # p[arm, severity] -> probability the outcome is determined at a visit
-    p = np.array([[hazards.p00, hazards.p01], [hazards.p10, hazards.p11]])
+    # p[arm] = (low, high) probability the outcome is determined at a visit
+    p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
     u = rng.random((n, 3, 2))
-    po = u < p.T[severity]  # p.T[z] = (p0z, p1z), broadcast over visits
+    code = s1.astype(np.uint16)
+    code += s2
+    code += s3
+    code *= 2
+    code |= decision2
+    for visit, high in enumerate((s1, s2, s3)):
+        for arm in (0, 1):
+            code *= 2
+            code |= u[:, visit, arm] < np.where(high, p[arm][1], p[arm][0])
+    return code
 
-    return Cohort.from_arrays(severity=severity, decision2=decision2, po=po)
+
+def expand_base_codes(base: np.ndarray) -> Cohort:
+    """The cohort whose individuals have the given base types."""
+    base = np.asarray(base)
+    severity = np.stack([base_severity(base, v) for v in range(3)], axis=1)
+    bits = (base[:, None] >> np.arange(6, -1, -1)) & 1  # decision2, then po
+    return Cohort.from_arrays(
+        severity=severity, decision2=bits[:, 0], po=bits[:, 1:].reshape(-1, 3, 2)
+    )
+
+
+def draw_cohort(
+    rng: np.random.Generator, spec: ScenarioSpec, hazards: HazardSet, n: int
+) -> Cohort:
+    """Draw n individuals i.i.d. from the generative law (draw_base_codes)."""
+    return expand_base_codes(draw_base_codes(rng, spec, hazards, n))
 
 
 def draw_individual(
@@ -226,22 +262,40 @@ def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthTable:
     return TruthTable(marginal=entry, std_spt_all=entry, std_spt_treated=entry)
 
 
-def cohort_true_rr(cohort: Cohort, tau: int = 2) -> TruthEntry:
-    """Finite-sample truth within one cohort: the share with an event by tau
-    under sustained initiation over the share under never initiating.
+def pattern_events(cohort: Cohort, tau: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Per person: an event by tau under sustained initiation, and under
+    never initiating."""
+    return (
+        cohort.event_time[:, PATTERN_VISIT1] <= tau,
+        cohort.event_time[:, PATTERN_NEVER] <= tau,
+    )
+
+
+def true_rr(events_treated: int, events_untreated: int, n: int) -> TruthEntry:
+    """Finite-sample truth of n persons, events_treated of whom have an event
+    by tau under sustained initiation and events_untreated under never
+    initiating: the ratio of the two shares.
 
     Raises UndefinedRatioError when the never-initiate share is zero.
     """
-    if len(cohort) == 0:
+    if n == 0:
         raise UndefinedRatioError("empty cohort")
-    risk_treated = float(np.mean(cohort.event_time[:, PATTERN_VISIT1] <= tau))
-    risk_untreated = float(np.mean(cohort.event_time[:, PATTERN_NEVER] <= tau))
-    if risk_untreated == 0.0:
+    if events_untreated == 0:
         raise UndefinedRatioError("no events under the never-initiate pattern")
+    risk_treated = events_treated / n
+    risk_untreated = events_untreated / n
     rr = risk_treated / risk_untreated
     log_rr = float(np.log(rr)) if rr > 0 else float("nan")
     return TruthEntry(
         risk_treated=risk_treated, risk_untreated=risk_untreated, rr=rr, log_rr=log_rr
+    )
+
+
+def cohort_true_rr(cohort: Cohort, tau: int = 2) -> TruthEntry:
+    """Finite-sample truth within one cohort (true_rr)."""
+    treated, untreated = pattern_events(cohort, tau)
+    return true_rr(
+        int(np.count_nonzero(treated)), int(np.count_nonzero(untreated)), len(cohort)
     )
 
 

@@ -199,3 +199,23 @@ def describe_oracle(idx, n_persons):
                 n_by_sev[z] / n_people if n_people else math.nan,
             ))
     return rows
+
+
+def draw_oracle(rng, spec, hazards, n):
+    """The generative law and the treatment draws as plain arrays, stated
+    without type codes: (severity, decision2, po, spt_arm, a1, init2)."""
+    import numpy as np
+
+    pi = spec.progression_prob
+    s1 = rng.random(n) < spec.baseline_high_prob
+    s2 = s1 | (rng.random(n) < pi)
+    s3 = s2 | (rng.random(n) < pi)
+    severity = np.stack([s1, s2, s3], axis=1).astype(np.int8)
+    decision2 = rng.random(n) < np.asarray(spec.decision_prob)[severity[:, 1]]
+    p = np.array([[hazards.p00, hazards.p01], [hazards.p10, hazards.p11]])
+    po = rng.random((n, 3, 2)) < p.T[severity]
+    tp = np.asarray(spec.treat_prob)
+    spt_arm = rng.random(n) < spec.spt_treat_prob
+    a1 = rng.random(n) < tp[severity[:, 0]]
+    init2 = rng.random(n) < tp[severity[:, 1]]
+    return severity, decision2, po, spt_arm, a1, init2

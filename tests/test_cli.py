@@ -186,6 +186,21 @@ class TestSimulateVerb:
         )
         assert {r.scenario_id for r in read_estimates(tmp_path / "estimates.csv")} == {"S1"}
 
+    def test_cell_without_two_usable_replicates_keeps_per_replicate_outputs(
+        self, tmp_path, capsys
+    ):
+        for stale in ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summary.csv"):
+            (tmp_path / stale).write_text("stale")
+        args = ("--scenario", "all", "--n", "5", "--reps", "300", "--seed", "3")
+        assert run_cli("simulate", *args, "--out", str(tmp_path)) == EXIT_USAGE
+        assert "cell ('S2', 'eSNT-TD', 'att_spt', 'spt_treated')" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ("hazards.csv", "truth.csv", "estimates.csv", "describe.csv")
+        )
+        records = read_estimates(tmp_path / "estimates.csv")
+        assert len(records) == 4 * 300 * 14
+        assert len((tmp_path / "describe.csv").read_text().splitlines()) == 1 + 4 * 300 * 24
+
     @staticmethod
     def fail_during_estimates_write(monkeypatch, exc):
         """Raise exc once estimates.csv has its header and one row."""
@@ -301,3 +316,13 @@ class TestEnvironmentDefaults:
         )
         assert proc.returncode == 0
         assert (tmp_path / "hazards.csv").exists()
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        path = [str(Path(snt_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, snt_lab.cli; print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.stdout.strip() == "False"
