@@ -42,9 +42,8 @@ from .estimators import (
     standardized_rr,
 )
 from .harness import (
-    EstimateRecord,
     MetricsRow,
-    ReplicateResult,
+    ScenarioBlock,
     replicate_stream,
     run_replicate,
     run_scenario,
@@ -81,15 +80,14 @@ __all__ = [
     "DESIGN_CAL",
     "DESIGN_SPT",
     "DESIGN_TD",
-    "EstimateRecord",
     "HazardSet",
     "Individual",
     "IndexRecord",
     "IndexSet",
     "MetricsRow",
-    "ReplicateResult",
     "RunConfig",
     "SCENARIO_IDS",
+    "ScenarioBlock",
     "ScenarioSpec",
     "SolveReport",
     "SolverInfeasible",

@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
-0 success, 1 I/O failure, 2 usage error, 3 infeasible calibration. Partial
-outputs are removed on any failure or interrupt so downstream steps never
-read a truncated run, and simulate removes the derived files of an earlier
-run in the same directory that it did not rewrite. A simulate whose summary
-has a cell with fewer than two usable replicates keeps its complete
-per-replicate files, writes no summary and exits 2.
+0 success, 1 I/O failure, 2 usage error, 3 infeasible calibration. A verb
+writes its files into a temporary sibling of the output directory and moves
+them in only when it succeeds, so a failed, interrupted or killed run never
+leaves a truncated file there; simulate also removes the derived files of
+an earlier run in the same directory that it did not rewrite. A simulate
+whose summary has a cell with fewer than two usable replicates moves in its
+complete per-replicate files, writes no summary and exits 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,7 +36,8 @@ from .config import (
 )
 from .harness import (
     InsufficientReplicatesError,
-    estimate_records,
+    estimate_cells,
+    record_cells,
     run_scenario,
     summarize,
     summarize_descriptives,
@@ -79,7 +83,9 @@ def _default_threads() -> int | None:
     try:
         return _positive_int(raw)
     except (ValueError, argparse.ArgumentTypeError):
-        return None
+        raise ConfigError(
+            f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
+        ) from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -176,38 +182,45 @@ def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
 
 
 class _OutputTracker:
-    """Records written files so a failed invocation leaves nothing behind."""
+    """Stages a verb's files in a temporary sibling of the output directory,
+    so that only complete files ever appear in it (publish)."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, stale: tuple[str, ...] = ()):
         self.out_dir = out_dir
-        self.written: list[Path] = []
+        #: files of an earlier run that publish deletes unless rewritten
+        self.stale = stale
+        self.staging: Path | None = None
+        self.written: list[str] = []
 
     def write(self, name: str, header: tuple[str, ...], rows) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        # registered before opening, so a write that fails midway is discarded
-        self.written.append(path)
+        if self.staging is None:
+            self.out_dir.parent.mkdir(parents=True, exist_ok=True)
+            self.staging = Path(tempfile.mkdtemp(
+                prefix=f".{self.out_dir.name}.", dir=self.out_dir.parent
+            ))
+        path = self.staging / name
+        self.written.append(name)
         output.write_csv(path, header, rows)
         return path
 
-    def remove_unwritten(self, names: tuple[str, ...]) -> None:
-        """Delete the named outputs of an earlier run that this one did not
-        rewrite, so a reused directory holds no stale results."""
-        for name in names:
-            path = self.out_dir / name
-            if path not in self.written:
-                path.unlink(missing_ok=True)
+    def publish(self) -> None:
+        """Move the staged files into the output directory, each replacing
+        its namesake atomically, and delete the stale files this run did not
+        write, so a reused directory holds no results of an earlier run."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for name in self.written:
+            os.replace(self.staging / name, self.out_dir / name)
+        for name in self.stale:
+            if name not in self.written:
+                (self.out_dir / name).unlink(missing_ok=True)
+        self.discard()
 
-    def keep_written(self) -> None:
-        """Keep the files written so far even if the invocation fails."""
-        self.written.clear()
-
-    def discard_all(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def discard(self) -> None:
+        """Remove the staging directory and whatever it still holds."""
+        if self.staging is not None:
+            shutil.rmtree(self.staging, ignore_errors=True)
+            self.staging = None
+        self.written = []
 
 
 def _solve_all(specs: list[ScenarioSpec]):
@@ -233,8 +246,9 @@ def _cmd_truth(specs, run, tracker) -> None:
     tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_rows(truths))
 
 
-#: Files derived from simulate's per-replicate outputs; describe_summary.csv
-#: always derives from an earlier describe.csv.
+#: Files derived from simulate's per-replicate outputs, which simulate
+#: deletes unless it rewrites them; describe_summary.csv always derives from
+#: an earlier describe.csv.
 _DERIVED_FILES = ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summary.csv")
 
 
@@ -243,19 +257,17 @@ def _cmd_simulate(specs, run, tracker) -> None:
     hazards = {sid: rep.hazards for sid, (_, rep) in reports.items()}
     truths = truth_tables(specs, hazards)
 
-    all_results = []
+    blocks = []
     for spec in specs:
         start = time.perf_counter()
-        results = run_scenario(spec, run, hazards[spec.scenario_id])
+        blocks.append(run_scenario(spec, run, hazards[spec.scenario_id]))
         elapsed = time.perf_counter() - start
         print(
             f"{spec.scenario_id}: {run.n_replicates} replicates x "
             f"n={run.n_individuals} done in {elapsed:.1f}s",
             file=sys.stderr,
         )
-        all_results.extend(results)
 
-    records = estimate_records(all_results)
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
     tracker.write(
         "truth.csv",
@@ -264,21 +276,23 @@ def _cmd_simulate(specs, run, tracker) -> None:
             {s.scenario_id: (s.progression_prob, truths[s.scenario_id]) for s in specs}
         ),
     )
+    # the lines are made as they are written; no file's text is held at once
     tracker.write(
         "estimates.csv",
         output.ESTIMATES_COLUMNS,
-        (output.estimate_row(r) for r in records),
+        (line for block in blocks for line in output.estimate_lines(block)),
     )
     tracker.write(
-        "describe.csv", output.DESCRIBE_COLUMNS, output.describe_rows(all_results)
+        "describe.csv",
+        output.DESCRIBE_COLUMNS,
+        (line for block in blocks for line in output.describe_lines(block)),
     )
     if run.n_replicates >= 2:
         try:
-            summary = summarize(records, truths, run.truth_override)
+            summary = summarize(estimate_cells(blocks), truths, run.truth_override)
         except InsufficientReplicatesError as exc:
             # the per-replicate files are complete; only the summary is missing
-            tracker.remove_unwritten(_DERIVED_FILES)
-            tracker.keep_written()
+            tracker.publish()
             raise InsufficientReplicatesError(
                 f"{exc}; kept hazards.csv, truth.csv, estimates.csv and describe.csv, "
                 "wrote no summary or figure files"
@@ -296,16 +310,15 @@ def _cmd_simulate(specs, run, tracker) -> None:
             output.FIGURE_COLUMNS,
             output.figure_rows(summary, output.FIGURE_ATT_TARGETS),
         )
-    tracker.remove_unwritten(_DERIVED_FILES)
 
 
 def _cmd_summarize(specs, run, tracker) -> None:
     records = output.read_estimates(run.output_dir / "estimates.csv")
     selected = {s.scenario_id for s in specs}
-    records = [r for r in records if r.scenario_id in selected]
+    records = [(sid, rep, r) for sid, rep, r in records if sid in selected]
     reports = _solve_all(specs)
     truths = truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
-    summary = summarize(records, truths, run.truth_override)
+    summary = summarize(record_cells(records), truths, run.truth_override)
     tracker.write("summary.csv", output.SUMMARY_COLUMNS, map(output.summary_row, summary))
 
 
@@ -353,28 +366,23 @@ def execute(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    tracker = _OutputTracker(run.output_dir)
+    tracker = _OutputTracker(
+        run.output_dir, _DERIVED_FILES if args.verb == "simulate" else ()
+    )
     try:
         _COMMANDS[args.verb](specs, run, tracker)
+        tracker.publish()
     except SolverInfeasible as exc:
-        tracker.discard_all()
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InsufficientReplicatesError as exc:
-        tracker.discard_all()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except output.SchemaError as exc:
-        tracker.discard_all()
+    except (output.SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        tracker.discard_all()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BaseException:
-        tracker.discard_all()
-        raise
+    finally:
+        tracker.discard()
     return EXIT_OK
 
 

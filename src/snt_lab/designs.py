@@ -18,6 +18,7 @@ and 3) and can never be censored because no later initiation exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -330,6 +331,68 @@ class TableMap:
             n_initiators=people[self.initiator].sum().item(),
         )
 
+    def index_groups(self) -> np.ndarray:
+        """The group of each index, in map order."""
+        sizes = np.diff(self.starts, append=len(self.person))
+        return np.repeat(np.arange(len(self.starts)), sizes)
+
+    def memberships(self) -> np.ndarray:
+        """(persons, groups) int8: how many indexes of each person fall in
+        each group."""
+        shape = (len(self.indexed), len(self.starts))
+        key = self.person * shape[1] + self.index_groups()
+        return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape).astype(np.int8)
+
+    def merge(self, person_class: np.ndarray, first: np.ndarray) -> "TableMap":
+        """The map over classes of persons with equal memberships and flags:
+        person_class gives each person's class and first[c] the person that
+        stands for class c. Tabulating class counts gives the table of the
+        persons' counts."""
+        stands = np.zeros(len(self.indexed), dtype=bool)
+        stands[first] = True
+        keep = stands[self.person]
+        group = self.index_groups()[keep]
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        assert len(starts) == len(self.starts), "a class must keep every group"
+        return TableMap(
+            design=self.design,
+            person=person_class[self.person[keep]],
+            starts=starts,
+            cell=self.cell,
+            weights=self.weights,
+            indexed=self.indexed[first],
+            initiator=self.initiator[first],
+        )
+
+    def block(self, people: np.ndarray) -> CountTable:
+        """The count tables of a block of cohorts, people[r, k] persons like
+        person k in cohort r, as one CountTable with a leading cohort axis.
+        Counts are exact integers. Each weight sum is formed as table() forms
+        it: group count x weight, added group by group in map order."""
+        per_group = np.add.reduceat(people[:, self.person], self.starts, axis=1)
+        cells, first = np.unique(self.cell, return_index=True)
+        sizes = np.diff(first, append=len(self.cell))
+        counts = np.zeros((len(people), 32), dtype=people.dtype)
+        counts[:, cells] = np.add.reduceat(per_group, first, axis=1)
+        if self.weights is None:
+            sums = np.stack([counts, counts], axis=1).astype(float)
+        else:
+            sums = np.zeros((len(people), 2, 32))
+            for year, w in enumerate(self.weights):
+                weighted = per_group * w
+                total = weighted[:, first]
+                for k in range(1, sizes.max(initial=1)):
+                    more = sizes > k
+                    total[:, more] += weighted[:, first[more] + k]
+                sums[:, year, cells] = total
+        return CountTable(
+            design=self.design,
+            counts=counts.reshape(-1, 2, 2, 2, 4),
+            weight_sums=sums.reshape(-1, 2, 2, 2, 2, 4),
+            n_people=people[:, self.indexed].sum(axis=1),
+            n_initiators=people[:, self.initiator].sum(axis=1),
+        )
+
 
 def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> TableMap:
     """The table map of one design. weights is the (n, 2) per-index weight
@@ -427,3 +490,49 @@ def describe_replicate(
 ) -> list[DescribeRow]:
     """Descriptive rows for the three designs built from one cohort."""
     return describe_tables([count_table(idx) for idx in (spt, cal, td)], n_persons)
+
+
+#: The (design, group, severity) of each descriptive row of a replicate, in
+#: describe_tables order.
+DESCRIBE_LABELS = tuple(
+    (design, group, severity)
+    for design in DESIGNS
+    for group in DESCRIBE_GROUPS
+    for severity in SEVERITY_LABELS
+)
+
+
+class DescribeBlock(NamedTuple):
+    """The descriptive rows of a block of replicates as columns: row r,
+    column j holds the DescribeRow of replicate r labelled DESCRIBE_LABELS[j]."""
+
+    n_people: np.ndarray  # (R, 24) int
+    n_indexes: np.ndarray  # (R, 24) int
+    pct_high: np.ndarray  # (R, 24)
+    avg_indexes_per_person: np.ndarray  # (R, 24)
+
+
+def describe_block(tables: list[CountTable], n_persons: int) -> DescribeBlock:
+    """describe_tables over count tables with a leading replicate axis
+    (TableMap.block), with the same integer counts and float formulas."""
+    n_people, n_indexes, pct_high, avg = [], [], [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for table in tables:
+            # [replicate][initiator-person][arm][severity]
+            by_cell = table.counts.sum(axis=4)
+            groups = (
+                (table.n_people, by_cell.sum(axis=(1, 2))),
+                (table.n_initiators, by_cell[:, :, 1].sum(axis=1)),
+                (table.n_initiators, by_cell[:, 1].sum(axis=1)),
+                (n_persons - table.n_initiators, by_cell[:, 0].sum(axis=1)),
+            )
+            for people, by_severity in groups:
+                total = by_severity[:, 0] + by_severity[:, 1]
+                pct = np.where(total > 0, 100.0 * by_severity[:, 1] / total, np.nan)
+                for z in (0, 1):
+                    n_people.append(people)
+                    n_indexes.append(by_severity[:, z])
+                    pct_high.append(pct)
+                    avg.append(np.where(people > 0, by_severity[:, z] / people, np.nan))
+    columns = (n_people, n_indexes, pct_high, avg)
+    return DescribeBlock(*(np.stack(column, axis=1) for column in columns))

@@ -15,8 +15,10 @@ Every analysis contrasts a treated and an untreated risk through the risk
 ratio; standardized analyses mix (arm x severity) stratum risks with the
 target population's severity shares first. Risks and shares are read off
 one count table per design, never off the indexes. A replicate's tables come
-from its person-type counts through person_type_map; analyze_replicate
-tabulates a person-level cohort's index sets instead.
+from its person-type counts through person_type_map, and battery_block
+computes the batteries of a block of replicates from tables with a leading
+replicate axis; analyze_replicate tabulates a person-level cohort's index
+sets instead.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ScenarioSpec, WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER
 from .designs import (
+    DESIGN_CAL,
     DESIGN_SPT,
+    DESIGN_TD,
     CountTable,
     IndexSet,
     TableMap,
@@ -316,6 +321,165 @@ def battery(
     return results
 
 
+#: The (design, analysis, target population) of each result of battery, in
+#: order; the columns of an AnalysisBlock.
+ANALYSIS_LABELS = (
+    (DESIGN_SPT, ANALYSIS_TRUE, TARGET_NONE),
+    (DESIGN_SPT, ANALYSIS_CRUDE, TARGET_NONE),
+    (DESIGN_SPT, ANALYSIS_ATE_SPT, TARGET_SPT_ALL),
+    (DESIGN_SPT, ANALYSIS_ATT_SPT, TARGET_SPT_TREATED),
+    *(
+        (design, analysis, target)
+        for design in (DESIGN_CAL, DESIGN_TD)
+        for analysis, target in (
+            (ANALYSIS_CRUDE, TARGET_NONE),
+            (ANALYSIS_ATE_SNT, TARGET_SNT_ALL),
+            (ANALYSIS_ATT_SNT, TARGET_SNT_TREATED),
+            (ANALYSIS_ATE_SPT, TARGET_SPT_ALL),
+            (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED),
+        )
+    ),
+)
+
+
+class AnalysisBlock(NamedTuple):
+    """The batteries of a block of replicates as columns: row r, column j
+    holds the AnalysisResult of replicate r labelled ANALYSIS_LABELS[j]."""
+
+    risk_treated: np.ndarray  # (R, 14)
+    risk_untreated: np.ndarray  # (R, 14)
+    rr: np.ndarray  # (R, 14)
+    log_rr: np.ndarray  # (R, 14)
+    n_treated: np.ndarray  # (R, 14) int
+    n_untreated: np.ndarray  # (R, 14) int
+    degenerate: np.ndarray  # (R, 14) str objects, "" when usable
+
+
+def _join_flags(flags: list[tuple[np.ndarray, str]], size: int) -> np.ndarray:
+    """Per row, the labels of the set masks joined by ';' in list order."""
+    out = np.full(size, "", dtype=object)
+    for mask, label in flags:
+        hit = np.flatnonzero(mask)
+        if hit.size:
+            before = out[hit]
+            out[hit] = np.where(before == "", label, before + (";" + label))
+    return out
+
+
+def _km_block(year1: np.ndarray, year2: np.ndarray) -> np.ndarray:
+    """_km over arrays whose last axis holds the per-state weight sums of
+    year 1 and of year 2, with the same left-to-right sums."""
+    denom1 = ((year1[..., 0] + year1[..., 1]) + year1[..., 2]) + year1[..., 3]
+    denom2 = year2[..., 2] + year2[..., 3]
+    surv1 = 1.0 - year1[..., 0] / denom1
+    surv2 = surv1 * (1.0 - year2[..., 2] / denom2)
+    return 1.0 - np.where(denom1 > 0.0, np.where(denom2 > 0.0, surv2, surv1), 1.0)
+
+
+def _risks_block(table: CountTable):
+    """_risks of each replicate of a block: the arm risks (R, arm) and the
+    stratum risks (R, arm, severity), each with a mask of the non-empty ones."""
+    counts = table.counts.sum(axis=(1, 4))  # [replicate][arm][severity]
+    ws = table.weight_sums  # [replicate][year][initiator-person][arm][severity][state]
+    strata = ws[:, :, 0] + ws[:, :, 1]  # [replicate][year][arm][severity][state]
+    # the order in which numpy sums axes (1, 3) of one table
+    arms = ((ws[:, :, 0, :, 0] + ws[:, :, 0, :, 1]) + ws[:, :, 1, :, 0]) + ws[:, :, 1, :, 1]
+    return (
+        _km_block(arms[:, 0], arms[:, 1]), counts.sum(axis=2) > 0,
+        _km_block(strata[:, 0], strata[:, 1]), counts > 0,
+    )
+
+
+def _targets_block(table: CountTable) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """_targets of each replicate of a block: per subset, the (R, 2) severity
+    shares, the mask of replicates where the subset is empty, and its flag."""
+    by_arm = table.counts.sum(axis=(1, 4))  # [replicate][arm][severity]
+    targets = []
+    for subset, n_sev in (("all", by_arm[:, 0] + by_arm[:, 1]), ("treated", by_arm[:, 1])):
+        total = n_sev[:, 0] + n_sev[:, 1]
+        high = n_sev[:, 1] / total
+        targets.append((np.stack([1.0 - high, high], axis=1), total == 0,
+                        f"{FLAG_EMPTY_TARGET}:{subset}"))
+    return targets
+
+
+def _analyses_block(table: CountTable, targets: list) -> list[tuple[np.ndarray, ...]]:
+    """_analyses of each replicate of a block, one column tuple per target:
+    None for the crude contrast, else a _targets_block entry."""
+    arm_risk, arm_ok, stratum_risk, stratum_ok = _risks_block(table)
+    n_untreated, n_treated = np.moveaxis(table.counts.sum(axis=(1, 3, 4)), 1, 0)
+    size = len(n_treated)
+    columns = []
+    for target in targets:
+        if target is None:
+            risk = np.where(arm_ok, arm_risk, np.nan)
+            flags = [(~arm_ok[:, arm], f"{FLAG_EMPTY_STRATUM}:arm{arm}") for arm in (0, 1)]
+        else:
+            shares, empty, flag = target
+            risk = np.zeros((size, 2))
+            flags = [(empty, flag)]
+            for arm in (0, 1):
+                for sev in (0, 1):
+                    ok = stratum_ok[:, arm, sev]
+                    mixed = risk[:, arm] + shares[:, sev] * stratum_risk[:, arm, sev]
+                    risk[:, arm] = np.where(ok, mixed, risk[:, arm])
+                    flags.append((~ok & ~empty, f"{FLAG_EMPTY_STRATUM}:arm{arm}/sev{sev}"))
+            risk[empty] = np.nan
+        risk_untreated, risk_treated = risk[:, 0], risk[:, 1]
+        usable = ~np.logical_or.reduce([mask for mask, _ in flags])
+        zero_untreated = usable & (risk_untreated == 0.0)
+        rr = np.where(usable & ~zero_untreated, risk_treated / risk_untreated, np.nan)
+        positive = rr > 0.0
+        log_rr = np.full(size, np.nan)
+        log_rr[positive] = list(map(math.log, rr[positive].tolist()))
+        flags += [
+            (zero_untreated, FLAG_ZERO_RISK_UNTREATED),
+            (usable & ~zero_untreated & ~positive, FLAG_ZERO_RISK_TREATED),
+        ]
+        columns.append((risk_treated, risk_untreated, rr, log_rr, n_treated, n_untreated,
+                        _join_flags(flags, size)))
+    return columns
+
+
+def _truth_block(events_treated: np.ndarray, events_untreated: np.ndarray, n: int):
+    """The true_rr row of each replicate of a block (see battery)."""
+    undefined = (events_untreated == 0) | (n == 0)
+    risks = [
+        np.where(undefined, np.nan, events / n) for events in (events_treated, events_untreated)
+    ]
+    rr = risks[0] / risks[1]
+    positive = rr > 0.0
+    log_rr = np.full(len(rr), np.nan)
+    log_rr[positive] = np.log(rr[positive])
+    flags = _join_flags(
+        [(undefined, FLAG_UNDEFINED_TRUTH), (~undefined & ~positive, FLAG_ZERO_RISK_TREATED)],
+        len(rr),
+    )
+    n_col = np.full(len(rr), n)
+    return (*risks, rr, log_rr, n_col, n_col, flags)
+
+
+def battery_block(
+    tables: tuple[CountTable, CountTable, CountTable],
+    true_events: tuple[np.ndarray, np.ndarray],
+    n: int,
+) -> AnalysisBlock:
+    """battery over a block of replicates: tables with a leading replicate
+    axis (PersonTypeMap.blocks). Integer work is exact and each float is
+    formed as battery forms it, so every row equals battery's results."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = [_truth_block(*true_events, n)]
+        spt_table, *emulations = tables
+        spt_all, spt_treated = _targets_block(spt_table)
+        columns += _analyses_block(spt_table, [None, spt_all, spt_treated])
+        for table in emulations:
+            own_all, own_treated = _targets_block(table)
+            columns += _analyses_block(
+                table, [None, own_all, own_treated, spt_all, spt_treated]
+            )
+    return AnalysisBlock(*(np.stack(column, axis=1) for column in zip(*columns)))
+
+
 def _weight_modes(cal_weight_mode: str) -> tuple[str, str]:
     """Censoring-weight modes of eSNT-CAL and eSNT-TD; eSNT-TD always uses
     the decision-point product form."""
@@ -345,21 +509,64 @@ def analyze_replicate(
 @dataclass(frozen=True)
 class PersonTypeMap:
     """The fixed map from a replicate's count of each person type
-    (designs.N_TYPES) to its three count tables and its true-RR counts, for
-    one scenario and calendar-emulation weight mode."""
+    (designs.N_TYPES), or of each class of types (partition), to its three
+    count tables and its true-RR counts, for one scenario and
+    calendar-emulation weight mode."""
 
     designs: tuple[TableMap, TableMap, TableMap]
-    blocked: np.ndarray  # bool per type: an index with Pr(uncensored) <= 0
-    events: tuple[np.ndarray, np.ndarray]  # bool per type, see pattern_events
+    blocked: np.ndarray  # bool per type or class: an index with Pr(uncensored) <= 0
+    events: tuple[np.ndarray, np.ndarray]  # bool per type or class, see pattern_events
+
+    def check(self, counts: np.ndarray) -> None:
+        """Raise DegenerateWeightError if any person counted is blocked."""
+        if counts[..., self.blocked].any():
+            raise DegenerateWeightError(_CERTAIN_CENSORING)
 
     def tables(self, counts: np.ndarray) -> tuple[CountTable, CountTable, CountTable]:
-        if counts[self.blocked].any():
-            raise DegenerateWeightError(_CERTAIN_CENSORING)
+        self.check(counts)
         return tuple(tmap.table(counts) for tmap in self.designs)
 
     def true_events(self, counts: np.ndarray) -> tuple[int, int]:
         treated, untreated = self.events
         return counts[treated].sum().item(), counts[untreated].sum().item()
+
+    def blocks(
+        self, counts: np.ndarray
+    ) -> tuple[tuple[CountTable, CountTable, CountTable], tuple[np.ndarray, np.ndarray]]:
+        """tables and true_events of a block of replicates, counts[r, k]
+        persons of type (or class) k in replicate r: the tables with a
+        leading replicate axis (TableMap.block) and the event counts."""
+        self.check(counts)
+        treated, untreated = self.events
+        return (
+            tuple(tmap.block(counts) for tmap in self.designs),
+            (counts[:, treated].sum(axis=1), counts[:, untreated].sum(axis=1)),
+        )
+
+    def partition(self) -> tuple[np.ndarray, "PersonTypeMap"]:
+        """Output-equivalence classes: types whose columns are all identical
+        (the same count of indexes in each table group of every design, the
+        same indexed, initiator, blocked and event flags). Returns each
+        type's class and the map over classes, whose tables of class counts
+        equal the tables of the type counts."""
+        signature = np.column_stack([
+            self.blocked,
+            *self.events,
+            *(col for tmap in self.designs
+              for col in (tmap.indexed, tmap.initiator, tmap.memberships())),
+        ]).astype(np.int8)
+        order = np.lexsort(signature.T[::-1])
+        ordered = signature[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        type_class = np.empty(len(order), dtype=np.intp)
+        type_class[order] = np.cumsum(new) - 1
+        first = order[new]  # the lowest type of each class stands for it
+        return type_class, PersonTypeMap(
+            tuple(tmap.merge(type_class, first) for tmap in self.designs),
+            self.blocked[first],
+            tuple(e[first] for e in self.events),
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -379,3 +586,12 @@ def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
         w[:, 1] = 1.0 / np.where(certain, np.inf, p)  # blocked types raise before use
         maps.append(table_map(idx, w))
     return PersonTypeMap(tuple(maps), blocked, pattern_events(cohort, spec.horizon_tau))
+
+
+@functools.lru_cache(maxsize=8)
+def person_class_map(
+    spec: ScenarioSpec, cal_weight_mode: str
+) -> tuple[np.ndarray, PersonTypeMap]:
+    """The class of each person type and the map over classes
+    (PersonTypeMap.partition of person_type_map), cached the same way."""
+    return person_type_map(spec, cal_weight_mode).partition()

@@ -4,7 +4,9 @@ Every replicate owns a random substream derived from (master seed, scenario
 ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
 PCG64 (period 2^128, documented cross-platform output) as the generator. A
 replicate is therefore reproducible in isolation and results never depend on
-worker count or scheduling: replicates are merged by index after the fact.
+worker count or scheduling: a replicate only draws and counts its cohort, the
+counts are merged by index, and one block computation per scenario reads
+every analysis and descriptive row off the merged counts.
 
 Performance measures per summary cell, on the log risk-ratio scale:
 
@@ -20,6 +22,7 @@ can be overridden with a fixed risk-ratio value.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +30,22 @@ import numpy as np
 from .config import RunConfig, ScenarioSpec, SCENARIO_IDS
 from .designs import (
     DESIGNS,
+    DescribeBlock,
     DescribeRow,
     DESCRIBE_GROUPS,
-    N_TYPES,
+    DESCRIBE_LABELS,
     SEVERITY_LABELS,
-    describe_tables,
+    describe_block,
     person_type_codes,
 )
-from .estimators import ANALYSES, AnalysisResult, battery, person_type_map
+from .estimators import (
+    ANALYSES,
+    ANALYSIS_LABELS,
+    AnalysisBlock,
+    AnalysisResult,
+    battery_block,
+    person_class_map,
+)
 from .hazards import HazardSet, solve
 from .population import TruthTable, draw_base_codes, enumerate_truth
 
@@ -54,6 +65,10 @@ from .population import draw_cohort
 #: replicates are numbered from 1.
 _POOL_STREAM_ID = 0
 
+#: Replicates whose tables are computed, or whose lines are formatted, at
+#: once; bounds the temporaries of a paper-scale scenario to a few MB.
+BLOCK_ROWS = 1024
+
 DESCRIBE_STATISTICS = ("n_people", "n_indexes", "pct_high", "avg_indexes_per_person")
 
 
@@ -62,20 +77,14 @@ class InsufficientReplicatesError(ValueError):
 
 
 @dataclass(frozen=True)
-class EstimateRecord:
-    """One analysis result tagged with its scenario and replicate."""
+class ScenarioBlock:
+    """Every replicate of one scenario as columns: row r of the analyses and
+    of the descriptive rows belongs to replicate replicates[r]."""
 
     scenario_id: str
-    replicate: int
-    result: AnalysisResult
-
-
-@dataclass
-class ReplicateResult:
-    scenario_id: str
-    replicate: int
-    analyses: list[AnalysisResult]
-    descriptives: list[DescribeRow]
+    replicates: np.ndarray
+    analyses: AnalysisBlock
+    descriptives: DescribeBlock
 
 
 @dataclass(frozen=True)
@@ -133,47 +142,80 @@ def run_replicate(
     replicate_id: int,
     run: RunConfig,
     pool: np.ndarray | None = None,
-) -> ReplicateResult:
-    """Execute one replicate: draw (or resample from the pool) the base
-    codes, draw the treatment bits, count the person types, and read the
-    three designs' tables, the analyses and the descriptive rows off the
-    counts."""
+) -> np.ndarray:
+    """Draw one replicate and count it: draw (or resample from the pool) the
+    base codes, draw the treatment bits, and count the people of each class
+    of person types (estimators.person_class_map). Raises
+    DegenerateWeightError if the replicate has a person of a blocked type."""
     rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
     n = run.n_individuals
     if pool is None:
         base = draw_base_codes(rng, spec, hazards, n)
     else:
         base = pool[rng.integers(0, len(pool), size=n)]
-    counts = np.bincount(person_type_codes(rng, base, spec), minlength=N_TYPES)
-    types = person_type_map(spec, run.cal_weight_mode)
-    tables = types.tables(counts)
-    return ReplicateResult(
-        scenario_id=spec.scenario_id,
-        replicate=replicate_id,
-        analyses=battery(tables, types.true_events(counts), n),
-        descriptives=describe_tables(tables, n),
+    type_class, classes = person_class_map(spec, run.cal_weight_mode)
+    counts = np.bincount(
+        type_class[person_type_codes(rng, base, spec)], minlength=len(classes.blocked)
     )
+    classes.check(counts)
+    return counts
 
 
-def _run_chunk(args) -> list[ReplicateResult]:
+def _run_chunk(args) -> np.ndarray:
+    """The class counts of a run of replicates, one row each."""
     spec, hazards, run, replicate_ids, pool = args
-    out = []
-    for rid in replicate_ids:
+    out = None
+    for row, rid in enumerate(replicate_ids):
         try:
-            out.append(run_replicate(spec, hazards, rid, run, pool))
+            counts = run_replicate(spec, hazards, rid, run, pool)
         except Exception as exc:
             raise RuntimeError(
                 f"replicate {rid} of {spec.scenario_id} failed: {exc}"
             ) from exc
+        if out is None:  # the class count is known once the map is built
+            out = np.empty((len(replicate_ids), len(counts)), dtype=counts.dtype)
+        out[row] = counts
     return out
+
+
+def scenario_block(
+    spec: ScenarioSpec, run: RunConfig, replicate_ids: list[int], counts: np.ndarray
+) -> ScenarioBlock:
+    """The analyses and descriptive rows of the given replicates of one
+    scenario, computed as column operations on their (R x classes) class
+    counts (run_replicate)."""
+    replicates = np.asarray(replicate_ids, dtype=np.int64)
+    if len(counts) == 0:  # an empty run builds no map
+        return ScenarioBlock(
+            spec.scenario_id, replicates,
+            AnalysisBlock(*(np.empty((0, len(ANALYSIS_LABELS)), dtype=t)
+                            for t in (float, float, float, float, int, int, object))),
+            DescribeBlock(*(np.empty((0, len(DESCRIBE_LABELS)), dtype=t)
+                            for t in (int, int, float, float))),
+        )
+    _, classes = person_class_map(spec, run.cal_weight_mode)
+    n = run.n_individuals
+    analyses, descriptives = [], []
+    for start in range(0, len(counts), BLOCK_ROWS):
+        tables, events = classes.blocks(counts[start : start + BLOCK_ROWS])
+        analyses.append(battery_block(tables, events, n))
+        descriptives.append(describe_block(tables, n))
+    return ScenarioBlock(spec.scenario_id, replicates, _concat(analyses), _concat(descriptives))
+
+
+def _concat(parts: list):
+    """One column block from blocks of consecutive rows."""
+    return type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
 def run_scenario(
     spec: ScenarioSpec, run: RunConfig, hazards: HazardSet | None = None
-) -> list[ReplicateResult]:
+) -> ScenarioBlock:
     """Run all replicates of one scenario, optionally across worker
-    processes. Output is ordered by replicate index regardless of
-    scheduling; a failing replicate aborts the run and is named."""
+    processes that return integer class counts only. The counts are merged
+    in replicate order and every float is computed here, on the merged
+    block, so the result does not depend on scheduling; a failing replicate
+    aborts the run and is named."""
     if hazards is None:
         hazards = solve(spec).hazards
     pool = None
@@ -181,11 +223,12 @@ def run_scenario(
         pool = draw_superpopulation(spec, hazards, run)
 
     replicate_ids = list(range(1, run.n_replicates + 1))
-    if not replicate_ids:
-        return []
-
-    if run.parallelism <= 1 or len(replicate_ids) == 1:
-        return _run_chunk((spec, hazards, run, replicate_ids, pool))
+    if run.parallelism <= 1 or len(replicate_ids) <= 1:
+        counts = (
+            _run_chunk((spec, hazards, run, replicate_ids, pool))
+            if replicate_ids else np.empty((0, 0), dtype=np.int64)
+        )
+        return scenario_block(spec, run, replicate_ids, counts)
 
     workers = min(run.parallelism, len(replicate_ids))
     chunk_size = max(1, math.ceil(len(replicate_ids) / (workers * 4)))
@@ -195,55 +238,61 @@ def run_scenario(
     ]
     from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
 
-    results: list[ReplicateResult] = []
     with ProcessPoolExecutor(max_workers=workers) as executor:
-        for part in executor.map(_run_chunk, chunks):
-            results.extend(part)
-    results.sort(key=lambda r: r.replicate)
-    return results
+        counts = np.concatenate(list(executor.map(_run_chunk, chunks)))
+    return scenario_block(spec, run, replicate_ids, counts)
 
 
-def estimate_records(results: list[ReplicateResult]) -> list[EstimateRecord]:
-    return [
-        EstimateRecord(scenario_id=r.scenario_id, replicate=r.replicate, result=a)
-        for r in results
-        for a in r.analyses
-    ]
+#: summarize's input: per (scenario, design, analysis, target population)
+#: cell, the log RR and the degenerate flag of each of its replicates.
+Cells = dict[tuple[str, str, str, str], tuple[np.ndarray, np.ndarray]]
+
+
+def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
+    """The cells of scenario blocks: columns of their analysis blocks."""
+    cells = {}
+    for block in blocks:
+        a = block.analyses
+        for j, label in enumerate(ANALYSIS_LABELS):
+            cells[(block.scenario_id, *label)] = (a.log_rr[:, j], a.degenerate[:, j])
+    return cells
+
+
+def record_cells(records: Iterable[tuple[str, int, AnalysisResult]]) -> Cells:
+    """summarize's cells of (scenario, replicate, result) records, such as
+    output.read_estimates returns, in record order."""
+    grouped: dict[tuple[str, str, str, str], list[AnalysisResult]] = {}
+    for sid, _replicate, r in records:
+        grouped.setdefault((sid, r.design, r.analysis, r.target_population), []).append(r)
+    return {
+        key: (np.array([r.log_rr for r in results], dtype=float),
+              np.array([r.degenerate for r in results], dtype=object))
+        for key, results in grouped.items()
+    }
 
 
 def summarize(
-    records: list[EstimateRecord],
+    cells: Cells,
     truth_by_scenario: dict[str, TruthTable],
     truth_override: float | None = None,
 ) -> list[MetricsRow]:
     """Aggregate per-replicate estimates into one row per
-    (scenario, design, analysis) cell against the truth reference.
+    (scenario, design, analysis) cell against the truth reference (cells:
+    estimate_cells, record_cells).
 
     Replicates flagged degenerate are excluded cell-wise and reported
     through n_effective. Cells with fewer than two usable replicates raise
     InsufficientReplicatesError.
     """
-    cells: dict[tuple[str, str, str, str], list[float]] = {}
-    seen_order: dict[tuple[str, str, str, str], None] = {}
-    for rec in records:
-        key = (
-            rec.scenario_id,
-            rec.result.design,
-            rec.result.analysis,
-            rec.result.target_population,
-        )
-        seen_order.setdefault(key, None)
-        if rec.result.degenerate == "":
-            cells.setdefault(key, []).append(rec.result.log_rr)
-
     def sort_key(key):
         sid, design, analysis, _ = key
         return (SCENARIO_IDS.index(sid), DESIGNS.index(design), ANALYSES.index(analysis))
 
     rows: list[MetricsRow] = []
-    for key in sorted(seen_order, key=sort_key):
+    for key in sorted(cells, key=sort_key):
         sid, design, analysis, target = key
-        values = np.asarray(cells.get(key, ()), dtype=float)
+        log_rr, degenerate = cells[key]
+        values = log_rr[degenerate == ""]
         n_eff = values.size
         if n_eff < 2:
             raise InsufficientReplicatesError(

@@ -10,16 +10,11 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .designs import DescribeRow
-from .estimators import AnalysisResult
-from .harness import (
-    DescriptiveSummaryRow,
-    EstimateRecord,
-    MetricsRow,
-    ReplicateResult,
-)
+from .designs import DESCRIBE_LABELS, DescribeRow
+from .estimators import ANALYSIS_LABELS, AnalysisResult
+from .harness import BLOCK_ROWS, DescriptiveSummaryRow, MetricsRow, ScenarioBlock
 from .hazards import SolveReport
 from .population import TruthTable
 
@@ -64,12 +59,57 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+def write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple | str]) -> None:
+    """Write the header, then each row: a tuple of values formatted by fmt,
+    or a line already formatted the same way (estimate_lines,
+    describe_lines)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow([fmt(v) for v in row])
+
+
+def _block_lines(
+    block: ScenarioBlock, labels: tuple[tuple[str, ...], ...], template: str, columns
+) -> Iterator[str]:
+    """The CSV lines of a scenario block, made as they are written,
+    BLOCK_ROWS replicates at a time: the scenario, the replicate and the
+    column's label, then that row's value of each (R, labels) column through
+    template. '%.6g' and '%d' format exactly as fmt does, and no field needs
+    csv quoting: labels and flags hold no ',', '"' or line break."""
+    tails = [",".join(label) + "," for label in labels]
+    line = template.__mod__
+    for start in range(0, len(block.replicates), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        heads = [f"{block.scenario_id},{r}," for r in block.replicates[rows].tolist()]
+        yield from map(line, zip(
+            [head for head in heads for _ in tails],
+            tails * len(heads),
+            *(column[rows].ravel().tolist() for column in columns),
+        ))
+
+
+def estimate_lines(block: ScenarioBlock) -> Iterator[str]:
+    """The estimates.csv lines of one scenario block."""
+    a = block.analyses
+    return _block_lines(
+        block, ANALYSIS_LABELS, "%s%s%.6g,%.6g,%.6g,%.6g,%d,%d,%s\n",
+        (a.risk_treated, a.risk_untreated, a.rr, a.log_rr, a.n_treated, a.n_untreated,
+         a.degenerate),
+    )
+
+
+def describe_lines(block: ScenarioBlock) -> Iterator[str]:
+    """The describe.csv lines of one scenario block."""
+    d = block.descriptives
+    return _block_lines(
+        block, DESCRIBE_LABELS, "%s%s%d,%d,%.6g,%.6g\n",
+        (d.n_people, d.n_indexes, d.pct_high, d.avg_indexes_per_person),
+    )
 
 
 def hazards_rows(reports: dict[str, tuple[float, SolveReport]]) -> list[tuple]:
@@ -89,24 +129,6 @@ def truth_rows(truths: dict[str, tuple[float, TruthTable]]) -> list[tuple]:
                  entry.rr, entry.log_rr)
             )
     return rows
-
-
-def estimate_row(rec: EstimateRecord) -> tuple:
-    r = rec.result
-    return (
-        rec.scenario_id, rec.replicate, r.design, r.analysis, r.target_population,
-        r.risk_treated, r.risk_untreated, r.rr, r.log_rr,
-        r.n_treated, r.n_untreated, r.degenerate,
-    )
-
-
-def describe_rows(results: list[ReplicateResult]) -> list[tuple]:
-    return [
-        (r.scenario_id, r.replicate, d.design, d.group, d.severity,
-         d.n_people, d.n_indexes, d.pct_high, d.avg_indexes_per_person)
-        for r in results
-        for d in r.descriptives
-    ]
 
 
 def summary_row(row: MetricsRow) -> tuple:
@@ -149,14 +171,14 @@ def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
         return [dict(zip(columns, row)) for row in reader]
 
 
-def read_estimates(path: Path) -> list[EstimateRecord]:
+def read_estimates(path: Path) -> list[tuple[str, int, AnalysisResult]]:
     records = []
     for row in _read_rows(path, ESTIMATES_COLUMNS):
         records.append(
-            EstimateRecord(
-                scenario_id=row["scenario_id"],
-                replicate=int(row["replicate"]),
-                result=AnalysisResult(
+            (
+                row["scenario_id"],
+                int(row["replicate"]),
+                AnalysisResult(
                     design=row["design"],
                     analysis=row["analysis"],
                     target_population=row["target_population"],

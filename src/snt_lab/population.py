@@ -174,6 +174,12 @@ def base_severity(base: np.ndarray, visit: int) -> np.ndarray:
     return base >= (3 - visit) << 7
 
 
+#: Persons per rng.random call when drawing base codes. Consecutive calls
+#: continue the stream, so blocks of any size give the same draws as one
+#: call per stage; the block bounds the uniforms held at once.
+DRAW_BLOCK = 1 << 15
+
+
 def draw_base_codes(
     rng: np.random.Generator, spec: ScenarioSpec, hazards: HazardSet, n: int
 ) -> np.ndarray:
@@ -181,27 +187,41 @@ def draw_base_codes(
 
     Draw order is fixed (baseline severity, the two progression steps, the
     decision-point indicator, then the per-visit-per-arm outcome grid) so a
-    given stream always reproduces the same cohort.
+    given stream always reproduces the same cohort. Each stage draws its
+    uniforms for all n persons, DRAW_BLOCK persons at a time into one
+    reused buffer.
     """
     pi = spec.progression_prob
-    s1 = rng.random(n) < spec.baseline_high_prob
-    s2 = s1 | (rng.random(n) < pi)
-    s3 = s2 | (rng.random(n) < pi)
     dec_low, dec_high = spec.decision_prob
-    decision2 = rng.random(n) < np.where(s2, dec_high, dec_low)
-
     # p[arm] = (low, high) probability the outcome is determined at a visit
     p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
-    u = rng.random((n, 3, 2))
+    size = min(n, DRAW_BLOCK)
+    flat, grid = np.empty(size), np.empty((size, 3, 2))
+    blocks = [slice(start, min(n, start + DRAW_BLOCK)) for start in range(0, n, DRAW_BLOCK)]
+
+    def uniforms(buffer: np.ndarray, block: slice) -> np.ndarray:
+        return rng.random(out=buffer[: block.stop - block.start])
+
+    s1, s2, s3, decision2 = (np.empty(n, dtype=bool) for _ in range(4))
+    for b in blocks:
+        np.less(uniforms(flat, b), spec.baseline_high_prob, out=s1[b])
+    for before, after in ((s1, s2), (s2, s3)):
+        for b in blocks:
+            np.logical_or(before[b], uniforms(flat, b) < pi, out=after[b])
+    for b in blocks:
+        np.less(uniforms(flat, b), np.where(s2[b], dec_high, dec_low), out=decision2[b])
+
     code = s1.astype(np.uint16)
     code += s2
     code += s3
     code *= 2
     code |= decision2
-    for visit, high in enumerate((s1, s2, s3)):
-        for arm in (0, 1):
-            code *= 2
-            code |= u[:, visit, arm] < np.where(high, p[arm][1], p[arm][0])
+    for b in blocks:
+        u, part = uniforms(grid, b), code[b]
+        for visit, high in enumerate((s1[b], s2[b], s3[b])):
+            for arm in (0, 1):
+                part *= 2
+                part |= u[:, visit, arm] < np.where(high, p[arm][1], p[arm][0])
     return code
 
 

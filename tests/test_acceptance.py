@@ -20,13 +20,20 @@ import time
 import numpy as np
 import pytest
 
+from block_rows import replicate_rows
 from oracles import km_risk_oracle, standardized_rr_oracle
 from snt_lab.cli import main as cli_main
 from snt_lab.config import RunConfig, builtin_scenarios
 from snt_lab.designs import IndexRecord, IndexSet
-from snt_lab.estimators import censoring_weights, crude_rr, ipcw_km_risk, standardized_rr
+from snt_lab.estimators import (
+    ANALYSIS_LABELS,
+    censoring_weights,
+    crude_rr,
+    ipcw_km_risk,
+    standardized_rr,
+)
 from snt_lab.harness import (
-    estimate_records,
+    estimate_cells,
     run_scenario,
     summarize,
     summarize_descriptives,
@@ -53,15 +60,14 @@ def desk():
     run = RunConfig(
         n_individuals=5000, n_replicates=1000, master_seed=42, parallelism=THREADS
     )
-    records, elapsed = [], {}
+    blocks, elapsed = [], {}
     for spec in specs:
         start = time.perf_counter()
-        results = run_scenario(spec, run, hazards[spec.scenario_id])
+        blocks.append(run_scenario(spec, run, hazards[spec.scenario_id]))
         elapsed[spec.scenario_id] = time.perf_counter() - start
-        records.extend(estimate_records(results))
-    rows = summarize(records, truths)
+    rows = summarize(estimate_cells(blocks), truths)
     cells = {(r.scenario_id, r.design, r.analysis): r for r in rows}
-    return {"records": records, "cells": cells, "elapsed": elapsed, "truths": truths}
+    return {"blocks": blocks, "cells": cells, "elapsed": elapsed, "truths": truths}
 
 
 def test_criterion_1_solver_exactness():
@@ -229,7 +235,7 @@ def test_criterion_8_descriptive_calibration():
     run = RunConfig(
         n_individuals=5000, n_replicates=200, master_seed=42, parallelism=THREADS
     )
-    results = run_scenario(spec, run)
+    results = replicate_rows(run_scenario(spec, run))
     rows = [(r.scenario_id, r.replicate, d) for r in results for d in r.descriptives]
     medians = {
         (r.design, r.group): r.median
@@ -280,10 +286,10 @@ def test_criterion_10_metric_identities(desk):
     worst_mcse = 0.0
     # independently recompute Table-style MCSE from the raw estimates
     by_cell = {}
-    for rec in desk["records"]:
-        if rec.result.degenerate == "":
-            key = (rec.scenario_id, rec.result.design, rec.result.analysis)
-            by_cell.setdefault(key, []).append(rec.result.log_rr)
+    for block in desk["blocks"]:
+        for j, (design, analysis, _target) in enumerate(ANALYSIS_LABELS):
+            usable = block.analyses.degenerate[:, j] == ""
+            by_cell[(block.scenario_id, design, analysis)] = block.analyses.log_rr[usable, j]
     for key, row in desk["cells"].items():
         n = row.n_effective
         identity_gap = abs(row.rmse**2 - (row.bias**2 + (n - 1) / n * row.ese**2))
@@ -307,9 +313,8 @@ def test_criterion_10_full_scale_mcse_range():
     run = RunConfig(
         n_individuals=5000, n_replicates=5000, master_seed=42, parallelism=THREADS
     )
-    results = run_scenario(spec, run, hazards)
-    records = estimate_records(results)
-    rows = summarize(records, truth_tables([spec], {"S1": hazards}))
+    block = run_scenario(spec, run, hazards)
+    rows = summarize(estimate_cells([block]), truth_tables([spec], {"S1": hazards}))
     mcses = [r.mcse_bias for r in rows]
     lo, hi = min(mcses), max(mcses)
     ok = all(0.004 <= m <= 0.010 for m in mcses)

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,17 @@ SIMULATE_FILES = (
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def package_env():
+    """The environment of a child that runs the same package copy as this
+    process, installed or not."""
+    path = [str(Path(snt_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def staging_dirs(out):
+    return list(out.parent.glob(f".{out.name}.*"))
 
 
 def header_of(path):
@@ -161,7 +174,7 @@ class TestSimulateVerb:
         )
         assert code == EXIT_OK
         records = read_estimates(out / "estimates.csv")
-        assert {r.replicate for r in records} == {1, 2, 3, 4, 5}
+        assert {replicate for _sid, replicate, _result in records} == {1, 2, 3, 4, 5}
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -184,7 +197,7 @@ class TestSimulateVerb:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ("hazards.csv", "truth.csv", "estimates.csv", "describe.csv", "notes.txt")
         )
-        assert {r.scenario_id for r in read_estimates(tmp_path / "estimates.csv")} == {"S1"}
+        assert {sid for sid, _, _ in read_estimates(tmp_path / "estimates.csv")} == {"S1"}
 
     def test_cell_without_two_usable_replicates_keeps_per_replicate_outputs(
         self, tmp_path, capsys
@@ -204,20 +217,19 @@ class TestSimulateVerb:
     @staticmethod
     def fail_during_estimates_write(monkeypatch, exc):
         """Raise exc once estimates.csv has its header and one row."""
-        real_row, calls = output.estimate_row, []
+        real_lines = output.estimate_lines
 
-        def estimate_row(record):
-            calls.append(record)
-            if len(calls) > 1:
-                raise exc
-            return real_row(record)
+        def estimate_lines(block):
+            yield next(real_lines(block))
+            raise exc
 
-        monkeypatch.setattr(output, "estimate_row", estimate_row)
+        monkeypatch.setattr(output, "estimate_lines", estimate_lines)
 
     def test_write_failure_midway_removes_the_partial_file(self, tmp_path, monkeypatch):
         self.fail_during_estimates_write(monkeypatch, OSError("disk full"))
         assert run_cli(*simulate_args(tmp_path)) == EXIT_IO
         assert list(tmp_path.iterdir()) == []
+        assert staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(9)])
     def test_interrupt_during_writes_removes_outputs_and_reraises(
@@ -227,6 +239,28 @@ class TestSimulateVerb:
         with pytest.raises(type(exc)):
             run_cli(*simulate_args(tmp_path))
         assert list(tmp_path.iterdir()) == []
+        assert staging_dirs(tmp_path) == []
+
+    def test_killed_simulate_leaves_no_truncated_csv(self, tmp_path):
+        args = ("simulate", "--scenario", "S1", "--reps", "4000", "--n", "20", "--seed", "8")
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        assert run_cli(*args, "--out", str(ref)) == EXIT_OK
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "snt_lab", *args, "--out", str(out)],
+            env=package_env(), stderr=subprocess.DEVNULL,
+        )
+        try:
+            # kill while estimates.csv is being written
+            deadline = time.monotonic() + 120
+            while not list(tmp_path.glob(".out.*/estimates.csv")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        for path in out.iterdir() if out.exists() else ():
+            assert path.read_bytes() == (ref / path.name).read_bytes(), path.name
 
 
 class TestReaggregationVerbs:
@@ -296,6 +330,15 @@ class TestReaggregationVerbs:
 
 
 class TestEnvironmentDefaults:
+    @pytest.mark.parametrize("value", ["0", "abc", "-2", ""])
+    def test_invalid_threads_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("SNT_LAB_THREADS", value)
+        assert run_cli(*simulate_args(tmp_path / "out")) == EXIT_USAGE
+        assert "SNT_LAB_THREADS" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # an explicit --threads does not read the variable
+        assert run_cli(*simulate_args(tmp_path / "out"), "--threads", "1") == EXIT_OK
+
     def test_threads_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNT_LAB_THREADS", "2")
         assert run_cli(*simulate_args(tmp_path / "env")) == EXIT_OK
@@ -307,22 +350,17 @@ class TestEnvironmentDefaults:
             ).read_bytes()
 
     def test_console_entry_point(self, tmp_path):
-        # the child runs the same package copy as this process, installed or not
-        path = [str(Path(snt_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "snt_lab", "solve", "--out", str(tmp_path)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         assert (tmp_path / "hazards.csv").exists()
 
     def test_import_leaves_the_process_pool_unloaded(self):
-        path = [str(Path(snt_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, snt_lab.cli; print('concurrent.futures.process' in sys.modules)"],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True, text=True, check=True, env=package_env(),
         )
         assert proc.stdout.strip() == "False"

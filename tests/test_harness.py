@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from block_rows import replicate_rows
 from snt_lab.config import RunConfig, builtin_scenarios
 from snt_lab.designs import DescribeRow
 from snt_lab.estimators import AnalysisResult
 from snt_lab.harness import (
     InsufficientReplicatesError,
-    EstimateRecord,
-    estimate_records,
+    estimate_cells,
+    record_cells,
     replicate_stream,
     run_replicate,
     run_scenario,
+    scenario_block,
     summarize,
     summarize_descriptives,
     truth_tables,
@@ -33,16 +35,22 @@ def small_run(**overrides):
 
 
 def make_record(sid, replicate, log_rr, analysis="crude", design="SPT", degenerate=""):
-    return EstimateRecord(
-        scenario_id=sid,
-        replicate=replicate,
-        result=AnalysisResult(
+    return (
+        sid,
+        replicate,
+        AnalysisResult(
             design=design, analysis=analysis, target_population="none",
             risk_treated=0.1, risk_untreated=0.1 / math.exp(log_rr),
             rr=math.exp(log_rr), log_rr=log_rr, n_treated=10, n_untreated=10,
             degenerate=degenerate,
         ),
     )
+
+
+def replicate_result(spec, hazards, replicate_id, run):
+    """One replicate's rows, counted by run_replicate and read off its block."""
+    counts = run_replicate(spec, hazards, replicate_id, run)
+    return replicate_rows(scenario_block(spec, run, [replicate_id], counts[None]))[0]
 
 
 class TestReplicateStream:
@@ -62,8 +70,8 @@ class TestRunReplicate:
     def test_bit_identical_replay(self):
         spec = scenario()
         h = solve(spec).hazards
-        r1 = run_replicate(spec, h, 3, small_run())
-        r2 = run_replicate(spec, h, 3, small_run())
+        r1 = replicate_result(spec, h, 3, small_run())
+        r2 = replicate_result(spec, h, 3, small_run())
         assert r1.analyses == r2.analyses
         assert r1.descriptives == r2.descriptives
         assert r1.replicate == 3 and r1.scenario_id == "S1"
@@ -71,14 +79,14 @@ class TestRunReplicate:
     def test_smallest_cohort_completes(self):
         spec = scenario("S4")
         h = solve(spec).hazards
-        res = run_replicate(spec, h, 1, small_run(n_individuals=1))
+        res = replicate_result(spec, h, 1, small_run(n_individuals=1))
         assert len(res.analyses) == 14
 
     def test_replicates_uncorrelated(self):
         spec = scenario()
         h = solve(spec).hazards
         run = small_run(n_individuals=150, n_replicates=400)
-        results = run_scenario(spec, run, h)
+        results = replicate_rows(run_scenario(spec, run, h))
         crude = np.array(
             [a.log_rr for r in results for a in r.analyses
              if a.design == "SPT" and a.analysis == "crude"]
@@ -92,13 +100,19 @@ class TestRunReplicate:
 class TestRunScenario:
     def test_zero_replicates(self):
         spec = scenario()
-        assert run_scenario(spec, small_run(n_replicates=0)) == []
+        assert replicate_rows(run_scenario(spec, small_run(n_replicates=0))) == []
 
     def test_parallel_matches_serial(self):
         spec = scenario("S2")
         h = solve(spec).hazards
-        serial = run_scenario(spec, small_run(parallelism=1), h)
-        parallel = run_scenario(spec, small_run(parallelism=3), h)
+        serial_block = run_scenario(spec, small_run(parallelism=1), h)
+        parallel_block = run_scenario(spec, small_run(parallelism=3), h)
+        for name in ("analyses", "descriptives"):
+            a, b = getattr(serial_block, name), getattr(parallel_block, name)
+            for field, x, y in zip(a._fields, a, b):
+                assert x.dtype == y.dtype, (name, field)
+                assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, field)
+        serial, parallel = replicate_rows(serial_block), replicate_rows(parallel_block)
         assert [r.replicate for r in parallel] == [r.replicate for r in serial]
         for a, b in zip(serial, parallel):
             assert a.analyses == b.analyses
@@ -107,8 +121,8 @@ class TestRunScenario:
     def test_superpop_mode_resamples_deterministically(self):
         spec = scenario()
         run = small_run(superpop=1000, n_replicates=3)
-        a = run_scenario(spec, run)
-        b = run_scenario(spec, run)
+        a = replicate_rows(run_scenario(spec, run))
+        b = replicate_rows(run_scenario(spec, run))
         assert a == b
 
     def test_failure_names_replicate(self):
@@ -129,7 +143,7 @@ class TestSummarize:
     def test_constant_estimates_at_truth(self):
         theta = math.log(0.7)
         records = [make_record("S1", i, theta) for i in range(1, 11)]
-        row = summarize(records, self.truth())[0]
+        row = summarize(record_cells(records), self.truth())[0]
         assert row.bias == pytest.approx(0.0, abs=1e-12)
         assert row.ese == 0.0
         assert row.rmse == pytest.approx(0.0, abs=1e-12)
@@ -138,7 +152,7 @@ class TestSummarize:
 
     def test_constant_offset_bias(self):
         records = [make_record("S1", i, math.log(0.8)) for i in range(1, 6)]
-        row = summarize(records, self.truth())[0]
+        row = summarize(record_cells(records), self.truth())[0]
         assert row.bias == pytest.approx(math.log(0.8 / 0.7), abs=1e-12)
         assert row.bias == pytest.approx(0.13353139262452263, abs=1e-12)
         assert row.ese == 0.0
@@ -148,7 +162,7 @@ class TestSummarize:
         rng = np.random.default_rng(21)
         values = rng.normal(math.log(0.7), 0.08, size=50)
         records = [make_record("S2", i + 1, v) for i, v in enumerate(values)]
-        row = summarize(records, self.truth("S2"))[0]
+        row = summarize(record_cells(records), self.truth("S2"))[0]
         theta = self.truth("S2")["S2"].marginal.log_rr
         assert row.bias == pytest.approx(values.mean() - theta, abs=1e-12)
         assert row.ese == pytest.approx(values.std(ddof=1), abs=1e-12)
@@ -166,7 +180,7 @@ class TestSummarize:
         rng = np.random.default_rng(22)
         values = rng.normal(-0.3, 0.2, size=200)
         records = [make_record("S1", i + 1, v) for i, v in enumerate(values)]
-        row = summarize(records, self.truth())[0]
+        row = summarize(record_cells(records), self.truth())[0]
         n = row.n_effective
         mse = row.rmse**2
         assert mse == pytest.approx(
@@ -175,7 +189,7 @@ class TestSummarize:
 
     def test_truth_override(self):
         records = [make_record("S1", i, math.log(0.7)) for i in range(1, 4)]
-        row = summarize(records, self.truth(), truth_override=0.8)[0]
+        row = summarize(record_cells(records), self.truth(), truth_override=0.8)[0]
         assert row.bias == pytest.approx(math.log(0.7 / 0.8), abs=1e-12)
 
     def test_degenerate_replicates_excluded_cellwise(self):
@@ -183,21 +197,20 @@ class TestSummarize:
         records.append(
             make_record("S1", 6, float("nan"), degenerate="zero_risk_treated")
         )
-        row = summarize(records, self.truth())[0]
+        row = summarize(record_cells(records), self.truth())[0]
         assert row.n_effective == 5
         assert math.isfinite(row.bias)
 
     def test_insufficient_replicates(self):
         records = [make_record("S1", 1, math.log(0.7))]
         with pytest.raises(InsufficientReplicatesError):
-            summarize(records, self.truth())
+            summarize(record_cells(records), self.truth())
 
     def test_cells_sorted_and_complete(self):
         spec = scenario("S1")
         h = solve(spec).hazards
-        results = run_scenario(spec, small_run(n_replicates=4), h)
-        records = estimate_records(results)
-        rows = summarize(records, self.truth())
+        block = run_scenario(spec, small_run(n_replicates=4), h)
+        rows = summarize(estimate_cells([block]), self.truth())
         assert len(rows) == 14
         assert [(r.design, r.analysis) for r in rows[:4]] == [
             ("SPT", "true_rr"), ("SPT", "crude"), ("SPT", "ate_spt"), ("SPT", "att_spt"),

@@ -3,9 +3,11 @@
 A replicate's draws are packed into one of designs.N_TYPES type codes per
 person and every output is read off the type counts through a fixed map.
 These tests check that the codes expand to the cohort and the treatments of
-the same stream, that the type path gives the person-level analyses and
-descriptive rows, and that exact type probabilities through the same map
-give the enumerated truth.
+the same stream; that the types fall into classes with identical map
+columns; that a scenario block of class counts gives, row by row, the
+per-replicate battery and descriptive rows of the type counts, and those
+the person-level analyses and descriptive rows; and that exact type
+probabilities through the same map give the enumerated truth.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from block_rows import replicate_rows
 from oracles import draw_oracle
 from snt_lab.config import (
     RunConfig,
@@ -29,6 +32,7 @@ from snt_lab.designs import (
     build_esnt_td,
     build_spt,
     describe_replicate,
+    describe_tables,
     person_type_codes,
     type_cohort,
 )
@@ -36,9 +40,16 @@ from snt_lab.estimators import (
     DegenerateWeightError,
     analyze_replicate,
     battery,
+    person_class_map,
     person_type_map,
 )
-from snt_lab.harness import draw_superpopulation, replicate_stream, run_replicate
+from snt_lab.harness import (
+    draw_superpopulation,
+    replicate_stream,
+    run_replicate,
+    run_scenario,
+    scenario_block,
+)
 from snt_lab.hazards import solve
 from snt_lab.population import (
     draw_base_codes,
@@ -101,29 +112,54 @@ def person_level_replicate(spec, hazards, replicate_id, run, pool):
     )
 
 
-def same_float(a, b):
-    return (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12
+def type_counts(spec, hazards, replicate_id, run, pool):
+    """run_replicate's stream counted over the person types."""
+    rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
+    if pool is None:
+        base = draw_base_codes(rng, spec, hazards, run.n_individuals)
+    else:
+        base = pool[rng.integers(0, len(pool), size=run.n_individuals)]
+    return np.bincount(person_type_codes(rng, base, spec), minlength=N_TYPES)
 
 
-def assert_same_rows(got, expected):
-    """Floats to 1e-12, everything else exactly."""
+def reference_replicate(spec, hazards, replicate_id, run, pool):
+    """The per-replicate battery and descriptive rows of the type counts."""
+    counts = type_counts(spec, hazards, replicate_id, run, pool)
+    types = person_type_map(spec, run.cal_weight_mode)
+    tables = types.tables(counts)
+    n = run.n_individuals
+    return battery(tables, types.true_events(counts), n), describe_tables(tables, n)
+
+
+def same_float(a, b, tol=1e-12):
+    return (math.isnan(a) and math.isnan(b)) or abs(a - b) <= tol
+
+
+def assert_same_rows(got, expected, tol=1e-12):
+    """Floats to tol, everything else exactly."""
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         for field in dataclasses.fields(g):
             gv, ev = getattr(g, field.name), getattr(e, field.name)
             if isinstance(ev, float):
-                assert same_float(gv, ev), (field.name, g, e)
+                assert same_float(gv, ev, tol), (field.name, g, e)
             else:
                 assert type(gv) is type(ev) and gv == ev, (field.name, g, e)
 
 
 def check_replicate(scenario_id, n, replicate_id, mode, pool=None):
+    """The block row of one replicate equals the per-replicate reference
+    exactly, and that the person-level path to 1e-12."""
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
     run = RunConfig(n_individuals=n, master_seed=7, cal_weight_mode=mode)
-    result = run_replicate(spec, hazards, replicate_id, run, pool)
+    counts = run_replicate(spec, hazards, replicate_id, run, pool)
+    result = replicate_rows(scenario_block(spec, run, [replicate_id], counts[None]))[0]
+    reference = reference_replicate(spec, hazards, replicate_id, run, pool)
+    assert_same_rows(result.analyses, reference[0], tol=0.0)
+    assert_same_rows(result.descriptives, reference[1], tol=0.0)
     analyses, descriptives = person_level_replicate(spec, hazards, replicate_id, run, pool)
-    assert_same_rows(result.analyses, analyses)
-    assert_same_rows(result.descriptives, descriptives)
+    assert_same_rows(reference[0], analyses)
+    assert_same_rows(reference[1], descriptives)
     return {r.degenerate for r in result.analyses}
 
 
@@ -163,6 +199,82 @@ def test_paper_size_replicates_match_the_person_level_path(
     assert check_replicate(scenario_id, 5000, replicate_id, mode, pool) == {""}
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scenario_id", sorted(SPECS))
+def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
+    spec = SPECS[scenario_id]
+    types = person_type_map(spec, mode)
+    type_class, classes = person_class_map(spec, mode)
+    n_classes = len(classes.blocked)
+    if (scenario_id, mode) == ("S4", WEIGHT_MODE_INITIATION):
+        assert n_classes == 201
+    assert np.array_equal(np.unique(type_class), np.arange(n_classes))
+    columns = [types.blocked, *types.events]
+    for tmap in types.designs:
+        columns += [tmap.indexed, tmap.initiator, tmap.memberships()]
+    signature = np.column_stack(columns).astype(np.int8)
+    first = np.array([np.flatnonzero(type_class == c)[0] for c in range(n_classes)])
+    assert np.array_equal(signature, signature[first[type_class]])
+    assert len(np.unique(signature[first], axis=0)) == n_classes
+
+    # class counts give the tables and event counts of the type counts
+    rng = np.random.default_rng(len(scenario_id + mode))
+    for counts in (rng.integers(0, 3, N_TYPES), type_probabilities(spec, HAZARDS[scenario_id])):
+        if types.blocked.any():
+            counts = np.where(types.blocked, 0, counts)
+        merged = np.zeros(n_classes, dtype=counts.dtype)
+        np.add.at(merged, type_class, counts)
+        for got, expected in zip(classes.tables(merged), types.tables(counts)):
+            assert got.design == expected.design
+            assert np.allclose(got.counts, expected.counts, rtol=0, atol=1e-12)
+            assert np.allclose(got.weight_sums, expected.weight_sums, rtol=0, atol=1e-12)
+            assert abs(got.n_people - expected.n_people) <= 1e-12
+            assert abs(got.n_initiators - expected.n_initiators) <= 1e-12
+        assert np.allclose(classes.true_events(merged), types.true_events(counts), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scenario_id", sorted(SPECS))
+def test_scenario_blocks_equal_the_per_replicate_reference_row_by_row(scenario_id, mode):
+    spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
+    run = RunConfig(n_individuals=8, n_replicates=150, master_seed=3, cal_weight_mode=mode)
+    block = run_scenario(spec, run, hazards)
+    rows = replicate_rows(block)
+    assert [r.replicate for r in rows] == list(range(1, 151))
+    flags = set()
+    for row in rows:
+        analyses, descriptives = reference_replicate(spec, hazards, row.replicate, run, None)
+        assert_same_rows(row.analyses, analyses, tol=0.0)
+        assert_same_rows(row.descriptives, descriptives, tol=0.0)
+        flags |= {r.degenerate for r in analyses}
+    assert len(flags) > 5  # rows with different flags share the block
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scenario_id", ["S2", "S3"])
+def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
+    # large random class counts make every float sum round, so a different
+    # order of any addition would show in the last place
+    _, classes = person_class_map(SPECS[scenario_id], mode)
+    rng = np.random.default_rng(11)
+    counts = rng.integers(0, 10**6, (60, len(classes.blocked)))
+    counts[:, classes.blocked] = 0
+    counts[:3, rng.integers(0, counts.shape[1], 3)] = 0
+    n = 10**6 * counts.shape[1]
+    tables, events = classes.blocks(counts)
+    block = scenario_block(SPECS[scenario_id], RunConfig(n_individuals=n, cal_weight_mode=mode),
+                           list(range(1, 61)), counts)
+    for r, row in enumerate(replicate_rows(block)):
+        expected = classes.tables(counts[r])
+        for got, table in zip(tables, expected):
+            assert np.array_equal(got.counts[r], table.counts)
+            assert np.array_equal(got.weight_sums[r], table.weight_sums)
+            assert (got.n_people[r], got.n_initiators[r]) == (table.n_people, table.n_initiators)
+        assert (events[0][r], events[1][r]) == classes.true_events(counts[r])
+        assert_same_rows(row.analyses, battery(expected, classes.true_events(counts[r]), n), 0.0)
+        assert_same_rows(row.descriptives, describe_tables(expected, n), 0.0)
+
+
 def test_degenerate_weights_are_raised_only_for_types_present():
     # a high-severity decision point that always initiates: an untreated
     # Visit 1 index with high severity at Visit 2 is censored for certain
@@ -184,6 +296,23 @@ def test_degenerate_weights_are_raised_only_for_types_present():
             run_replicate(spec, hazards, replicate_id, run)
         raised[expected] += 1
     assert raised[True] and raised[False]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_degenerate_replicate_is_named(threads):
+    spec = dataclasses.replace(SPECS["S3"], decision_prob=(0.2, 1.0), treat_prob=(0.25, 1.0))
+    hazards = HAZARDS["S3"]
+    run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1, parallelism=threads)
+    first = None
+    for replicate_id in range(1, 41):
+        try:
+            person_level_replicate(spec, hazards, replicate_id, run, None)
+        except DegenerateWeightError:
+            first = replicate_id
+            break
+    assert first is not None and first > 1
+    with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
+        run_scenario(spec, run, hazards)
 
 
 def type_probabilities(spec, hazards):
