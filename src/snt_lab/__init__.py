@@ -36,6 +36,7 @@ from .estimators import (
     AnalysisResult,
     analyze_replicate,
     censoring_weights,
+    cohort_true_rr,
     crude_rr,
     ipcw_km_risk,
     severity_distribution,
@@ -62,8 +63,7 @@ from .hazards import (
 from .population import (
     Cohort,
     Individual,
-    TruthTable,
-    cohort_true_rr,
+    TruthEntry,
     draw_cohort,
     draw_individual,
     enumerate_truth,
@@ -92,7 +92,7 @@ __all__ = [
     "SolveReport",
     "SolverInfeasible",
     "TreatmentAssignment",
-    "TruthTable",
+    "TruthEntry",
     "analyze_replicate",
     "assign_treatments",
     "build_esnt_cal",

@@ -4,10 +4,11 @@ Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
 0 success, 1 I/O failure, 2 usage error, 3 infeasible calibration. A verb
 writes its files into a temporary sibling of the output directory and moves
 them in only when it succeeds, so a failed, interrupted or killed run never
-leaves a truncated file there; simulate also removes the derived files of
-an earlier run in the same directory that it did not rewrite. A simulate
-whose summary has a cell with fewer than two usable replicates moves in its
-complete per-replicate files, writes no summary and exits 2.
+leaves a truncated file there; the next run removes the siblings that killed
+runs left. simulate also removes the derived files of an earlier run in the
+same directory that it did not rewrite. A simulate whose summary has a cell
+with fewer than two usable replicates moves in its complete per-replicate
+files, writes no summary and exits 2.
 """
 
 from __future__ import annotations
@@ -181,9 +182,24 @@ def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
     return specs, run
 
 
+def _remove_orphans(parent: Path, prefix: str) -> None:
+    """Remove the staging directories prefix<pid>.<random> in parent that
+    killed verbs left: those whose process no longer exists."""
+    for path in parent.iterdir():
+        pid, dot, _ = path.name.removeprefix(prefix).partition(".")
+        if path.name.startswith(prefix) and dot and pid.isdecimal() and path.is_dir():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                shutil.rmtree(path, ignore_errors=True)
+            except (OSError, OverflowError):  # alive under another user, or no pid
+                pass
+
+
 class _OutputTracker:
     """Stages a verb's files in a temporary sibling of the output directory,
-    so that only complete files ever appear in it (publish)."""
+    .<name>.<pid>.<random>, so that only complete files ever appear in it
+    (publish)."""
 
     def __init__(self, out_dir: Path, stale: tuple[str, ...] = ()):
         self.out_dir = out_dir
@@ -194,10 +210,10 @@ class _OutputTracker:
 
     def write(self, name: str, header: tuple[str, ...], rows) -> Path:
         if self.staging is None:
-            self.out_dir.parent.mkdir(parents=True, exist_ok=True)
-            self.staging = Path(tempfile.mkdtemp(
-                prefix=f".{self.out_dir.name}.", dir=self.out_dir.parent
-            ))
+            parent, prefix = self.out_dir.parent, f".{self.out_dir.name}."
+            parent.mkdir(parents=True, exist_ok=True)
+            _remove_orphans(parent, prefix)
+            self.staging = Path(tempfile.mkdtemp(prefix=f"{prefix}{os.getpid()}.", dir=parent))
         path = self.staging / name
         self.written.append(name)
         output.write_csv(path, header, rows)
@@ -227,6 +243,12 @@ def _solve_all(specs: list[ScenarioSpec]):
     return {s.scenario_id: (s.progression_prob, solve(s)) for s in specs}
 
 
+def _truth_rows(specs, truths) -> list[tuple]:
+    return output.truth_rows(
+        {s.scenario_id: (s.progression_prob, truths[s.scenario_id]) for s in specs}
+    )
+
+
 def _cmd_solve(specs, run, tracker) -> None:
     reports = _solve_all(specs)
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
@@ -234,16 +256,8 @@ def _cmd_solve(specs, run, tracker) -> None:
 
 def _cmd_truth(specs, run, tracker) -> None:
     reports = _solve_all(specs)
-    truths = {
-        s.scenario_id: (
-            s.progression_prob,
-            truth_tables([s], {s.scenario_id: reports[s.scenario_id][1].hazards})[
-                s.scenario_id
-            ],
-        )
-        for s in specs
-    }
-    tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_rows(truths))
+    truths = truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
+    tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))
 
 
 #: Files derived from simulate's per-replicate outputs, which simulate
@@ -269,13 +283,7 @@ def _cmd_simulate(specs, run, tracker) -> None:
         )
 
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
-    tracker.write(
-        "truth.csv",
-        output.TRUTH_COLUMNS,
-        output.truth_rows(
-            {s.scenario_id: (s.progression_prob, truths[s.scenario_id]) for s in specs}
-        ),
-    )
+    tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))
     # the lines are made as they are written; no file's text is held at once
     tracker.write(
         "estimates.csv",

@@ -275,7 +275,8 @@ def build_esnt_td(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Index counts and weight sums of one design, cell by cell.
+    """Index counts and weight sums of one design, cell by cell, for each
+    cohort of a block (TableMap.block); one cohort is a block of one.
 
     Cells are initiator-person (the index's person has a treated index in
     this design) x arm x severity at index x follow-up state. The four
@@ -287,10 +288,10 @@ class CountTable:
     """
 
     design: str
-    counts: np.ndarray  # (2, 2, 2, 4): indexes per cell, float if frequency-weighted
-    weight_sums: np.ndarray  # (2, 2, 2, 2, 4) float: [year 1 or 2][cell]
-    n_people: int  # persons with at least one index
-    n_initiators: int  # persons with a treated index
+    counts: np.ndarray  # (R, 2, 2, 2, 4): indexes per cell, float if frequency-weighted
+    weight_sums: np.ndarray  # (R, 2, 2, 2, 2, 4) float: [cohort][year 1 or 2][cell]
+    n_people: np.ndarray  # (R,): persons with at least one index
+    n_initiators: np.ndarray  # (R,): persons with a treated index
 
 
 @dataclass(frozen=True)
@@ -311,25 +312,6 @@ class TableMap:
     weights: np.ndarray | None  # (2, n_groups): years 1 and 2, or None for 1
     indexed: np.ndarray  # bool per person: has an index
     initiator: np.ndarray  # bool per person: has a treated index
-
-    def table(self, people: np.ndarray) -> CountTable:
-        """The count table of a cohort with people[k] persons like person k.
-        Float people are frequency weights and give a table of the same."""
-        per_group = np.add.reduceat(people[self.person], self.starts)
-        counts = np.bincount(self.cell, per_group, minlength=32)
-        if self.weights is None:
-            sums = np.stack([counts, counts])
-        else:
-            sums = np.stack([
-                np.bincount(self.cell, per_group * w, minlength=32) for w in self.weights
-            ])
-        return CountTable(
-            design=self.design,
-            counts=counts.astype(people.dtype).reshape(2, 2, 2, 4),
-            weight_sums=sums.reshape(2, 2, 2, 2, 4),
-            n_people=people[self.indexed].sum().item(),
-            n_initiators=people[self.initiator].sum().item(),
-        )
 
     def index_groups(self) -> np.ndarray:
         """The group of each index, in map order."""
@@ -367,8 +349,10 @@ class TableMap:
     def block(self, people: np.ndarray) -> CountTable:
         """The count tables of a block of cohorts, people[r, k] persons like
         person k in cohort r, as one CountTable with a leading cohort axis.
-        Counts are exact integers. Each weight sum is formed as table() forms
-        it: group count x weight, added group by group in map order."""
+        Float people are frequency weights and give a table of the same.
+        Counts of integer people are exact. Each weight sum is group count x
+        weight, added group by group in map order, the order the golden
+        digests pin."""
         per_group = np.add.reduceat(people[:, self.person], self.starts, axis=1)
         cells, first = np.unique(self.cell, return_index=True)
         sizes = np.diff(first, append=len(self.cell))
@@ -426,9 +410,10 @@ def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> TableMap:
 
 
 def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
-    """Tabulate one design, every person counted once (see table_map)."""
+    """Tabulate one design, every person counted once (see table_map), as a
+    block of one cohort."""
     tmap = table_map(idx, weights)
-    return tmap.table(np.ones(len(tmap.indexed), dtype=np.int64))
+    return tmap.block(np.ones((1, len(tmap.indexed)), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -442,58 +427,8 @@ class DescribeRow:
     avg_indexes_per_person: float
 
 
-def describe_tables(tables: list[CountTable], n_persons: int) -> list[DescribeRow]:
-    """Descriptive rows of each design's count table.
-
-    Index-level groups ('all', 'treated') summarize indexes directly;
-    person-level groups split persons by ever-initiator status and count the
-    indexes those persons contribute, so a non-initiator's censored Visit 1
-    index of an eventual initiator counts toward the initiator group.
-    """
-    rows: list[DescribeRow] = []
-    for table in tables:
-        by_cell = table.counts.sum(axis=3)  # [initiator-person][arm][severity]
-        groups = (
-            (GROUP_ALL, table.n_people, by_cell.sum(axis=(0, 1))),
-            (GROUP_TREATED, table.n_initiators, by_cell[:, 1].sum(axis=0)),
-            (GROUP_INITIATOR, table.n_initiators, by_cell[1].sum(axis=0)),
-            (GROUP_NONINITIATOR, n_persons - table.n_initiators, by_cell[0].sum(axis=0)),
-        )
-        for group, n_people, by_severity in groups:
-            n_by_sev = by_severity.tolist()
-            total = n_by_sev[0] + n_by_sev[1]
-            pct_high = 100.0 * n_by_sev[1] / total if total else float("nan")
-            rows += [
-                DescribeRow(
-                    design=table.design,
-                    group=group,
-                    severity=SEVERITY_LABELS[z],
-                    n_people=n_people,
-                    n_indexes=n_by_sev[z],
-                    pct_high=pct_high,
-                    avg_indexes_per_person=(
-                        n_by_sev[z] / n_people if n_people else float("nan")
-                    ),
-                )
-                for z in (0, 1)
-            ]
-    return rows
-
-
-def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
-    """Descriptive rows for one design (describe_tables)."""
-    return describe_tables([count_table(idx)], n_persons)
-
-
-def describe_replicate(
-    spt: IndexSet, cal: IndexSet, td: IndexSet, n_persons: int
-) -> list[DescribeRow]:
-    """Descriptive rows for the three designs built from one cohort."""
-    return describe_tables([count_table(idx) for idx in (spt, cal, td)], n_persons)
-
-
 #: The (design, group, severity) of each descriptive row of a replicate, in
-#: describe_tables order.
+#: column order.
 DESCRIBE_LABELS = tuple(
     (design, group, severity)
     for design in DESIGNS
@@ -511,10 +446,22 @@ class DescribeBlock(NamedTuple):
     pct_high: np.ndarray  # (R, 24)
     avg_indexes_per_person: np.ndarray  # (R, 24)
 
+    def rows(self, r: int, designs: tuple[str, ...] = DESIGNS) -> list[DescribeRow]:
+        """Row r as DescribeRows, the block's tables being those of designs."""
+        labels = [(d, g, s) for d in designs for g in DESCRIBE_GROUPS for s in SEVERITY_LABELS]
+        values = zip(*(column[r].tolist() for column in self))
+        return [DescribeRow(*label, *row) for label, row in zip(labels, values)]
+
 
 def describe_block(tables: list[CountTable], n_persons: int) -> DescribeBlock:
-    """describe_tables over count tables with a leading replicate axis
-    (TableMap.block), with the same integer counts and float formulas."""
+    """Descriptive rows of each design's count tables, over a block of
+    replicates (TableMap.block).
+
+    Index-level groups ('all', 'treated') summarize indexes directly;
+    person-level groups split persons by ever-initiator status and count the
+    indexes those persons contribute, so a non-initiator's censored Visit 1
+    index of an eventual initiator counts toward the initiator group.
+    """
     n_people, n_indexes, pct_high, avg = [], [], [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for table in tables:
@@ -536,3 +483,16 @@ def describe_block(tables: list[CountTable], n_persons: int) -> DescribeBlock:
                     avg.append(np.where(people > 0, by_severity[:, z] / people, np.nan))
     columns = (n_people, n_indexes, pct_high, avg)
     return DescribeBlock(*(np.stack(column, axis=1) for column in columns))
+
+
+def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
+    """Descriptive rows for one design."""
+    return describe_block([count_table(idx)], n_persons).rows(0, (idx.design,))
+
+
+def describe_replicate(
+    spt: IndexSet, cal: IndexSet, td: IndexSet, n_persons: int
+) -> list[DescribeRow]:
+    """Descriptive rows for the three designs built from one cohort."""
+    tables = [count_table(idx) for idx in (spt, cal, td)]
+    return describe_block(tables, n_persons).rows(0, tuple(t.design for t in tables))

@@ -14,11 +14,12 @@ probability of remaining uncensored given that severity.
 Every analysis contrasts a treated and an untreated risk through the risk
 ratio; standardized analyses mix (arm x severity) stratum risks with the
 target population's severity shares first. Risks and shares are read off
-one count table per design, never off the indexes. A replicate's tables come
-from its person-type counts through person_type_map, and battery_block
-computes the batteries of a block of replicates from tables with a leading
-replicate axis; analyze_replicate tabulates a person-level cohort's index
-sets instead.
+one count table per design, never off the indexes. A block of replicates'
+tables come from their person-type counts through person_type_map, and
+battery_block computes their batteries from tables with a leading replicate
+axis. The person-level views (analyze_replicate, ipcw_km_risk, crude_rr,
+standardized_rr, severity_distribution, cohort_true_rr) tabulate one
+cohort's index sets as a block of one and read its single row.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .designs import (
     table_map,
     type_cohort,
 )
-from .population import Cohort, UndefinedRatioError, pattern_events, true_rr
+from .population import Cohort, TruthEntry, UndefinedRatioError, pattern_events
 
 ANALYSIS_TRUE = "true_rr"
 ANALYSIS_CRUDE = "crude"
@@ -134,195 +135,8 @@ def censoring_weights(
     return w
 
 
-def _km(year_sums: list[list[float]], tau: int = 2) -> float:
-    """Product-limit risk from one stratum's per-state weight sums of
-    follow-up years 1 and 2. An empty risk set leaves the curve flat."""
-    surv = 1.0
-    for t in range(min(tau, 2)):
-        denom = sum(year_sums[t][2 * t:])
-        if denom <= 0.0:
-            break
-        surv *= 1.0 - year_sums[t][2 * t] / denom
-    return 1.0 - surv
-
-
-def _risks(table: CountTable, tau: int = 2) -> dict[tuple[int, int | None], float | None]:
-    """Risk of each arm (severity None) and each (arm x severity) stratum;
-    None where the stratum has no indexes."""
-    counts = table.counts.sum(axis=(0, 3)).tolist()  # [arm][severity]
-    strata = table.weight_sums.sum(axis=1).tolist()  # [year][arm][severity][state]
-    arms = table.weight_sums.sum(axis=(1, 3)).tolist()  # [year][arm][state]
-    risks: dict[tuple[int, int | None], float | None] = {}
-    for arm in (0, 1):
-        risks[arm, None] = _km([y[arm] for y in arms], tau) if sum(counts[arm]) else None
-        for sev in (0, 1):
-            risks[arm, sev] = _km([y[arm][sev] for y in strata], tau) if counts[arm][sev] else None
-    return risks
-
-
-def ipcw_km_risk(
-    indexes: IndexSet,
-    weights: np.ndarray,
-    treated: bool,
-    severity: int | None = None,
-    tau: int = 2,
-) -> float:
-    """Weighted product-limit two-year risk for one arm, optionally within
-    one severity-at-index stratum.
-
-    Raises EmptyRiskSetError when the year 1 risk set is empty. An empty
-    year 2 risk set leaves the curve flat at its year 1 value.
-    """
-    risk = _risks(count_table(indexes, weights), tau).get((int(treated), severity))
-    if risk is None:
-        raise EmptyRiskSetError(
-            f"no indexes with treated={treated}"
-            + ("" if severity is None else f", severity={severity}")
-        )
-    return risk
-
-
-def _severity_shares(table: CountTable, subset: str) -> tuple[float, float] | None:
-    by_arm = table.counts.sum(axis=(0, 3))  # [arm][severity]
-    n_low, n_high = (by_arm[1] if subset == "treated" else by_arm.sum(axis=0)).tolist()
-    total = n_low + n_high
-    return (1.0 - n_high / total, n_high / total) if total else None
-
-
-def severity_distribution(indexes: IndexSet, subset: str = "all") -> tuple[float, float]:
-    """Empirical (low, high) severity-at-index shares over all or treated
-    indexes; the standardization target of the ATE and ATT analyses."""
-    if subset not in ("all", "treated"):
-        raise ValueError(f"unknown subset {subset!r}")
-    shares = _severity_shares(count_table(indexes), subset)
-    if shares is None:
-        raise EmptyRiskSetError(f"no {subset} indexes to standardize to")
-    return shares
-
-
-def _targets(table: CountTable) -> list[tuple[float, float] | str]:
-    """Severity shares of all and of treated indexes; the empty_target flag
-    in place of the shares of an empty subset."""
-    return [
-        _severity_shares(table, subset) or f"{FLAG_EMPTY_TARGET}:{subset}"
-        for subset in ("all", "treated")
-    ]
-
-
-def _analyses(
-    table: CountTable, specs: list[tuple[str, str, tuple[float, float] | str | None]]
-) -> list[AnalysisResult]:
-    """One result per (analysis, target population, target) spec. A target of
-    None is the crude arm contrast, shares standardize the (arm x severity)
-    stratum risks, and a flag string marks an empty target. Empty arms and
-    strata are flagged, never raised."""
-    risks = _risks(table)
-    n_untreated, n_treated = table.counts.sum(axis=(0, 2, 3)).tolist()
-    results = []
-    for analysis, target_population, target in specs:
-        flags: list[str] = []
-        arm_risk = [float("nan"), float("nan")]
-        if isinstance(target, str):
-            flags.append(target)
-        elif target is None:
-            for arm in (0, 1):
-                if risks[arm, None] is None:
-                    flags.append(f"{FLAG_EMPTY_STRATUM}:arm{arm}")
-                else:
-                    arm_risk[arm] = risks[arm, None]
-        else:
-            for arm in (0, 1):
-                arm_risk[arm] = 0.0
-                for sev in (0, 1):
-                    if risks[arm, sev] is None:
-                        flags.append(f"{FLAG_EMPTY_STRATUM}:arm{arm}/sev{sev}")
-                    else:
-                        arm_risk[arm] += target[sev] * risks[arm, sev]
-        risk_treated, risk_untreated = arm_risk[1], arm_risk[0]
-        rr = log_rr = float("nan")
-        if not flags:
-            if risk_untreated == 0.0:
-                flags.append(FLAG_ZERO_RISK_UNTREATED)
-            else:
-                rr = risk_treated / risk_untreated
-                if rr > 0.0:
-                    log_rr = math.log(rr)
-                else:
-                    flags.append(FLAG_ZERO_RISK_TREATED)
-        results.append(AnalysisResult(
-            table.design, analysis, target_population, risk_treated, risk_untreated,
-            rr, log_rr, n_treated, n_untreated, ";".join(flags),
-        ))
-    return results
-
-
-def standardized_rr(
-    indexes: IndexSet,
-    weights: np.ndarray,
-    target: tuple[float, float],
-    analysis: str,
-    target_population: str,
-) -> AnalysisResult:
-    """Directly standardized risk ratio: per-arm stratum risks mixed with
-    the target severity distribution. An empty (arm x stratum) cell flags
-    the result as degenerate instead of raising."""
-    return _analyses(count_table(indexes, weights), [(analysis, target_population, target)])[0]
-
-
-def crude_rr(indexes: IndexSet, weights: np.ndarray, analysis: str = ANALYSIS_CRUDE,
-             target_population: str = TARGET_NONE) -> AnalysisResult:
-    """Arm-level weighted risks with no standardization."""
-    return _analyses(count_table(indexes, weights), [(analysis, target_population, None)])[0]
-
-
-def battery(
-    tables: tuple[CountTable, CountTable, CountTable],
-    true_events: tuple[int, int],
-    n: int,
-) -> list[AnalysisResult]:
-    """The full analysis battery for one replicate: 14 results.
-
-    tables are the SPT's and the two emulations' (censoring-weighted) count
-    tables; true_events counts the n persons with an event by tau under
-    sustained initiation and under never initiating.
-
-    SPT: the within-cohort true risk ratio, the crude contrast, and
-    standardizations to its own all-participant and treated-participant
-    severity distributions. Each emulation: the censoring-weighted crude
-    contrast, standardizations to its own index populations, and
-    standardizations to the single point trial's populations from the same
-    cohort. Degenerate cells are flagged, never dropped.
-    """
-    try:
-        truth = true_rr(*true_events, n)
-        risks = (truth.risk_treated, truth.risk_untreated, truth.rr, truth.log_rr)
-        flag = "" if truth.rr > 0 else FLAG_ZERO_RISK_TREATED
-    except UndefinedRatioError:
-        risks = (float("nan"),) * 4
-        flag = FLAG_UNDEFINED_TRUTH
-    results = [AnalysisResult(DESIGN_SPT, ANALYSIS_TRUE, TARGET_NONE, *risks, n, n, flag)]
-
-    spt_table, *emulations = tables
-    spt_all, spt_treated = _targets(spt_table)
-    results += _analyses(spt_table, [
-        (ANALYSIS_CRUDE, TARGET_NONE, None),
-        (ANALYSIS_ATE_SPT, TARGET_SPT_ALL, spt_all),
-        (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED, spt_treated),
-    ])
-    for table in emulations:
-        own_all, own_treated = _targets(table)
-        results += _analyses(table, [
-            (ANALYSIS_CRUDE, TARGET_NONE, None),
-            (ANALYSIS_ATE_SNT, TARGET_SNT_ALL, own_all),
-            (ANALYSIS_ATT_SNT, TARGET_SNT_TREATED, own_treated),
-            (ANALYSIS_ATE_SPT, TARGET_SPT_ALL, spt_all),
-            (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED, spt_treated),
-        ])
-    return results
-
-
-#: The (design, analysis, target population) of each result of battery, in
-#: order; the columns of an AnalysisBlock.
+#: The (design, analysis, target population) of each result of the battery,
+#: in order; the columns of an AnalysisBlock.
 ANALYSIS_LABELS = (
     (DESIGN_SPT, ANALYSIS_TRUE, TARGET_NONE),
     (DESIGN_SPT, ANALYSIS_CRUDE, TARGET_NONE),
@@ -354,6 +168,11 @@ class AnalysisBlock(NamedTuple):
     n_untreated: np.ndarray  # (R, 14) int
     degenerate: np.ndarray  # (R, 14) str objects, "" when usable
 
+    def results(self, r: int) -> list[AnalysisResult]:
+        """Row r as AnalysisResults, in ANALYSIS_LABELS order."""
+        values = zip(*(column[r].tolist() for column in self))
+        return [AnalysisResult(*label, *row) for label, row in zip(ANALYSIS_LABELS, values)]
+
 
 def _join_flags(flags: list[tuple[np.ndarray, str]], size: int) -> np.ndarray:
     """Per row, the labels of the set masks joined by ';' in list order."""
@@ -367,8 +186,9 @@ def _join_flags(flags: list[tuple[np.ndarray, str]], size: int) -> np.ndarray:
 
 
 def _km_block(year1: np.ndarray, year2: np.ndarray) -> np.ndarray:
-    """_km over arrays whose last axis holds the per-state weight sums of
-    year 1 and of year 2, with the same left-to-right sums."""
+    """Product-limit two-year risks over arrays whose last axis holds the
+    per-state weight sums of year 1 and of year 2; the denominators are
+    left-to-right sums. An empty year 2 risk set leaves the curve flat."""
     denom1 = ((year1[..., 0] + year1[..., 1]) + year1[..., 2]) + year1[..., 3]
     denom2 = year2[..., 2] + year2[..., 3]
     surv1 = 1.0 - year1[..., 0] / denom1
@@ -377,8 +197,9 @@ def _km_block(year1: np.ndarray, year2: np.ndarray) -> np.ndarray:
 
 
 def _risks_block(table: CountTable):
-    """_risks of each replicate of a block: the arm risks (R, arm) and the
-    stratum risks (R, arm, severity), each with a mask of the non-empty ones."""
+    """The arm risks (R, arm) and the (arm x severity) stratum risks
+    (R, arm, severity) of each replicate of a block, each with a mask of the
+    non-empty ones."""
     counts = table.counts.sum(axis=(1, 4))  # [replicate][arm][severity]
     ws = table.weight_sums  # [replicate][year][initiator-person][arm][severity][state]
     strata = ws[:, :, 0] + ws[:, :, 1]  # [replicate][year][arm][severity][state]
@@ -391,8 +212,9 @@ def _risks_block(table: CountTable):
 
 
 def _targets_block(table: CountTable) -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """_targets of each replicate of a block: per subset, the (R, 2) severity
-    shares, the mask of replicates where the subset is empty, and its flag."""
+    """The standardization targets of each replicate of a block: per subset
+    (all, then treated indexes), the (R, 2) severity shares, the mask of
+    replicates where the subset is empty, and its empty_target flag."""
     by_arm = table.counts.sum(axis=(1, 4))  # [replicate][arm][severity]
     targets = []
     for subset, n_sev in (("all", by_arm[:, 0] + by_arm[:, 1]), ("treated", by_arm[:, 1])):
@@ -404,8 +226,10 @@ def _targets_block(table: CountTable) -> list[tuple[np.ndarray, np.ndarray, str]
 
 
 def _analyses_block(table: CountTable, targets: list) -> list[tuple[np.ndarray, ...]]:
-    """_analyses of each replicate of a block, one column tuple per target:
-    None for the crude contrast, else a _targets_block entry."""
+    """One column tuple of AnalysisResult fields per target, over each
+    replicate of a block. A target of None is the crude arm contrast; a
+    _targets_block entry standardizes the (arm x severity) stratum risks.
+    Empty targets, arms and strata are flagged, never raised."""
     arm_risk, arm_ok, stratum_risk, stratum_ok = _risks_block(table)
     n_untreated, n_treated = np.moveaxis(table.counts.sum(axis=(1, 3, 4)), 1, 0)
     size = len(n_treated)
@@ -442,7 +266,10 @@ def _analyses_block(table: CountTable, targets: list) -> list[tuple[np.ndarray, 
 
 
 def _truth_block(events_treated: np.ndarray, events_untreated: np.ndarray, n: int):
-    """The true_rr row of each replicate of a block (see battery)."""
+    """The finite-sample truth of each replicate of a block, as the columns
+    of its true_rr result: the shares of its n persons with an event by tau
+    under sustained initiation and under never initiating, and their ratio.
+    Undefined when the never-initiate share is zero."""
     undefined = (events_untreated == 0) | (n == 0)
     risks = [
         np.where(undefined, np.nan, events / n) for events in (events_treated, events_untreated)
@@ -464,9 +291,24 @@ def battery_block(
     true_events: tuple[np.ndarray, np.ndarray],
     n: int,
 ) -> AnalysisBlock:
-    """battery over a block of replicates: tables with a leading replicate
-    axis (PersonTypeMap.blocks). Integer work is exact and each float is
-    formed as battery forms it, so every row equals battery's results."""
+    """The full analysis battery, 14 results per replicate, of a block of
+    replicates of n persons each.
+
+    tables are the SPT's and the two emulations' (censoring-weighted) count
+    tables with a leading replicate axis (PersonTypeMap.blocks); true_events
+    counts the persons of each replicate with an event by tau under
+    sustained initiation and under never initiating.
+
+    SPT: the within-cohort true risk ratio, the crude contrast, and
+    standardizations to its own all-participant and treated-participant
+    severity distributions. Each emulation: the censoring-weighted crude
+    contrast, standardizations to its own index populations, and
+    standardizations to the single point trial's populations from the same
+    cohort. Degenerate cells are flagged, never dropped.
+
+    Integer work is exact, no row depends on another, and each float is
+    formed in the order the golden digests pin (see README).
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         columns = [_truth_block(*true_events, n)]
         spt_table, *emulations = tables
@@ -478,6 +320,88 @@ def battery_block(
                 table, [None, own_all, own_treated, spt_all, spt_treated]
             )
     return AnalysisBlock(*(np.stack(column, axis=1) for column in zip(*columns)))
+
+
+def ipcw_km_risk(
+    indexes: IndexSet,
+    weights: np.ndarray,
+    treated: bool,
+    severity: int | None = None,
+) -> float:
+    """Weighted product-limit two-year risk for one arm, optionally within
+    one severity-at-index stratum.
+
+    Raises EmptyRiskSetError when the year 1 risk set is empty. An empty
+    year 2 risk set leaves the curve flat at its year 1 value.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arm_risk, arm_ok, stratum_risk, stratum_ok = _risks_block(count_table(indexes, weights))
+    arm = int(treated)
+    if severity is None:
+        risk, ok = arm_risk[0, arm], arm_ok[0, arm]
+    else:
+        risk, ok = stratum_risk[0, arm, severity], stratum_ok[0, arm, severity]
+    if not ok:
+        raise EmptyRiskSetError(
+            f"no indexes with treated={treated}"
+            + ("" if severity is None else f", severity={severity}")
+        )
+    return risk.item()
+
+
+def severity_distribution(indexes: IndexSet, subset: str = "all") -> tuple[float, float]:
+    """Empirical (low, high) severity-at-index shares over all or treated
+    indexes; the standardization target of the ATE and ATT analyses."""
+    if subset not in ("all", "treated"):
+        raise ValueError(f"unknown subset {subset!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares, empty, _ = _targets_block(count_table(indexes))[subset == "treated"]
+    if empty[0]:
+        raise EmptyRiskSetError(f"no {subset} indexes to standardize to")
+    return tuple(shares[0].tolist())
+
+
+def _one_analysis(table: CountTable, analysis: str, target_population: str, target):
+    """The AnalysisResult of one target (_analyses_block) of a one-row table."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        column = _analyses_block(table, [target])[0]
+    return AnalysisResult(table.design, analysis, target_population, *(c.item() for c in column))
+
+
+def standardized_rr(
+    indexes: IndexSet,
+    weights: np.ndarray,
+    target: tuple[float, float],
+    analysis: str,
+    target_population: str,
+) -> AnalysisResult:
+    """Directly standardized risk ratio: per-arm stratum risks mixed with
+    the target severity distribution. An empty (arm x stratum) cell flags
+    the result as degenerate instead of raising."""
+    shares = (np.array([target], dtype=float), np.zeros(1, dtype=bool), "")
+    return _one_analysis(count_table(indexes, weights), analysis, target_population, shares)
+
+
+def crude_rr(indexes: IndexSet, weights: np.ndarray, analysis: str = ANALYSIS_CRUDE,
+             target_population: str = TARGET_NONE) -> AnalysisResult:
+    """Arm-level weighted risks with no standardization."""
+    return _one_analysis(count_table(indexes, weights), analysis, target_population, None)
+
+
+def cohort_true_rr(cohort: Cohort, tau: int = 2) -> TruthEntry:
+    """Finite-sample truth within one cohort (_truth_block). Raises
+    UndefinedRatioError when the cohort is empty or has no event under
+    never initiating."""
+    events = [np.array([np.count_nonzero(e)]) for e in pattern_events(cohort, tau)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        risk_treated, risk_untreated, rr, log_rr, _, _, flag = (
+            c.item() for c in _truth_block(*events, len(cohort))
+        )
+    if flag == FLAG_UNDEFINED_TRUTH:
+        raise UndefinedRatioError(
+            "empty cohort" if not len(cohort) else "no events under the never-initiate pattern"
+        )
+    return TruthEntry(risk_treated, risk_untreated, rr, log_rr)
 
 
 def _weight_modes(cal_weight_mode: str) -> tuple[str, str]:
@@ -495,15 +419,15 @@ def analyze_replicate(
     cal_weight_mode: str = WEIGHT_MODE_INITIATION,
 ) -> list[AnalysisResult]:
     """The battery of one replicate's cohort and designs, each design
-    tabulated from its indexes."""
+    tabulated from its indexes, as a block of one."""
     cal_mode, td_mode = _weight_modes(cal_weight_mode)
     tables = (
         count_table(spt),
         count_table(cal, censoring_weights(cal, spec, cal_mode)),
         count_table(td, censoring_weights(td, spec, td_mode)),
     )
-    events = pattern_events(cohort, spec.horizon_tau)
-    return battery(tables, tuple(int(np.count_nonzero(e)) for e in events), len(cohort))
+    events = [np.array([np.count_nonzero(e)]) for e in pattern_events(cohort, spec.horizon_tau)]
+    return battery_block(tables, events, len(cohort)).results(0)
 
 
 @dataclass(frozen=True)
@@ -522,20 +446,15 @@ class PersonTypeMap:
         if counts[..., self.blocked].any():
             raise DegenerateWeightError(_CERTAIN_CENSORING)
 
-    def tables(self, counts: np.ndarray) -> tuple[CountTable, CountTable, CountTable]:
-        self.check(counts)
-        return tuple(tmap.table(counts) for tmap in self.designs)
-
-    def true_events(self, counts: np.ndarray) -> tuple[int, int]:
-        treated, untreated = self.events
-        return counts[treated].sum().item(), counts[untreated].sum().item()
-
     def blocks(
         self, counts: np.ndarray
     ) -> tuple[tuple[CountTable, CountTable, CountTable], tuple[np.ndarray, np.ndarray]]:
-        """tables and true_events of a block of replicates, counts[r, k]
-        persons of type (or class) k in replicate r: the tables with a
-        leading replicate axis (TableMap.block) and the event counts."""
+        """The three count tables and the true-event counts of a block of
+        replicates, counts[r, k] persons of type (or class) k in replicate
+        r: the tables with a leading replicate axis (TableMap.block) and,
+        per replicate, the persons with an event by tau under sustained
+        initiation and under never initiating (battery_block's input).
+        Raises DegenerateWeightError if any person counted is blocked."""
         self.check(counts)
         treated, untreated = self.events
         return (

@@ -47,7 +47,7 @@ from .estimators import (
     person_class_map,
 )
 from .hazards import HazardSet, solve
-from .population import TruthTable, draw_base_codes, enumerate_truth
+from .population import TruthEntry, draw_base_codes, enumerate_truth
 
 # run_replicate no longer takes the person-level path. Its entry points stay
 # importable from this module, where perfbench/trace.py wraps them.
@@ -273,7 +273,7 @@ def record_cells(records: Iterable[tuple[str, int, AnalysisResult]]) -> Cells:
 
 def summarize(
     cells: Cells,
-    truth_by_scenario: dict[str, TruthTable],
+    truth_by_scenario: dict[str, TruthEntry],
     truth_override: float | None = None,
 ) -> list[MetricsRow]:
     """Aggregate per-replicate estimates into one row per
@@ -301,7 +301,7 @@ def summarize(
         if truth_override is not None:
             theta_ref = math.log(truth_override)
         else:
-            theta_ref = truth_by_scenario[sid].marginal.log_rr
+            theta_ref = truth_by_scenario[sid].log_rr
         mean = float(values.mean())
         ese = float(values.std(ddof=1))
         bias = mean - theta_ref
@@ -372,7 +372,8 @@ def summarize_descriptives(
 
 def truth_tables(
     specs: list[ScenarioSpec], hazards_by_scenario: dict[str, HazardSet]
-) -> dict[str, TruthTable]:
+) -> dict[str, TruthEntry]:
+    """The enumerated truth of each scenario."""
     return {
         spec.scenario_id: enumerate_truth(spec, hazards_by_scenario[spec.scenario_id])
         for spec in specs

@@ -16,7 +16,7 @@ from .designs import DESCRIBE_LABELS, DescribeRow
 from .estimators import ANALYSIS_LABELS, AnalysisResult
 from .harness import BLOCK_ROWS, DescriptiveSummaryRow, MetricsRow, ScenarioBlock
 from .hazards import SolveReport
-from .population import TruthTable
+from .population import TruthEntry
 
 HAZARDS_COLUMNS = (
     "scenario_id", "pi", "p00", "p01", "p10", "p11", "max_abs_residual", "feasible",
@@ -38,6 +38,10 @@ SUMMARY_COLUMNS = (
     "scenario_id", "design", "analysis", "target_population",
     "rr_summary", "bias", "mcse_bias", "ese", "rmse", "n_effective",
 )
+#: truth.csv's estimands, each written with the one enumerated entry: in the
+#: single point trial treatment is randomized independently of severity, so
+#: the severity-standardized estimands equal the marginal contrast.
+TRUTH_ESTIMANDS = ("marginal", "std_spt_all", "std_spt_treated")
 FIGURE_COLUMNS = ("scenario", "design", "standardization_target", "bias", "mcse")
 DESCRIBE_SUMMARY_COLUMNS = (
     "scenario_id", "design", "group", "severity", "statistic", "median", "q25", "q75",
@@ -120,15 +124,12 @@ def hazards_rows(reports: dict[str, tuple[float, SolveReport]]) -> list[tuple]:
     ]
 
 
-def truth_rows(truths: dict[str, tuple[float, TruthTable]]) -> list[tuple]:
-    rows = []
-    for sid, (pi, table) in truths.items():
-        for label, entry in table.entries():
-            rows.append(
-                (sid, pi, label, entry.risk_treated, entry.risk_untreated,
-                 entry.rr, entry.log_rr)
-            )
-    return rows
+def truth_rows(truths: dict[str, tuple[float, TruthEntry]]) -> list[tuple]:
+    return [
+        (sid, pi, label, entry.risk_treated, entry.risk_untreated, entry.rr, entry.log_rr)
+        for sid, (pi, entry) in truths.items()
+        for label in TRUTH_ESTIMANDS
+    ]
 
 
 def summary_row(row: MetricsRow) -> tuple:

@@ -112,31 +112,13 @@ class Cohort:
 
 @dataclass(frozen=True)
 class TruthEntry:
+    """Two-year risks under sustained initiation and under never initiating,
+    and their ratio."""
+
     risk_treated: float
     risk_untreated: float
     rr: float
     log_rr: float
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """Exact two-year risks per estimand label.
-
-    In the single point trial treatment is randomized independently of
-    severity, so the severity-standardized estimands coincide with the
-    marginal contrast; the three entries are equal by construction.
-    """
-
-    marginal: TruthEntry
-    std_spt_all: TruthEntry
-    std_spt_treated: TruthEntry
-
-    def entries(self) -> list[tuple[str, TruthEntry]]:
-        return [
-            ("marginal", self.marginal),
-            ("std_spt_all", self.std_spt_all),
-            ("std_spt_treated", self.std_spt_treated),
-        ]
 
 
 def _pattern_event_times(po: np.ndarray) -> np.ndarray:
@@ -255,7 +237,7 @@ def draw_individual(
     )
 
 
-def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthTable:
+def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthEntry:
     """Exact two-year risks under sustained treatment versus never treating,
     by summation over the discrete severity state space. No sampling."""
     pi = spec.progression_prob
@@ -273,13 +255,12 @@ def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthTable:
 
     risk_untreated, risk_treated = risks
     rr = risk_treated / risk_untreated
-    entry = TruthEntry(
+    return TruthEntry(
         risk_treated=risk_treated,
         risk_untreated=risk_untreated,
         rr=rr,
         log_rr=float(np.log(rr)),
     )
-    return TruthTable(marginal=entry, std_spt_all=entry, std_spt_treated=entry)
 
 
 def pattern_events(cohort: Cohort, tau: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -288,34 +269,6 @@ def pattern_events(cohort: Cohort, tau: int = 2) -> tuple[np.ndarray, np.ndarray
     return (
         cohort.event_time[:, PATTERN_VISIT1] <= tau,
         cohort.event_time[:, PATTERN_NEVER] <= tau,
-    )
-
-
-def true_rr(events_treated: int, events_untreated: int, n: int) -> TruthEntry:
-    """Finite-sample truth of n persons, events_treated of whom have an event
-    by tau under sustained initiation and events_untreated under never
-    initiating: the ratio of the two shares.
-
-    Raises UndefinedRatioError when the never-initiate share is zero.
-    """
-    if n == 0:
-        raise UndefinedRatioError("empty cohort")
-    if events_untreated == 0:
-        raise UndefinedRatioError("no events under the never-initiate pattern")
-    risk_treated = events_treated / n
-    risk_untreated = events_untreated / n
-    rr = risk_treated / risk_untreated
-    log_rr = float(np.log(rr)) if rr > 0 else float("nan")
-    return TruthEntry(
-        risk_treated=risk_treated, risk_untreated=risk_untreated, rr=rr, log_rr=log_rr
-    )
-
-
-def cohort_true_rr(cohort: Cohort, tau: int = 2) -> TruthEntry:
-    """Finite-sample truth within one cohort (true_rr)."""
-    treated, untreated = pattern_events(cohort, tau)
-    return true_rr(
-        int(np.count_nonzero(treated)), int(np.count_nonzero(untreated)), len(cohort)
     )
 
 

@@ -99,7 +99,7 @@ def test_criterion_2_homogeneous_truth():
     ok = True
     for name in ("S1", "S3"):
         spec = {s.scenario_id: s for s in builtin_scenarios(0.6)}[name]
-        t = enumerate_truth(spec, solve(spec).hazards).marginal
+        t = enumerate_truth(spec, solve(spec).hazards)
         ok &= abs(t.rr - 0.70) < 1e-9
         ok &= abs(t.risk_treated - 0.1225) < 1e-9
         ok &= abs(t.risk_untreated - 0.1750) < 1e-9

@@ -1,3 +1,4 @@
+import fnmatch
 import json
 import os
 import signal
@@ -262,6 +263,32 @@ class TestSimulateVerb:
         for path in out.iterdir() if out.exists() else ():
             assert path.read_bytes() == (ref / path.name).read_bytes(), path.name
 
+    def test_staging_left_by_dead_processes_is_removed(self, tmp_path, monkeypatch):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so no process has its pid
+        dead = tmp_path / f".runs.{child.pid}.abc123"
+        live = tmp_path / f".runs.{os.getpid()}.xyz789"
+        for staging in (dead, live):
+            staging.mkdir()
+            (staging / "estimates.csv").write_text("partial")
+        staged = []
+        write_csv = output.write_csv
+
+        def recording_write_csv(path, header, rows):
+            staged.append(path.parent.name)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(output, "write_csv", recording_write_csv)
+        out = tmp_path / "runs"
+        assert run_cli("solve", "--scenario", "S1", "--out", str(out)) == EXIT_OK
+        assert not dead.exists()
+        assert (live / "estimates.csv").read_text() == "partial"
+        assert staging_dirs(out) == [live]
+        # this run staged in .runs.<pid>.<random>, which .gitignore's .runs.*/ ignores
+        assert len(staged) == 1 and staged[0].startswith(f".runs.{os.getpid()}.")
+        gitignore = (Path(__file__).parents[1] / ".gitignore").read_text().split()
+        assert ".runs.*/" in gitignore and fnmatch.fnmatch(staged[0], ".runs.*")
+
 
 class TestReaggregationVerbs:
     @pytest.fixture()
@@ -364,3 +391,19 @@ class TestEnvironmentDefaults:
             capture_output=True, text=True, check=True, env=package_env(),
         )
         assert proc.stdout.strip() == "False"
+
+
+def test_trace_script_patches_names_that_exist(tmp_path):
+    """perfbench/trace.py wraps the package's functions by name, so a
+    deleted or renamed one fails here and not only in a traced benchmark."""
+    trace = Path(__file__).parents[1] / "perfbench" / "trace.py"
+    spans = tmp_path / "spans.json"
+    verbs = [["simulate", "--scenario", "S1", "--n", "50", "--reps", "3",
+              "--out", str(tmp_path / "out")]]
+    proc = subprocess.run(
+        [sys.executable, str(trace), str(spans), "all", json.dumps(verbs)],
+        capture_output=True, text=True, env=package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("harness.run_replicate") == 3

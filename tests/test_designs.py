@@ -297,16 +297,17 @@ class TestCountTable:
         ])
         weights = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 2.5], [0.5, 4.0], [1.0, 3.0]])
         table = count_table(idx, weights)
+        counts, weight_sums = table.counts[0], table.weight_sums[0]
         # [initiator-person, arm, severity, state]
-        assert [tuple(c) for c in np.argwhere(table.counts)] == [
+        assert [tuple(c) for c in np.argwhere(counts)] == [
             (0, 0, 0, 2), (0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 3),
         ]
-        assert table.counts[0, 0, 0, 2] == 2
-        assert table.weight_sums[:, 0, 0, 0, 2].tolist() == [1.5, 7.0]
-        assert table.weight_sums[:, 0, 0, 1, 1].tolist() == [1.0, 2.5]
-        assert (table.n_people, table.n_initiators) == (3, 1)
+        assert counts[0, 0, 0, 2] == 2
+        assert weight_sums[:, 0, 0, 0, 2].tolist() == [1.5, 7.0]
+        assert weight_sums[:, 0, 0, 1, 1].tolist() == [1.0, 2.5]
+        assert (table.n_people[0], table.n_initiators[0]) == (3, 1)
         unit = count_table(idx)
-        assert np.array_equal(unit.weight_sums, np.stack([unit.counts, unit.counts]))
+        assert np.array_equal(unit.weight_sums[0], np.stack([unit.counts[0], unit.counts[0]]))
 
 
 class TestDescribe:

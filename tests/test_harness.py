@@ -163,7 +163,7 @@ class TestSummarize:
         values = rng.normal(math.log(0.7), 0.08, size=50)
         records = [make_record("S2", i + 1, v) for i, v in enumerate(values)]
         row = summarize(record_cells(records), self.truth("S2"))[0]
-        theta = self.truth("S2")["S2"].marginal.log_rr
+        theta = self.truth("S2")["S2"].log_rr
         assert row.bias == pytest.approx(values.mean() - theta, abs=1e-12)
         assert row.ese == pytest.approx(values.std(ddof=1), abs=1e-12)
         assert row.rmse == pytest.approx(
@@ -267,5 +267,5 @@ class TestTruthTables:
         specs = builtin_scenarios()
         hazards = {s.scenario_id: solve(s).hazards for s in specs}
         tables = truth_tables(specs, hazards)
-        assert tables["S1"].marginal.rr == pytest.approx(0.7, abs=1e-12)
-        assert tables["S2"].marginal.rr == pytest.approx(0.6428571428571429, abs=1e-12)
+        assert tables["S1"].rr == pytest.approx(0.7, abs=1e-12)
+        assert tables["S2"].rr == pytest.approx(0.6428571428571429, abs=1e-12)

@@ -5,8 +5,8 @@ person and every output is read off the type counts through a fixed map.
 These tests check that the codes expand to the cohort and the treatments of
 the same stream; that the types fall into classes with identical map
 columns; that a scenario block of class counts gives, row by row, the
-per-replicate battery and descriptive rows of the type counts, and those
-the person-level analyses and descriptive rows; and that exact type
+battery and descriptive rows of a one-row block of the type counts, and
+those the person-level analyses and descriptive rows; and that exact type
 probabilities through the same map give the enumerated truth.
 """
 
@@ -31,15 +31,15 @@ from snt_lab.designs import (
     build_esnt_cal,
     build_esnt_td,
     build_spt,
+    describe_block,
     describe_replicate,
-    describe_tables,
     person_type_codes,
     type_cohort,
 )
 from snt_lab.estimators import (
     DegenerateWeightError,
     analyze_replicate,
-    battery,
+    battery_block,
     person_class_map,
     person_type_map,
 )
@@ -122,13 +122,17 @@ def type_counts(spec, hazards, replicate_id, run, pool):
     return np.bincount(person_type_codes(rng, base, spec), minlength=N_TYPES)
 
 
+def one_row(types, counts, n):
+    """The battery and descriptive rows of one replicate's type (or class)
+    counts, read off a block of one."""
+    tables, events = types.blocks(counts[None])
+    return battery_block(tables, events, n).results(0), describe_block(tables, n).rows(0)
+
+
 def reference_replicate(spec, hazards, replicate_id, run, pool):
-    """The per-replicate battery and descriptive rows of the type counts."""
+    """The battery and descriptive rows of the type counts."""
     counts = type_counts(spec, hazards, replicate_id, run, pool)
-    types = person_type_map(spec, run.cal_weight_mode)
-    tables = types.tables(counts)
-    n = run.n_individuals
-    return battery(tables, types.true_events(counts), n), describe_tables(tables, n)
+    return one_row(person_type_map(spec, run.cal_weight_mode), counts, run.n_individuals)
 
 
 def same_float(a, b, tol=1e-12):
@@ -148,8 +152,8 @@ def assert_same_rows(got, expected, tol=1e-12):
 
 
 def check_replicate(scenario_id, n, replicate_id, mode, pool=None):
-    """The block row of one replicate equals the per-replicate reference
-    exactly, and that the person-level path to 1e-12."""
+    """The block row of one replicate equals the one-row block of its type
+    counts exactly, and that the person-level path to 1e-12."""
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
     run = RunConfig(n_individuals=n, master_seed=7, cal_weight_mode=mode)
     counts = run_replicate(spec, hazards, replicate_id, run, pool)
@@ -224,13 +228,16 @@ def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
             counts = np.where(types.blocked, 0, counts)
         merged = np.zeros(n_classes, dtype=counts.dtype)
         np.add.at(merged, type_class, counts)
-        for got, expected in zip(classes.tables(merged), types.tables(counts)):
+        (got_tables, got_events), (tables, events) = (
+            classes.blocks(merged[None]), types.blocks(counts[None])
+        )
+        for got, expected in zip(got_tables, tables):
             assert got.design == expected.design
-            assert np.allclose(got.counts, expected.counts, rtol=0, atol=1e-12)
-            assert np.allclose(got.weight_sums, expected.weight_sums, rtol=0, atol=1e-12)
-            assert abs(got.n_people - expected.n_people) <= 1e-12
-            assert abs(got.n_initiators - expected.n_initiators) <= 1e-12
-        assert np.allclose(classes.true_events(merged), types.true_events(counts), rtol=0, atol=1e-12)
+            assert np.allclose(got.counts[0], expected.counts[0], rtol=0, atol=1e-12)
+            assert np.allclose(got.weight_sums[0], expected.weight_sums[0], rtol=0, atol=1e-12)
+            assert abs(got.n_people[0] - expected.n_people[0]) <= 1e-12
+            assert abs(got.n_initiators[0] - expected.n_initiators[0]) <= 1e-12
+        assert np.allclose(got_events, events, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -265,14 +272,17 @@ def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
     block = scenario_block(SPECS[scenario_id], RunConfig(n_individuals=n, cal_weight_mode=mode),
                            list(range(1, 61)), counts)
     for r, row in enumerate(replicate_rows(block)):
-        expected = classes.tables(counts[r])
+        expected, expected_events = classes.blocks(counts[r][None])
         for got, table in zip(tables, expected):
-            assert np.array_equal(got.counts[r], table.counts)
-            assert np.array_equal(got.weight_sums[r], table.weight_sums)
-            assert (got.n_people[r], got.n_initiators[r]) == (table.n_people, table.n_initiators)
-        assert (events[0][r], events[1][r]) == classes.true_events(counts[r])
-        assert_same_rows(row.analyses, battery(expected, classes.true_events(counts[r]), n), 0.0)
-        assert_same_rows(row.descriptives, describe_tables(expected, n), 0.0)
+            assert np.array_equal(got.counts[r], table.counts[0])
+            assert np.array_equal(got.weight_sums[r], table.weight_sums[0])
+            assert (got.n_people[r], got.n_initiators[r]) == (
+                table.n_people[0], table.n_initiators[0]
+            )
+        assert (events[0][r], events[1][r]) == (expected_events[0][0], expected_events[1][0])
+        analyses, descriptives = one_row(classes, counts[r], n)
+        assert_same_rows(row.analyses, analyses, 0.0)
+        assert_same_rows(row.descriptives, descriptives, 0.0)
 
 
 def test_degenerate_weights_are_raised_only_for_types_present():
@@ -349,8 +359,8 @@ def test_type_probabilities_through_the_map_give_the_enumerated_truth(scenario_i
     prob = type_probabilities(spec, hazards)
     assert abs(prob.sum() - 1.0) <= 1e-12
     types = person_type_map(spec, WEIGHT_MODE_INITIATION)
-    results = battery(types.tables(prob), types.true_events(prob), 1)
-    truth = enumerate_truth(spec, hazards).marginal
+    results = battery_block(*types.blocks(prob[None]), 1).results(0)
+    truth = enumerate_truth(spec, hazards)
     spt = [r for r in results if r.design == "SPT"]
     assert [r.analysis for r in spt] == ["true_rr", "crude", "ate_spt", "att_spt"]
     for r in spt:

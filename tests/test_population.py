@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from snt_lab.config import builtin_scenarios
+from snt_lab.estimators import cohort_true_rr
 from snt_lab.hazards import solve
+from snt_lab.output import truth_rows
 from snt_lab.population import (
     Cohort,
     Individual,
@@ -14,7 +16,6 @@ from snt_lab.population import (
     PATTERN_VISIT1,
     PATTERN_VISIT2,
     UndefinedRatioError,
-    cohort_true_rr,
     draw_cohort,
     draw_individual,
     enumerate_truth,
@@ -130,14 +131,14 @@ class TestDrawCohort:
 class TestEnumerateTruth:
     def test_s1_exact(self):
         spec, h = spec_and_hazards("S1")
-        t = enumerate_truth(spec, h).marginal
+        t = enumerate_truth(spec, h)
         assert t.risk_treated == pytest.approx(0.1225, abs=1e-12)
         assert t.risk_untreated == pytest.approx(0.1750, abs=1e-12)
         assert t.rr == pytest.approx(0.70, abs=1e-12)
 
     def test_s2_exact(self):
         spec, h = spec_and_hazards("S2")
-        t = enumerate_truth(spec, h).marginal
+        t = enumerate_truth(spec, h)
         # delta-scaled strata: 0.75*0.075 + 0.25*0.225 over 0.175
         assert t.risk_treated == pytest.approx(0.1125, abs=1e-12)
         assert t.rr == pytest.approx(0.6428571428571429, abs=1e-12)
@@ -147,15 +148,16 @@ class TestEnumerateTruth:
         for d in (0.5, 0.7, 1.0):
             spec, _ = spec_and_hazards("S1")
             spec = dataclasses.replace(spec, delta=(d, d))
-            t = enumerate_truth(spec, solve(spec).hazards).marginal
+            t = enumerate_truth(spec, solve(spec).hazards)
             assert t.rr == pytest.approx(d, abs=1e-12)
 
     def test_estimand_labels_coincide_for_randomized_assignment(self):
         spec, h = spec_and_hazards("S4")
-        table = enumerate_truth(spec, h)
-        assert table.std_spt_all == table.marginal
-        assert table.std_spt_treated == table.marginal
-        assert [label for label, _ in table.entries()] == [
+        entry = enumerate_truth(spec, h)
+        rows = truth_rows({"S4": (spec.progression_prob, entry)})
+        values = (entry.risk_treated, entry.risk_untreated, entry.rr, entry.log_rr)
+        assert all(row[3:] == values for row in rows)
+        assert [row[2] for row in rows] == [
             "marginal", "std_spt_all", "std_spt_treated",
         ]
 
@@ -167,7 +169,7 @@ class TestEnumerateTruth:
         spec, h = spec_and_hazards("S1")
         n = 1_000_000
         cohort = draw_cohort(rng(11), spec, h, n)
-        truth = enumerate_truth(spec, h).marginal
+        truth = enumerate_truth(spec, h)
         for pattern, expected in (
             (PATTERN_VISIT1, truth.risk_treated),
             (PATTERN_NEVER, truth.risk_untreated),
