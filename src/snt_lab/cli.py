@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
-0 success, 1 I/O failure, 2 usage error, 3 infeasible calibration. A verb
-writes its files into a temporary sibling of the output directory and moves
-them in only when it succeeds, so a failed, interrupted or killed run never
-leaves a truncated file there; the next run removes the siblings that killed
-runs left. simulate also removes the derived files of an earlier run in the
-same directory that it did not rewrite. A simulate whose summary has a cell
-with fewer than two usable replicates moves in its complete per-replicate
-files, writes no summary and exits 2.
+0 success, 1 I/O failure or malformed input file (named with its line), 2
+usage error, 3 infeasible calibration. A verb writes its files into a
+temporary sibling of the output directory and moves them in only when it
+succeeds, so a failed, interrupted or killed run never leaves a truncated
+file there; the next run removes the siblings that killed runs left.
+simulate also removes the derived files of an earlier run in the same
+directory that it did not rewrite. A simulate whose summary has a cell with
+fewer than two usable replicates moves in its complete per-replicate files,
+writes no summary and exits 2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .config import (
 from .harness import (
     InsufficientReplicatesError,
     estimate_cells,
-    record_cells,
     run_scenario,
     summarize,
     summarize_descriptives,
@@ -305,53 +305,40 @@ def _cmd_simulate(specs, run, tracker) -> None:
                 f"{exc}; kept hazards.csv, truth.csv, estimates.csv and describe.csv, "
                 "wrote no summary or figure files"
             ) from exc
-        tracker.write(
-            "summary.csv", output.SUMMARY_COLUMNS, map(output.summary_row, summary)
-        )
-        tracker.write(
-            "figure3.csv",
-            output.FIGURE_COLUMNS,
-            output.figure_rows(summary, output.FIGURE_ATE_TARGETS),
-        )
-        tracker.write(
-            "figureS3.csv",
-            output.FIGURE_COLUMNS,
-            output.figure_rows(summary, output.FIGURE_ATT_TARGETS),
-        )
+        tracker.write("summary.csv", output.SUMMARY_COLUMNS, summary)
+        _write_figures(tracker, summary)
+
+
+def _write_figures(tracker, summary) -> None:
+    """figure3.csv and figureS3.csv: the ATE and the ATT cells of a summary."""
+    for name, targets in (("figure3.csv", output.FIGURE_ATE_TARGETS),
+                          ("figureS3.csv", output.FIGURE_ATT_TARGETS)):
+        tracker.write(name, output.FIGURE_COLUMNS, output.figure_rows(summary, targets))
+
+
+def _selected(specs, cells: dict) -> dict:
+    """The cells of the selected scenarios (a cell's key starts with one)."""
+    selected = {s.scenario_id for s in specs}
+    return {key: cell for key, cell in cells.items() if key[0] in selected}
 
 
 def _cmd_summarize(specs, run, tracker) -> None:
-    records = output.read_estimates(run.output_dir / "estimates.csv")
-    selected = {s.scenario_id for s in specs}
-    records = [(sid, rep, r) for sid, rep, r in records if sid in selected]
+    cells = _selected(specs, output.read_estimates(run.output_dir / "estimates.csv"))
     reports = _solve_all(specs)
     truths = truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
-    summary = summarize(record_cells(records), truths, run.truth_override)
-    tracker.write("summary.csv", output.SUMMARY_COLUMNS, map(output.summary_row, summary))
+    summary = summarize(cells, truths, run.truth_override)
+    tracker.write("summary.csv", output.SUMMARY_COLUMNS, summary)
 
 
 def _cmd_describe(specs, run, tracker) -> None:
-    rows = output.read_describe(run.output_dir / "describe.csv")
-    summary = summarize_descriptives(rows)
+    cells = _selected(specs, output.read_describe(run.output_dir / "describe.csv"))
     tracker.write(
-        "describe_summary.csv",
-        output.DESCRIBE_SUMMARY_COLUMNS,
-        map(output.describe_summary_row, summary),
+        "describe_summary.csv", output.DESCRIBE_SUMMARY_COLUMNS, summarize_descriptives(cells)
     )
 
 
 def _cmd_plot_data(specs, run, tracker) -> None:
-    summary = output.read_summary(run.output_dir / "summary.csv")
-    tracker.write(
-        "figure3.csv",
-        output.FIGURE_COLUMNS,
-        output.figure_rows(summary, output.FIGURE_ATE_TARGETS),
-    )
-    tracker.write(
-        "figureS3.csv",
-        output.FIGURE_COLUMNS,
-        output.figure_rows(summary, output.FIGURE_ATT_TARGETS),
-    )
+    _write_figures(tracker, output.read_summary(run.output_dir / "summary.csv"))
 
 
 _COMMANDS = {

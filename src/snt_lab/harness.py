@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .config import RunConfig, ScenarioSpec, SCENARIO_IDS
 from .designs import (
     DESIGNS,
     DescribeBlock,
-    DescribeRow,
     DESCRIBE_GROUPS,
     DESCRIBE_LABELS,
     SEVERITY_LABELS,
@@ -42,7 +42,6 @@ from .estimators import (
     ANALYSES,
     ANALYSIS_LABELS,
     AnalysisBlock,
-    AnalysisResult,
     battery_block,
     person_class_map,
 )
@@ -87,8 +86,9 @@ class ScenarioBlock:
     descriptives: DescribeBlock
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One summary.csv row, its fields in column order."""
+
     scenario_id: str
     design: str
     analysis: str
@@ -101,8 +101,9 @@ class MetricsRow:
     n_effective: int
 
 
-@dataclass(frozen=True)
-class DescriptiveSummaryRow:
+class DescriptiveSummaryRow(NamedTuple):
+    """One describe_summary.csv row, its fields in column order."""
+
     scenario_id: str
     design: str
     group: str
@@ -247,6 +248,10 @@ def run_scenario(
 #: cell, the log RR and the degenerate flag of each of its replicates.
 Cells = dict[tuple[str, str, str, str], tuple[np.ndarray, np.ndarray]]
 
+#: summarize_descriptives' input: per (scenario, design, group, severity)
+#: cell, one row per replicate and one column per DESCRIBE_STATISTICS entry.
+DescribeCells = dict[tuple[str, str, str, str], np.ndarray]
+
 
 def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
     """The cells of scenario blocks: columns of their analysis blocks."""
@@ -258,17 +263,10 @@ def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
     return cells
 
 
-def record_cells(records: Iterable[tuple[str, int, AnalysisResult]]) -> Cells:
-    """summarize's cells of (scenario, replicate, result) records, such as
-    output.read_estimates returns, in record order."""
-    grouped: dict[tuple[str, str, str, str], list[AnalysisResult]] = {}
-    for sid, _replicate, r in records:
-        grouped.setdefault((sid, r.design, r.analysis, r.target_population), []).append(r)
-    return {
-        key: (np.array([r.log_rr for r in results], dtype=float),
-              np.array([r.degenerate for r in results], dtype=object))
-        for key, results in grouped.items()
-    }
+def _label_order(*labels: tuple[str, ...]):
+    """The sort key of cell keys: the position of each leading label of a key
+    in the matching tuple of labels."""
+    return lambda key: tuple(map(tuple.index, labels, key))
 
 
 def summarize(
@@ -278,19 +276,14 @@ def summarize(
 ) -> list[MetricsRow]:
     """Aggregate per-replicate estimates into one row per
     (scenario, design, analysis) cell against the truth reference (cells:
-    estimate_cells, record_cells).
+    estimate_cells, output.read_estimates).
 
     Replicates flagged degenerate are excluded cell-wise and reported
     through n_effective. Cells with fewer than two usable replicates raise
     InsufficientReplicatesError.
     """
-    def sort_key(key):
-        sid, design, analysis, _ = key
-        return (SCENARIO_IDS.index(sid), DESIGNS.index(design), ANALYSES.index(analysis))
-
     rows: list[MetricsRow] = []
-    for key in sorted(cells, key=sort_key):
-        sid, design, analysis, target = key
+    for key in sorted(cells, key=_label_order(SCENARIO_IDS, DESIGNS, ANALYSES)):
         log_rr, degenerate = cells[key]
         values = log_rr[degenerate == ""]
         n_eff = values.size
@@ -301,72 +294,31 @@ def summarize(
         if truth_override is not None:
             theta_ref = math.log(truth_override)
         else:
-            theta_ref = truth_by_scenario[sid].log_rr
+            theta_ref = truth_by_scenario[key[0]].log_rr
         mean = float(values.mean())
         ese = float(values.std(ddof=1))
         bias = mean - theta_ref
         rmse = float(np.sqrt(np.mean((values - theta_ref) ** 2)))
-        rows.append(
-            MetricsRow(
-                scenario_id=sid,
-                design=design,
-                analysis=analysis,
-                target_population=target,
-                rr_summary=math.exp(mean),
-                bias=bias,
-                mcse_bias=ese / math.sqrt(n_eff),
-                ese=ese,
-                rmse=rmse,
-                n_effective=n_eff,
-            )
-        )
+        rows.append(MetricsRow(
+            *key, rr_summary=math.exp(mean), bias=bias, mcse_bias=ese / math.sqrt(n_eff),
+            ese=ese, rmse=rmse, n_effective=n_eff,
+        ))
     return rows
 
 
-def summarize_descriptives(
-    rows: list[tuple[str, int, DescribeRow]]
-) -> list[DescriptiveSummaryRow]:
+def summarize_descriptives(cells: DescribeCells) -> list[DescriptiveSummaryRow]:
     """Median and interquartile range of each descriptive statistic across
-    replicates (percentiles by linear interpolation)."""
-    cells: dict[tuple[str, str, str, str], dict[str, list[float]]] = {}
-    for sid, _replicate, row in rows:
-        key = (sid, row.design, row.group, row.severity)
-        stats = cells.setdefault(key, {s: [] for s in DESCRIBE_STATISTICS})
-        stats["n_people"].append(row.n_people)
-        stats["n_indexes"].append(row.n_indexes)
-        stats["pct_high"].append(row.pct_high)
-        stats["avg_indexes_per_person"].append(row.avg_indexes_per_person)
-
-    def sort_key(key):
-        sid, design, group, severity = key
-        return (
-            SCENARIO_IDS.index(sid),
-            DESIGNS.index(design),
-            DESCRIBE_GROUPS.index(group),
-            SEVERITY_LABELS.index(severity),
-        )
-
+    replicates (percentiles by linear interpolation; cells:
+    output.read_describe)."""
+    order = _label_order(SCENARIO_IDS, DESIGNS, DESCRIBE_GROUPS, SEVERITY_LABELS)
     out: list[DescriptiveSummaryRow] = []
-    for key in sorted(cells, key=sort_key):
-        sid, design, group, severity = key
-        for stat in DESCRIBE_STATISTICS:
-            values = np.asarray(cells[key][stat], dtype=float)
+    for key in sorted(cells, key=order):
+        for stat, values in zip(DESCRIBE_STATISTICS, cells[key].T):
             if np.isnan(values).all():
                 q25 = med = q75 = float("nan")
             else:
                 q25, med, q75 = np.nanpercentile(values, [25, 50, 75])
-            out.append(
-                DescriptiveSummaryRow(
-                    scenario_id=sid,
-                    design=design,
-                    group=group,
-                    severity=severity,
-                    statistic=stat,
-                    median=float(med),
-                    q25=float(q25),
-                    q75=float(q75),
-                )
-            )
+            out.append(DescriptiveSummaryRow(*key, stat, float(med), float(q25), float(q75)))
     return out
 
 

@@ -12,9 +12,20 @@ import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .designs import DESCRIBE_LABELS, DescribeRow
-from .estimators import ANALYSIS_LABELS, AnalysisResult
-from .harness import BLOCK_ROWS, DescriptiveSummaryRow, MetricsRow, ScenarioBlock
+import numpy as np
+
+from .config import SCENARIO_IDS
+from .designs import DESCRIBE_LABELS
+from .estimators import ANALYSIS_LABELS
+from .harness import (
+    BLOCK_ROWS,
+    DESCRIBE_STATISTICS,
+    Cells,
+    DescribeCells,
+    DescriptiveSummaryRow,
+    MetricsRow,
+    ScenarioBlock,
+)
 from .hazards import SolveReport
 from .population import TruthEntry
 
@@ -34,18 +45,15 @@ DESCRIBE_COLUMNS = (
     "scenario_id", "replicate", "design", "group", "severity",
     "n_people", "n_indexes", "pct_high", "avg_indexes_per_person",
 )
-SUMMARY_COLUMNS = (
-    "scenario_id", "design", "analysis", "target_population",
-    "rr_summary", "bias", "mcse_bias", "ese", "rmse", "n_effective",
-)
+#: summary.csv and describe_summary.csv are their row types' fields, which
+#: write_csv writes in order
+SUMMARY_COLUMNS = MetricsRow._fields
+DESCRIBE_SUMMARY_COLUMNS = DescriptiveSummaryRow._fields
 #: truth.csv's estimands, each written with the one enumerated entry: in the
 #: single point trial treatment is randomized independently of severity, so
 #: the severity-standardized estimands equal the marginal contrast.
 TRUTH_ESTIMANDS = ("marginal", "std_spt_all", "std_spt_treated")
 FIGURE_COLUMNS = ("scenario", "design", "standardization_target", "bias", "mcse")
-DESCRIBE_SUMMARY_COLUMNS = (
-    "scenario_id", "design", "group", "severity", "statistic", "median", "q25", "q75",
-)
 
 #: summary analyses feeding each figure file, mapped to the standardization
 #: target labels used in the plots
@@ -132,20 +140,6 @@ def truth_rows(truths: dict[str, tuple[float, TruthEntry]]) -> list[tuple]:
     ]
 
 
-def summary_row(row: MetricsRow) -> tuple:
-    return (
-        row.scenario_id, row.design, row.analysis, row.target_population,
-        row.rr_summary, row.bias, row.mcse_bias, row.ese, row.rmse, row.n_effective,
-    )
-
-
-def describe_summary_row(row: DescriptiveSummaryRow) -> tuple:
-    return (
-        row.scenario_id, row.design, row.group, row.severity, row.statistic,
-        row.median, row.q25, row.q75,
-    )
-
-
 def figure_rows(summary: list[MetricsRow], targets: dict[str, str]) -> list[tuple]:
     return [
         (row.scenario_id, row.design, targets[row.analysis], row.bias, row.mcse_bias)
@@ -158,7 +152,16 @@ class SchemaError(ValueError):
     """A CSV input does not match its declared schema."""
 
 
-def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+#: The label columns of a summary cell in estimates.csv and summary.csv; the
+#: labels of the cells of these files, and of describe.csv, a reader accepts.
+_CELL_COLUMNS = ("scenario_id", "design", "analysis", "target_population")
+_ESTIMATE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in ANALYSIS_LABELS)
+_DESCRIBE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in DESCRIBE_LABELS)
+
+
+def _read_columns(path: Path, columns: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """The fields of a CSV file with the given header, column by column.
+    Errors name the file's line: row i of the body is line i + 2."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -169,67 +172,70 @@ def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
             raise SchemaError(
                 f"{path}: header {header} does not match expected {columns}"
             )
-        return [dict(zip(columns, row)) for row in reader]
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(columns):
+            raise SchemaError(f"{path}:{line}: {len(row)} fields, expected {len(columns)}")
+    return dict(zip(columns, zip(*rows))) if rows else dict.fromkeys(columns, ())
 
 
-def read_estimates(path: Path) -> list[tuple[str, int, AnalysisResult]]:
-    records = []
-    for row in _read_rows(path, ESTIMATES_COLUMNS):
-        records.append(
-            (
-                row["scenario_id"],
-                int(row["replicate"]),
-                AnalysisResult(
-                    design=row["design"],
-                    analysis=row["analysis"],
-                    target_population=row["target_population"],
-                    risk_treated=float(row["risk_treated"]),
-                    risk_untreated=float(row["risk_untreated"]),
-                    rr=float(row["rr"]),
-                    log_rr=float(row["log_rr"]),
-                    n_treated=int(row["n_indexes_treated"]),
-                    n_untreated=int(row["n_indexes_untreated"]),
-                    degenerate=row["degenerate_flag"],
-                ),
-            )
-        )
-    return records
+def _numbers(path: Path, columns: dict, name: str, kind=float) -> np.ndarray:
+    """Column name parsed by kind (float or int)."""
+    values = columns[name]
+    try:
+        return np.fromiter(map(kind, values), kind, len(values))
+    except ValueError:
+        for line, value in enumerate(values, start=2):
+            try:
+                kind(value)
+            except ValueError:
+                raise SchemaError(f"{path}:{line}: {name} {value!r} is not a number") from None
+        raise
 
 
-def read_describe(path: Path) -> list[tuple[str, int, DescribeRow]]:
-    out = []
-    for row in _read_rows(path, DESCRIBE_COLUMNS):
-        out.append(
-            (
-                row["scenario_id"],
-                int(row["replicate"]),
-                DescribeRow(
-                    design=row["design"],
-                    group=row["group"],
-                    severity=row["severity"],
-                    n_people=int(row["n_people"]),
-                    n_indexes=int(row["n_indexes"]),
-                    pct_high=float(row["pct_high"]),
-                    avg_indexes_per_person=float(row["avg_indexes_per_person"]),
-                ),
-            )
-        )
-    return out
+def _rows_by_key(
+    path: Path, columns: dict, names: tuple[str, ...], known: frozenset
+) -> dict[tuple, list[int]]:
+    """The rows of each key, the labels in columns names, in file order.
+    Every key must be known."""
+    rows: dict[tuple, list[int]] = {}
+    for row, key in enumerate(zip(*(columns[name] for name in names))):
+        rows.setdefault(key, []).append(row)
+    for key, key_rows in rows.items():
+        if key not in known:
+            raise SchemaError(f"{path}:{key_rows[0] + 2}: unknown {'/'.join(names)} {key}")
+    return rows
+
+
+def read_estimates(path: Path) -> Cells:
+    """summarize's cells of an estimates.csv, as harness.estimate_cells
+    gives them for blocks: per (scenario, design, analysis, target) key, the
+    log RR and the flag of each of its rows, in file order."""
+    columns = _read_columns(path, ESTIMATES_COLUMNS)
+    cells = _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)
+    log_rr = _numbers(path, columns, "log_rr")
+    flags = np.array(columns["degenerate_flag"], dtype=object)
+    return {key: (log_rr[rows], flags[rows]) for key, rows in cells.items()}
+
+
+def read_describe(path: Path) -> DescribeCells:
+    """summarize_descriptives' cells of a describe.csv: per (scenario,
+    design, group, severity) key, a (rows x DESCRIBE_STATISTICS) array of
+    its rows, in file order."""
+    columns = _read_columns(path, DESCRIBE_COLUMNS)
+    names = ("scenario_id", "design", "group", "severity")
+    cells = _rows_by_key(path, columns, names, _DESCRIBE_KEYS)
+    stats = np.column_stack([_numbers(path, columns, name) for name in DESCRIBE_STATISTICS])
+    return {key: stats[rows] for key, rows in cells.items()}
 
 
 def read_summary(path: Path) -> list[MetricsRow]:
-    return [
-        MetricsRow(
-            scenario_id=row["scenario_id"],
-            design=row["design"],
-            analysis=row["analysis"],
-            target_population=row["target_population"],
-            rr_summary=float(row["rr_summary"]),
-            bias=float(row["bias"]),
-            mcse_bias=float(row["mcse_bias"]),
-            ese=float(row["ese"]),
-            rmse=float(row["rmse"]),
-            n_effective=int(row["n_effective"]),
-        )
-        for row in _read_rows(path, SUMMARY_COLUMNS)
+    """The rows of a summary.csv, in file order."""
+    columns = _read_columns(path, SUMMARY_COLUMNS)
+    _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)  # checks the labels
+    labels = [columns[name] for name in _CELL_COLUMNS]
+    numbers = [
+        _numbers(path, columns, name, int if name == "n_effective" else float).tolist()
+        for name in SUMMARY_COLUMNS[len(_CELL_COLUMNS):]
     ]
+    return list(map(MetricsRow, *labels, *numbers))

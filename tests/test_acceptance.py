@@ -20,11 +20,10 @@ import time
 import numpy as np
 import pytest
 
-from block_rows import replicate_rows
 from oracles import km_risk_oracle, standardized_rr_oracle
 from snt_lab.cli import main as cli_main
 from snt_lab.config import RunConfig, builtin_scenarios
-from snt_lab.designs import IndexRecord, IndexSet
+from snt_lab.designs import DESCRIBE_LABELS, IndexRecord, IndexSet
 from snt_lab.estimators import (
     ANALYSIS_LABELS,
     censoring_weights,
@@ -235,11 +234,16 @@ def test_criterion_8_descriptive_calibration():
     run = RunConfig(
         n_individuals=5000, n_replicates=200, master_seed=42, parallelism=THREADS
     )
-    results = replicate_rows(run_scenario(spec, run))
-    rows = [(r.scenario_id, r.replicate, d) for r in results for d in r.descriptives]
+    block = run_scenario(spec, run)
+    # summarize_descriptives' cells: per label, the block's column of each statistic
+    columns = block.descriptives
+    cells = {
+        (block.scenario_id, *label): np.column_stack([column[:, j] for column in columns])
+        for j, label in enumerate(DESCRIBE_LABELS)
+    }
     medians = {
         (r.design, r.group): r.median
-        for r in summarize_descriptives(rows)
+        for r in summarize_descriptives(cells)
         if r.statistic == "pct_high" and r.severity == "high"
     }
     cal_all = medians[("eSNT-CAL", "all")]

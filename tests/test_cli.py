@@ -1,3 +1,4 @@
+import csv
 import fnmatch
 import json
 import os
@@ -31,6 +32,16 @@ SIMULATE_FILES = (
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def cell_rows(cells):
+    """The number of estimates.csv rows behind read_estimates' cells."""
+    return sum(len(log_rr) for log_rr, _flags in cells.values())
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def package_env():
@@ -132,8 +143,7 @@ class TestSimulateVerb:
         assert header_of(tmp_path / "describe.csv") == DESCRIBE_COLUMNS
         assert header_of(tmp_path / "summary.csv") == SUMMARY_COLUMNS
         assert header_of(tmp_path / "figure3.csv") == FIGURE_COLUMNS
-        records = read_estimates(tmp_path / "estimates.csv")
-        assert len(records) == 8 * 14
+        assert cell_rows(read_estimates(tmp_path / "estimates.csv")) == 8 * 14
         # figure data: S1 rows are SPT crude/spt + two emulations x three targets
         fig3 = (tmp_path / "figure3.csv").read_text().splitlines()[1:]
         assert len(fig3) == 8
@@ -174,8 +184,9 @@ class TestSimulateVerb:
             "--reps", "5", "--seed", "9", "--out", str(out),
         )
         assert code == EXIT_OK
-        records = read_estimates(out / "estimates.csv")
-        assert {replicate for _sid, replicate, _result in records} == {1, 2, 3, 4, 5}
+        header, *rows = csv_rows(out / "estimates.csv")
+        column = header.index("replicate")
+        assert {int(row[column]) for row in rows} == {1, 2, 3, 4, 5}
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -198,7 +209,7 @@ class TestSimulateVerb:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ("hazards.csv", "truth.csv", "estimates.csv", "describe.csv", "notes.txt")
         )
-        assert {sid for sid, _, _ in read_estimates(tmp_path / "estimates.csv")} == {"S1"}
+        assert {key[0] for key in read_estimates(tmp_path / "estimates.csv")} == {"S1"}
 
     def test_cell_without_two_usable_replicates_keeps_per_replicate_outputs(
         self, tmp_path, capsys
@@ -211,8 +222,7 @@ class TestSimulateVerb:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ("hazards.csv", "truth.csv", "estimates.csv", "describe.csv")
         )
-        records = read_estimates(tmp_path / "estimates.csv")
-        assert len(records) == 4 * 300 * 14
+        assert cell_rows(read_estimates(tmp_path / "estimates.csv")) == 4 * 300 * 14
         assert len((tmp_path / "describe.csv").read_text().splitlines()) == 1 + 4 * 300 * 24
 
     @staticmethod
@@ -323,6 +333,17 @@ class TestReaggregationVerbs:
         lines = path.read_text().splitlines()[1:]
         assert len(lines) == 3 * 4 * 2 * 4  # designs x groups x severities x stats
 
+    def test_describe_scenario_filter(self, tmp_path):
+        args = ("--n", "100", "--reps", "3", "--seed", "4", "--out", str(tmp_path))
+        assert run_cli("simulate", "--scenario", "all", *args) == EXIT_OK
+        assert run_cli("describe", "--out", str(tmp_path)) == EXIT_OK
+        header, *rows = csv_rows(tmp_path / "describe_summary.csv")
+        assert {row[0] for row in rows} == {"S1", "S2", "S3", "S4"}
+        assert run_cli("describe", "--scenario", "S1", *args) == EXIT_OK
+        assert csv_rows(tmp_path / "describe_summary.csv") == [
+            header, *(row for row in rows if row[0] == "S1")
+        ]
+
     def test_plot_data_round_trip_is_byte_identical(self, sim_dir):
         fig3 = (sim_dir / "figure3.csv").read_bytes()
         figs3 = (sim_dir / "figureS3.csv").read_bytes()
@@ -337,6 +358,39 @@ class TestReaggregationVerbs:
     def test_schema_mismatch_is_io_error(self, tmp_path):
         (tmp_path / "estimates.csv").write_text("wrong,header\n1,2\n")
         assert run_cli("summarize", "--out", str(tmp_path)) == EXIT_IO
+
+    @pytest.mark.parametrize("verb, name, column, value", [
+        # column set to value on the file's line 3; None drops that line's last field
+        ("summarize", "estimates.csv", None, None),
+        ("summarize", "estimates.csv", "log_rr", "abc"),
+        ("summarize", "estimates.csv", "scenario_id", "S9"),
+        ("summarize", "estimates.csv", "analysis", "bogus"),
+        ("summarize", "estimates.csv", "target_population", "all"),
+        ("describe", "describe.csv", None, None),
+        ("describe", "describe.csv", "design", "XX"),
+        ("describe", "describe.csv", "group", "bogus"),
+        ("describe", "describe.csv", "severity", "medium"),
+        ("describe", "describe.csv", "pct_high", "1.2.3"),
+        ("plot-data", "summary.csv", None, None),
+        ("plot-data", "summary.csv", "bias", "x"),
+        ("plot-data", "summary.csv", "design", "XX"),
+    ])
+    def test_malformed_input_is_io_error_naming_the_line(
+        self, sim_dir, capsys, verb, name, column, value
+    ):
+        path = sim_dir / name
+        header, *rows = csv_rows(path)
+        if column is None:
+            del rows[1][-1]
+        else:
+            rows[1][header.index(column)] = value
+        path.write_text("".join(",".join(row) + "\n" for row in (header, *rows)))
+        before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
+        assert run_cli(verb, "--out", str(sim_dir)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}:3:" in err
+        assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
+        assert staging_dirs(sim_dir) == []
 
     def test_summarize_scenario_filter_empty_selection(self, sim_dir):
         # narrowing to a scenario absent from the file leaves nothing to
@@ -398,8 +452,9 @@ def test_trace_script_patches_names_that_exist(tmp_path):
     deleted or renamed one fails here and not only in a traced benchmark."""
     trace = Path(__file__).parents[1] / "perfbench" / "trace.py"
     spans = tmp_path / "spans.json"
-    verbs = [["simulate", "--scenario", "S1", "--n", "50", "--reps", "3",
-              "--out", str(tmp_path / "out")]]
+    out = str(tmp_path / "out")
+    verbs = [["simulate", "--scenario", "S1", "--n", "50", "--reps", "3", "--out", out],
+             *([verb, "--out", out] for verb in ("summarize", "describe", "plot-data"))]
     proc = subprocess.run(
         [sys.executable, str(trace), str(spans), "all", json.dumps(verbs)],
         capture_output=True, text=True, env=package_env(), timeout=120,
@@ -407,3 +462,7 @@ def test_trace_script_patches_names_that_exist(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = [span[0] for span in json.loads(spans.read_text())["spans"]]
     assert names.count("harness.run_replicate") == 3
+    # the bench's output.read_*_s and summarize_descriptives_ms come from these
+    for name in ("output.read_estimates", "output.read_describe", "output.read_summary",
+                 "cli.summarize_descriptives"):
+        assert names.count(name) == 1, name

@@ -1,4 +1,5 @@
-"""Golden digests: the exact bytes `simulate` writes for fixed runs.
+"""Golden digests: the exact bytes `simulate` writes for fixed runs, and
+those that `summarize`, `describe` and `plot-data` then write from its files.
 
 A seeded run's numbers may change only on purpose. A change that moves any
 byte of these files must say why and record the new digests here.
@@ -77,12 +78,54 @@ GOLDEN = {
 }
 
 
+#: The files the re-aggregation verbs write, run in turn on each case's output
+#: directory: summary.csv from the rounded estimates.csv, then the figures
+#: from that summary.
+REAGGREGATED = {
+    "default": {
+        "summary.csv": "5490d2ed6ba13d015851d437e2113689921ffa8db305dda18413559a1ec90e83",
+        "describe_summary.csv": "d05290914c2189b46efbece4be0b6e4bb520affe5d4b81434af3d254036d82d0",
+        "figure3.csv": "d955d3ce40abde67717ef2c0ea17412886d44a8bdf36e7ba7378c461785bb659",
+        "figureS3.csv": "268e40ceb5b6ba2e1ab2ce1cd6b55c53155c6f9ebc96f877475e03e6a2c1f26c",
+    },
+    "paper-cohort": {
+        "summary.csv": "8f30a2de8f6e657fb39a9e43ca509faf2564c04893a8b8ef48f11b69ebb8f6a7",
+        "describe_summary.csv": "98aa59d599672506f3ca058419063e073d096146c26081e19727915de4812221",
+        "figure3.csv": "b9f1fbcefc41cda3caa32b0b6db8aa17aa236f9aedb5982d36785c8567380c79",
+        "figureS3.csv": "cec73bee3f4992e6be6b176ccdf5d526d654a40c3e8e29fa8ef99ddafab1a54f",
+    },
+    "paper-weights-superpop": {
+        "summary.csv": "2b6b5977bba5f7ebd48790dd64177080e5d745f96a8e6663a2e647173d28e3c8",
+        "describe_summary.csv": "78cb7ef8bb86af0ee3a8b460c304c04c0e232c6d8fbcfbbf1a6b4e4835d0e0b2",
+        "figure3.csv": "f72b031b88d63298e804ba9841188cde6d5792335f2e80feaa1a751a4c45c0e5",
+        "figureS3.csv": "a467da69609562c08cf49808d0794f037ced9e0817b960e983bc5845ff0b92e5",
+    },
+    "superpop-two-workers": {
+        "summary.csv": "977e09d74adcefca929d1efc897c0c7ad5e4f9bff6b02138783d2e7776eb8d3f",
+        "describe_summary.csv": "4d717526c39b9d94bff0c8fd80ec9d70ada4f5180b4931df950cac7f54535841",
+        "figure3.csv": "958621a83275a566ef8de70e95bc46d8418828becb492e13283e8d68ee93d637",
+        "figureS3.csv": "41d8e98d9f105d0f0dc221157aa1526a1acbc8fa730f13837f887846eface78f",
+    },
+    "tiny-every-flag": {
+        "summary.csv": "d92510cb931a1525d938faf128e37f99b776965a4a63016ad418c838a2b0783c",
+        "describe_summary.csv": "00498ac89a184bae533a3877cede55bdeac367b4b81f8e97013348768d5218dd",
+        "figure3.csv": "720f278ec6afa5a6a330f719363e355107346207ed072eb19a60ef97018bd2fb",
+        "figureS3.csv": "18779670fd8b01f0d51740e8098e28c5eef4d9a20d4d412ae33713a0cc7a27aa",
+    },
+}
+REAGGREGATION_VERBS = ("summarize", "describe", "plot-data")
+
+
+def digests_of(paths):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_simulate_outputs_match_golden_digests(case, tmp_path):
     args, expected = GOLDEN[case]
     assert main(["simulate", *args, "--out", str(tmp_path)]) == EXIT_OK
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.iterdir()
-    }
-    assert digests == expected
+    assert digests_of(tmp_path.iterdir()) == expected
+    for verb in REAGGREGATION_VERBS:
+        assert main([verb, "--out", str(tmp_path)]) == EXIT_OK, verb
+    reaggregated = REAGGREGATED[case]
+    assert digests_of(tmp_path / name for name in reaggregated) == reaggregated

@@ -6,12 +6,9 @@ import pytest
 
 from block_rows import replicate_rows
 from snt_lab.config import RunConfig, builtin_scenarios
-from snt_lab.designs import DescribeRow
-from snt_lab.estimators import AnalysisResult
 from snt_lab.harness import (
     InsufficientReplicatesError,
     estimate_cells,
-    record_cells,
     replicate_stream,
     run_replicate,
     run_scenario,
@@ -34,17 +31,15 @@ def small_run(**overrides):
     return RunConfig(**base)
 
 
-def make_record(sid, replicate, log_rr, analysis="crude", design="SPT", degenerate=""):
-    return (
-        sid,
-        replicate,
-        AnalysisResult(
-            design=design, analysis=analysis, target_population="none",
-            risk_treated=0.1, risk_untreated=0.1 / math.exp(log_rr),
-            rr=math.exp(log_rr), log_rr=log_rr, n_treated=10, n_untreated=10,
-            degenerate=degenerate,
-        ),
-    )
+def crude_cells(sid, log_rr, degenerate=None):
+    """summarize's cells: one SPT crude cell with these replicates' log RR
+    and flags (none flagged by default)."""
+    flags = [""] * len(log_rr) if degenerate is None else degenerate
+    return {
+        (sid, "SPT", "crude", "none"): (
+            np.asarray(log_rr, dtype=float), np.array(flags, dtype=object)
+        )
+    }
 
 
 def replicate_result(spec, hazards, replicate_id, run):
@@ -142,8 +137,7 @@ class TestSummarize:
 
     def test_constant_estimates_at_truth(self):
         theta = math.log(0.7)
-        records = [make_record("S1", i, theta) for i in range(1, 11)]
-        row = summarize(record_cells(records), self.truth())[0]
+        row = summarize(crude_cells("S1", [theta] * 10), self.truth())[0]
         assert row.bias == pytest.approx(0.0, abs=1e-12)
         assert row.ese == 0.0
         assert row.rmse == pytest.approx(0.0, abs=1e-12)
@@ -151,8 +145,7 @@ class TestSummarize:
         assert row.n_effective == 10
 
     def test_constant_offset_bias(self):
-        records = [make_record("S1", i, math.log(0.8)) for i in range(1, 6)]
-        row = summarize(record_cells(records), self.truth())[0]
+        row = summarize(crude_cells("S1", [math.log(0.8)] * 5), self.truth())[0]
         assert row.bias == pytest.approx(math.log(0.8 / 0.7), abs=1e-12)
         assert row.bias == pytest.approx(0.13353139262452263, abs=1e-12)
         assert row.ese == 0.0
@@ -161,8 +154,7 @@ class TestSummarize:
     def test_formulas_match_direct_computation(self):
         rng = np.random.default_rng(21)
         values = rng.normal(math.log(0.7), 0.08, size=50)
-        records = [make_record("S2", i + 1, v) for i, v in enumerate(values)]
-        row = summarize(record_cells(records), self.truth("S2"))[0]
+        row = summarize(crude_cells("S2", values), self.truth("S2"))[0]
         theta = self.truth("S2")["S2"].log_rr
         assert row.bias == pytest.approx(values.mean() - theta, abs=1e-12)
         assert row.ese == pytest.approx(values.std(ddof=1), abs=1e-12)
@@ -179,8 +171,7 @@ class TestSummarize:
     def test_metric_identity(self):
         rng = np.random.default_rng(22)
         values = rng.normal(-0.3, 0.2, size=200)
-        records = [make_record("S1", i + 1, v) for i, v in enumerate(values)]
-        row = summarize(record_cells(records), self.truth())[0]
+        row = summarize(crude_cells("S1", values), self.truth())[0]
         n = row.n_effective
         mse = row.rmse**2
         assert mse == pytest.approx(
@@ -188,23 +179,21 @@ class TestSummarize:
         )
 
     def test_truth_override(self):
-        records = [make_record("S1", i, math.log(0.7)) for i in range(1, 4)]
-        row = summarize(record_cells(records), self.truth(), truth_override=0.8)[0]
+        cells = crude_cells("S1", [math.log(0.7)] * 3)
+        row = summarize(cells, self.truth(), truth_override=0.8)[0]
         assert row.bias == pytest.approx(math.log(0.7 / 0.8), abs=1e-12)
 
     def test_degenerate_replicates_excluded_cellwise(self):
-        records = [make_record("S1", i, math.log(0.7)) for i in range(1, 6)]
-        records.append(
-            make_record("S1", 6, float("nan"), degenerate="zero_risk_treated")
+        cells = crude_cells(
+            "S1", [math.log(0.7)] * 5 + [float("nan")], [""] * 5 + ["zero_risk_treated"]
         )
-        row = summarize(record_cells(records), self.truth())[0]
+        row = summarize(cells, self.truth())[0]
         assert row.n_effective == 5
         assert math.isfinite(row.bias)
 
     def test_insufficient_replicates(self):
-        records = [make_record("S1", 1, math.log(0.7))]
         with pytest.raises(InsufficientReplicatesError):
-            summarize(record_cells(records), self.truth())
+            summarize(crude_cells("S1", [math.log(0.7)]), self.truth())
 
     def test_cells_sorted_and_complete(self):
         spec = scenario("S1")
@@ -218,45 +207,35 @@ class TestSummarize:
 
 
 class TestSummarizeDescriptives:
-    def rows(self, values, stat_field="pct_high"):
-        out = []
-        for i, v in enumerate(values):
-            out.append(
-                (
-                    "S1",
-                    i + 1,
-                    DescribeRow(
-                        design="SPT", group="all", severity="high",
-                        n_people=100, n_indexes=25,
-                        pct_high=v if stat_field == "pct_high" else 25.0,
-                        avg_indexes_per_person=0.25,
-                    ),
-                )
-            )
-        return out
+    def cells(self, values):
+        """summarize_descriptives' cells: one cell whose replicates have
+        these pct_high values, columns in DESCRIBE_STATISTICS order."""
+        stats = np.tile([100.0, 25.0, 25.0, 0.25], (len(values), 1))
+        stats[:, 2] = values
+        return {("S1", "SPT", "all", "high"): stats}
 
     def test_single_replicate_iqr_collapses(self):
-        out = summarize_descriptives(self.rows([25.0]))
+        out = summarize_descriptives(self.cells([25.0]))
         cell = {r.statistic: r for r in out}
         assert cell["pct_high"].median == 25.0
         assert cell["pct_high"].q25 == 25.0
         assert cell["pct_high"].q75 == 25.0
 
     def test_constant_statistic_zero_width(self):
-        out = summarize_descriptives(self.rows([10.0] * 7))
+        out = summarize_descriptives(self.cells([10.0] * 7))
         cell = {r.statistic: r for r in out}
         assert cell["pct_high"].q25 == cell["pct_high"].q75 == 10.0
 
     def test_linear_interpolation_convention(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        out = summarize_descriptives(self.rows(values))
+        out = summarize_descriptives(self.cells(values))
         cell = {r.statistic: r for r in out}["pct_high"]
         assert cell.q25 == pytest.approx(np.percentile(values, 25))
         assert cell.median == pytest.approx(2.5)
         assert cell.q75 == pytest.approx(np.percentile(values, 75))
 
     def test_nan_cells_pass_through(self):
-        rows = self.rows([float("nan"), float("nan")])
+        rows = self.cells([float("nan"), float("nan")])
         out = summarize_descriptives(rows)
         cell = {r.statistic: r for r in out}["pct_high"]
         assert math.isnan(cell.median)
