@@ -36,10 +36,8 @@ from .estimators import (
     AnalysisResult,
     analyze_replicate,
     censoring_weights,
-    cohort_true_rr,
     crude_rr,
     ipcw_km_risk,
-    severity_distribution,
     standardized_rr,
 )
 from .harness import (
@@ -62,12 +60,9 @@ from .hazards import (
 )
 from .population import (
     Cohort,
-    Individual,
     TruthEntry,
     draw_cohort,
-    draw_individual,
     enumerate_truth,
-    event_time_under_pattern,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +76,6 @@ __all__ = [
     "DESIGN_SPT",
     "DESIGN_TD",
     "HazardSet",
-    "Individual",
     "IndexRecord",
     "IndexSet",
     "MetricsRow",
@@ -100,21 +94,17 @@ __all__ = [
     "build_spt",
     "builtin_scenarios",
     "censoring_weights",
-    "cohort_true_rr",
     "count_table",
     "crude_rr",
     "describe_replicate",
     "draw_cohort",
-    "draw_individual",
     "enumerate_truth",
-    "event_time_under_pattern",
     "ipcw_km_risk",
     "load_config",
     "replicate_stream",
     "residuals",
     "run_replicate",
     "run_scenario",
-    "severity_distribution",
     "solve",
     "standardized_rr",
     "summarize",

@@ -243,6 +243,13 @@ def _solve_all(specs: list[ScenarioSpec]):
     return {s.scenario_id: (s.progression_prob, solve(s)) for s in specs}
 
 
+def _solve_with_truths(specs: list[ScenarioSpec]):
+    """Calibrate every scenario, failing on the first infeasible one, and
+    enumerate the truths: the solve reports and the truth of each scenario."""
+    reports = _solve_all(specs)
+    return reports, truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
+
+
 def _truth_rows(specs, truths) -> list[tuple]:
     return output.truth_rows(
         {s.scenario_id: (s.progression_prob, truths[s.scenario_id]) for s in specs}
@@ -255,8 +262,7 @@ def _cmd_solve(specs, run, tracker) -> None:
 
 
 def _cmd_truth(specs, run, tracker) -> None:
-    reports = _solve_all(specs)
-    truths = truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
+    _, truths = _solve_with_truths(specs)
     tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))
 
 
@@ -267,14 +273,12 @@ _DERIVED_FILES = ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summar
 
 
 def _cmd_simulate(specs, run, tracker) -> None:
-    reports = _solve_all(specs)  # fail fast on any infeasible scenario
-    hazards = {sid: rep.hazards for sid, (_, rep) in reports.items()}
-    truths = truth_tables(specs, hazards)
+    reports, truths = _solve_with_truths(specs)
 
     blocks = []
     for spec in specs:
         start = time.perf_counter()
-        blocks.append(run_scenario(spec, run, hazards[spec.scenario_id]))
+        blocks.append(run_scenario(spec, run, reports[spec.scenario_id][1].hazards))
         elapsed = time.perf_counter() - start
         print(
             f"{spec.scenario_id}: {run.n_replicates} replicates x "
@@ -324,8 +328,7 @@ def _selected(specs, cells: dict) -> dict:
 
 def _cmd_summarize(specs, run, tracker) -> None:
     cells = _selected(specs, output.read_estimates(run.output_dir / "estimates.csv"))
-    reports = _solve_all(specs)
-    truths = truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
+    _, truths = _solve_with_truths(specs)
     summary = summarize(cells, truths, run.truth_override)
     tracker.write("summary.csv", output.SUMMARY_COLUMNS, summary)
 

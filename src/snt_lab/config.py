@@ -20,6 +20,12 @@ DEFAULT_PROGRESSION_PROB = 0.60
 #: mixes for S1/S3 but is infeasible for S2/S4.
 CALIBRATION_PROGRESSION_PROB = 0.78
 
+#: Annual visits per person, and the follow-up horizon in years: every
+#: truth, risk and design window ends HORIZON_TAU years after its index
+#: visit. The lab supports only this design, so neither is a setting.
+N_VISITS = 3
+HORIZON_TAU = 2
+
 WEIGHT_MODE_INITIATION = "initiation"
 WEIGHT_MODE_PAPER = "paper_simplified"
 WEIGHT_MODES = (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER)
@@ -41,8 +47,6 @@ class ScenarioSpec:
     spt_treat_prob: float = 0.375
     risk_untreated: tuple[float, float] = (0.15, 0.25)
     delta: tuple[float, float] = (0.7, 0.7)
-    horizon_tau: int = 2
-    n_visits: int = 3
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,17 @@ def builtin_scenarios(progression_prob: float = DEFAULT_PROGRESSION_PROB) -> lis
     ]
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (JSON true and false are not numbers)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _is_prob(x) -> bool:
-    return isinstance(x, (int, float)) and 0.0 <= x <= 1.0
+    return _is_number(x) and 0.0 <= x <= 1.0
 
 
 def _is_prob_pair(x) -> bool:
@@ -110,32 +123,28 @@ def validate(spec: ScenarioSpec) -> list[str]:
     if not (
         isinstance(spec.delta, tuple)
         and len(spec.delta) == 2
-        and all(isinstance(v, (int, float)) and v > 0 for v in spec.delta)
+        and all(_is_number(v) and v > 0 for v in spec.delta)
     ):
         bad.append("delta must be > 0")
-    if spec.horizon_tau != 2:
-        bad.append("horizon_tau must be 2 (only the two-year horizon is supported)")
-    if spec.n_visits != 3:
-        bad.append("n_visits must be 3 (only the three-visit design is supported)")
     return bad
 
 
 def validate_run(run: RunConfig) -> list[str]:
     bad: list[str] = []
-    if not isinstance(run.n_individuals, int) or run.n_individuals < 1:
+    if not _is_int(run.n_individuals) or run.n_individuals < 1:
         bad.append("n_individuals must be >= 1")
-    if not isinstance(run.n_replicates, int) or run.n_replicates < 0:
+    if not _is_int(run.n_replicates) or run.n_replicates < 0:
         bad.append("n_replicates must be >= 0")
-    if not isinstance(run.master_seed, int) or not 0 <= run.master_seed < 2**64:
+    if not _is_int(run.master_seed) or not 0 <= run.master_seed < 2**64:
         bad.append("master_seed must be an unsigned 64-bit integer")
-    if not isinstance(run.parallelism, int) or run.parallelism < 1:
+    if not _is_int(run.parallelism) or run.parallelism < 1:
         bad.append("parallelism must be >= 1")
     if run.cal_weight_mode not in WEIGHT_MODES:
         bad.append(f"cal_weight_mode must be one of {WEIGHT_MODES}")
-    if run.superpop is not None and (not isinstance(run.superpop, int) or run.superpop < 1):
+    if run.superpop is not None and (not _is_int(run.superpop) or run.superpop < 1):
         bad.append("superpop must be >= 1")
     if run.truth_override is not None and not (
-        isinstance(run.truth_override, (int, float)) and run.truth_override > 0
+        _is_number(run.truth_override) and run.truth_override > 0
     ):
         bad.append("truth_override must be > 0")
     return bad
@@ -162,7 +171,10 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
     by ``scenario_id``). An empty file yields the built-in scenarios and the
     default RunConfig. Unknown keys are an error.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
     if not text.strip():
         return builtin_scenarios(), RunConfig()
     try:
@@ -184,6 +196,8 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
     if unknown:
         raise ConfigError(f"unknown run keys: {sorted(unknown)}")
     if "output_dir" in run_doc:
+        if not isinstance(run_doc["output_dir"], str):
+            raise ConfigError("run field 'output_dir' must be a path string")
         run_doc = dict(run_doc, output_dir=Path(run_doc["output_dir"]))
     run = dataclasses.replace(RunConfig(), **run_doc)
 
@@ -195,7 +209,7 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
         if not isinstance(entry, dict) or "scenario_id" not in entry:
             raise ConfigError("each scenario entry must be an object with a scenario_id")
         sid = entry["scenario_id"]
-        if sid not in specs:
+        if not isinstance(sid, str) or sid not in specs:
             raise ConfigError(f"unknown scenario_id {sid!r}")
         unknown = set(entry) - _SCENARIO_FIELDS
         if unknown:

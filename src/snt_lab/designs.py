@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioSpec
+from .config import HORIZON_TAU, ScenarioSpec
 from .population import (
     Cohort,
     HIGH,
@@ -64,7 +64,6 @@ class TreatmentAssignment:
     spt_arm: np.ndarray  # bool, randomized arm in the single point trial
     a1: np.ndarray  # bool, initiation at Visit 1 in the emulation world
     a2: np.ndarray  # bool, initiation at Visit 2
-    observed_pattern: np.ndarray  # int8 pattern codes
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,7 @@ def assignment_from_bits(cohort: Cohort, bits: np.ndarray) -> TreatmentAssignmen
     a1 = (bits & 2) > 0
     alive1 = cohort.event_time[:, PATTERN_NEVER] != 1
     a2 = ~a1 & alive1 & cohort.decision2 & ((bits & 1) > 0)
-    observed = np.where(
-        a1, PATTERN_VISIT1, np.where(a2, PATTERN_VISIT2, PATTERN_NEVER)
-    ).astype(np.int8)
-    return TreatmentAssignment(spt_arm=bits >= 4, a1=a1, a2=a2, observed_pattern=observed)
+    return TreatmentAssignment(spt_arm=bits >= 4, a1=a1, a2=a2)
 
 
 def assign_treatments(
@@ -189,12 +185,12 @@ def type_cohort() -> tuple[Cohort, TreatmentAssignment]:
     return cohort, assignment_from_bits(cohort, codes & 7)
 
 
-def _follow(pattern_time: np.ndarray, start_year: int, tau: int = 2):
-    """Follow-up time and event status for a window of tau years starting at
-    start_year (years counted from Visit 1)."""
+def _follow(pattern_time: np.ndarray, start_year: int):
+    """Follow-up time and event status for a window of HORIZON_TAU years
+    starting at start_year (years counted from Visit 1)."""
     offset = pattern_time.astype(np.int64) - start_year
-    futime = np.minimum(offset, tau).astype(np.int16)
-    event = offset <= tau
+    futime = np.minimum(offset, HORIZON_TAU).astype(np.int16)
+    event = offset <= HORIZON_TAU
     return futime, event
 
 
@@ -483,11 +479,6 @@ def describe_block(tables: list[CountTable], n_persons: int) -> DescribeBlock:
                     avg.append(np.where(people > 0, by_severity[:, z] / people, np.nan))
     columns = (n_people, n_indexes, pct_high, avg)
     return DescribeBlock(*(np.stack(column, axis=1) for column in columns))
-
-
-def describe_dataset(idx: IndexSet, n_persons: int) -> list[DescribeRow]:
-    """Descriptive rows for one design."""
-    return describe_block([count_table(idx)], n_persons).rows(0, (idx.design,))
 
 
 def describe_replicate(

@@ -18,8 +18,8 @@ one count table per design, never off the indexes. A block of replicates'
 tables come from their person-type counts through person_type_map, and
 battery_block computes their batteries from tables with a leading replicate
 axis. The person-level views (analyze_replicate, ipcw_km_risk, crude_rr,
-standardized_rr, severity_distribution, cohort_true_rr) tabulate one
-cohort's index sets as a block of one and read its single row.
+standardized_rr) tabulate one cohort's index sets as a block of one and read
+its single row.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .designs import (
     table_map,
     type_cohort,
 )
-from .population import Cohort, TruthEntry, UndefinedRatioError, pattern_events
+from .population import Cohort, pattern_events
 
 ANALYSIS_TRUE = "true_rr"
 ANALYSIS_CRUDE = "crude"
@@ -267,9 +267,9 @@ def _analyses_block(table: CountTable, targets: list) -> list[tuple[np.ndarray, 
 
 def _truth_block(events_treated: np.ndarray, events_untreated: np.ndarray, n: int):
     """The finite-sample truth of each replicate of a block, as the columns
-    of its true_rr result: the shares of its n persons with an event by tau
-    under sustained initiation and under never initiating, and their ratio.
-    Undefined when the never-initiate share is zero."""
+    of its true_rr result: the shares of its n persons with an event by
+    HORIZON_TAU under sustained initiation and under never initiating, and
+    their ratio. Undefined when the never-initiate share is zero."""
     undefined = (events_untreated == 0) | (n == 0)
     risks = [
         np.where(undefined, np.nan, events / n) for events in (events_treated, events_untreated)
@@ -296,7 +296,7 @@ def battery_block(
 
     tables are the SPT's and the two emulations' (censoring-weighted) count
     tables with a leading replicate axis (PersonTypeMap.blocks); true_events
-    counts the persons of each replicate with an event by tau under
+    counts the persons of each replicate with an event by HORIZON_TAU under
     sustained initiation and under never initiating.
 
     SPT: the within-cohort true risk ratio, the crude contrast, and
@@ -349,18 +349,6 @@ def ipcw_km_risk(
     return risk.item()
 
 
-def severity_distribution(indexes: IndexSet, subset: str = "all") -> tuple[float, float]:
-    """Empirical (low, high) severity-at-index shares over all or treated
-    indexes; the standardization target of the ATE and ATT analyses."""
-    if subset not in ("all", "treated"):
-        raise ValueError(f"unknown subset {subset!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares, empty, _ = _targets_block(count_table(indexes))[subset == "treated"]
-    if empty[0]:
-        raise EmptyRiskSetError(f"no {subset} indexes to standardize to")
-    return tuple(shares[0].tolist())
-
-
 def _one_analysis(table: CountTable, analysis: str, target_population: str, target):
     """The AnalysisResult of one target (_analyses_block) of a one-row table."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -388,22 +376,6 @@ def crude_rr(indexes: IndexSet, weights: np.ndarray, analysis: str = ANALYSIS_CR
     return _one_analysis(count_table(indexes, weights), analysis, target_population, None)
 
 
-def cohort_true_rr(cohort: Cohort, tau: int = 2) -> TruthEntry:
-    """Finite-sample truth within one cohort (_truth_block). Raises
-    UndefinedRatioError when the cohort is empty or has no event under
-    never initiating."""
-    events = [np.array([np.count_nonzero(e)]) for e in pattern_events(cohort, tau)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        risk_treated, risk_untreated, rr, log_rr, _, _, flag = (
-            c.item() for c in _truth_block(*events, len(cohort))
-        )
-    if flag == FLAG_UNDEFINED_TRUTH:
-        raise UndefinedRatioError(
-            "empty cohort" if not len(cohort) else "no events under the never-initiate pattern"
-        )
-    return TruthEntry(risk_treated, risk_untreated, rr, log_rr)
-
-
 def _weight_modes(cal_weight_mode: str) -> tuple[str, str]:
     """Censoring-weight modes of eSNT-CAL and eSNT-TD; eSNT-TD always uses
     the decision-point product form."""
@@ -426,7 +398,7 @@ def analyze_replicate(
         count_table(cal, censoring_weights(cal, spec, cal_mode)),
         count_table(td, censoring_weights(td, spec, td_mode)),
     )
-    events = [np.array([np.count_nonzero(e)]) for e in pattern_events(cohort, spec.horizon_tau)]
+    events = [np.array([np.count_nonzero(e)]) for e in pattern_events(cohort)]
     return battery_block(tables, events, len(cohort)).results(0)
 
 
@@ -452,9 +424,10 @@ class PersonTypeMap:
         """The three count tables and the true-event counts of a block of
         replicates, counts[r, k] persons of type (or class) k in replicate
         r: the tables with a leading replicate axis (TableMap.block) and,
-        per replicate, the persons with an event by tau under sustained
-        initiation and under never initiating (battery_block's input).
-        Raises DegenerateWeightError if any person counted is blocked."""
+        per replicate, the persons with an event by HORIZON_TAU under
+        sustained initiation and under never initiating (battery_block's
+        input). Raises DegenerateWeightError if any person counted is
+        blocked."""
         self.check(counts)
         treated, untreated = self.events
         return (
@@ -504,7 +477,7 @@ def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
         w = np.ones((len(idx), 2))
         w[:, 1] = 1.0 / np.where(certain, np.inf, p)  # blocked types raise before use
         maps.append(table_map(idx, w))
-    return PersonTypeMap(tuple(maps), blocked, pattern_events(cohort, spec.horizon_tau))
+    return PersonTypeMap(tuple(maps), blocked, pattern_events(cohort))
 
 
 @functools.lru_cache(maxsize=8)

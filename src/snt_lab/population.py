@@ -1,6 +1,6 @@
-"""Individual-level data generation and exact truth enumeration.
+"""Cohort generation and exact truth enumeration.
 
-Each simulated individual carries three annual visits. At every visit the
+Each simulated person carries three annual visits. At every visit the
 generator draws, for both treatment arms, whether the composite outcome
 occurs in the following year given severity at that visit. From those
 per-visit potential outcomes the three treatment patterns (never initiate,
@@ -10,18 +10,18 @@ at year t; nothing is generated past year 3.
 
 Severity is monotone: low may progress to high between visits, high never
 reverts. So a person's draws fit in a 9-bit base code (draw_base_codes),
-which expand_base_codes unpacks into the cohort's arrays.
+which expand_base_codes unpacks into the cohort's arrays. The cohort is
+column-oriented; there is no per-person object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .config import ScenarioSpec
-from .hazards import HazardSet, two_year_risk_high, two_year_risk_low
+from .config import HORIZON_TAU, N_VISITS, ScenarioSpec
+from .hazards import HazardSet
 
 LOW, HIGH = 0, 1
 
@@ -31,25 +31,9 @@ PATTERN_NEVER = 0
 PATTERN_VISIT2 = 1
 PATTERN_VISIT1 = 2
 PATTERN_ARMS = np.array([[0, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=np.intp)
-PATTERN_LABELS = ("never", "initiate_visit2", "initiate_visit1")
 
 #: Sentinel for "no event by Visit 4" in event-time arrays (real times are 1..3).
 NO_EVENT = 99
-
-
-class UndefinedRatioError(ZeroDivisionError):
-    """Risk ratio with a zero denominator risk."""
-
-
-@dataclass(frozen=True)
-class Individual:
-    """One simulated person, unpacked into plain Python values."""
-
-    person_id: int
-    severity: tuple[int, int, int]
-    decision2: bool
-    po: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]  # [visit][arm]
-    event_time: tuple[int | None, int | None, int | None]  # per pattern
 
 
 @dataclass
@@ -69,21 +53,6 @@ class Cohort:
 
     def __len__(self) -> int:
         return self.severity.shape[0]
-
-    def individual(self, i: int) -> Individual:
-        times = tuple(
-            None if t == NO_EVENT else int(t) for t in self.event_time[i]
-        )
-        return Individual(
-            person_id=i,
-            severity=tuple(int(s) for s in self.severity[i]),
-            decision2=bool(self.decision2[i]),
-            po=tuple(tuple(int(v) for v in row) for row in self.po[i]),
-            event_time=times,
-        )
-
-    def individuals(self) -> Iterator[Individual]:
-        return (self.individual(i) for i in range(len(self)))
 
     def take(self, indices: np.ndarray) -> "Cohort":
         """Row subset/resample (used for with-replacement cohort sampling)."""
@@ -127,20 +96,11 @@ def _pattern_event_times(po: np.ndarray) -> np.ndarray:
     out = np.full((n, 3), NO_EVENT, dtype=np.int16)
     for k in range(3):
         arms = PATTERN_ARMS[k]
-        hit = po[:, np.arange(3), arms]  # (n, 3) outcome flags along the pattern
+        hit = po[:, np.arange(N_VISITS), arms]  # (n, 3) outcome flags along the pattern
         out[:, k] = np.where(
             hit[:, 0], 1, np.where(hit[:, 1], 2, np.where(hit[:, 2], 3, NO_EVENT))
         )
     return out
-
-
-def event_time_under_pattern(ind: Individual, pattern: int) -> int | None:
-    """Walk visits 1..3 applying the pattern's arm at each visit; return the
-    first year offset whose potential-outcome flag is set, else None."""
-    for visit in range(3):
-        if ind.po[visit][PATTERN_ARMS[pattern][visit]]:
-            return visit + 1
-    return None
 
 
 #: A person's base type packs the severity path, the decision point and the
@@ -210,7 +170,7 @@ def draw_base_codes(
 def expand_base_codes(base: np.ndarray) -> Cohort:
     """The cohort whose individuals have the given base types."""
     base = np.asarray(base)
-    severity = np.stack([base_severity(base, v) for v in range(3)], axis=1)
+    severity = np.stack([base_severity(base, v) for v in range(N_VISITS)], axis=1)
     bits = (base[:, None] >> np.arange(6, -1, -1)) & 1  # decision2, then po
     return Cohort.from_arrays(
         severity=severity, decision2=bits[:, 0], po=bits[:, 1:].reshape(-1, 3, 2)
@@ -222,19 +182,6 @@ def draw_cohort(
 ) -> Cohort:
     """Draw n individuals i.i.d. from the generative law (draw_base_codes)."""
     return expand_base_codes(draw_base_codes(rng, spec, hazards, n))
-
-
-def draw_individual(
-    rng: np.random.Generator, spec: ScenarioSpec, hazards: HazardSet, person_id: int = 0
-) -> Individual:
-    ind = draw_cohort(rng, spec, hazards, 1).individual(0)
-    return Individual(
-        person_id=person_id,
-        severity=ind.severity,
-        decision2=ind.decision2,
-        po=ind.po,
-        event_time=ind.event_time,
-    )
 
 
 def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthEntry:
@@ -263,25 +210,10 @@ def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthEntry:
     )
 
 
-def pattern_events(cohort: Cohort, tau: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Per person: an event by tau under sustained initiation, and under
-    never initiating."""
+def pattern_events(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:
+    """Per person: an event by HORIZON_TAU under sustained initiation, and
+    under never initiating."""
     return (
-        cohort.event_time[:, PATTERN_VISIT1] <= tau,
-        cohort.event_time[:, PATTERN_NEVER] <= tau,
+        cohort.event_time[:, PATTERN_VISIT1] <= HORIZON_TAU,
+        cohort.event_time[:, PATTERN_NEVER] <= HORIZON_TAU,
     )
-
-
-def check_truth_consistency(spec: ScenarioSpec, hazards: HazardSet) -> tuple[float, float]:
-    """The enumerated risks restated through the closed-form two-year risk
-    expressions; used as a self-check that enumeration matches calibration."""
-    pi = spec.progression_prob
-    w_high = spec.baseline_high_prob
-    out = []
-    for arm in (0, 1):
-        p_low, p_high = hazards.for_arm(arm)
-        out.append(
-            (1.0 - w_high) * two_year_risk_low(p_low, p_high, pi)
-            + w_high * two_year_risk_high(p_high)
-        )
-    return out[0], out[1]

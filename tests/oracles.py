@@ -1,12 +1,25 @@
-"""Independent brute-force implementations used to check the estimators.
+"""Independent brute-force implementations used to check the package's
+event times and estimators.
 
-Everything here is deliberately written as plain Python loops over records,
-with no shared code paths with the package.
+Everything here is deliberately written as plain Python loops over persons
+and records, with no shared code paths with the package.
 """
 
 from __future__ import annotations
 
 import math
+
+
+def event_time_under_pattern(po, pattern):
+    """Walk visits 1..3 applying the pattern's arm at each visit (pattern 0
+    never initiates, 1 initiates at Visit 2, 2 at Visit 1); return the first
+    year offset whose potential-outcome flag po[visit][arm] is set, else
+    None."""
+    arms = ((0, 0, 0), (0, 1, 1), (1, 1, 1))[pattern]
+    for visit in range(3):
+        if po[visit][arms[visit]]:
+            return visit + 1
+    return None
 
 
 def bisect_root(f, lo=0.0, hi=1.0, iters=200):
@@ -151,10 +164,12 @@ def battery_oracle(cohort, spt, cal, td, spec, cal_weight_mode="initiation"):
     n_untreated, degenerate) tuples of one replicate, in battery order:
     the SPT's true, crude, ATE and ATT rows, then for each emulation its
     crude row and standardizations to its own and to the SPT's targets."""
-    people = list(cohort.individuals())
-    n = len(people)
-    treated = sum(1 for p in people if p.event_time[2] is not None and p.event_time[2] <= 2)
-    untreated = sum(1 for p in people if p.event_time[0] is not None and p.event_time[0] <= 2)
+    def events_by_year2(pattern):
+        times = (event_time_under_pattern(po, pattern) for po in cohort.po)
+        return sum(1 for t in times if t is not None and t <= 2)
+
+    n = len(cohort)
+    treated, untreated = events_by_year2(2), events_by_year2(0)
     if untreated == 0:
         rows = [(math.nan, math.nan, math.nan, math.nan, n, n, "undefined_truth")]
     else:

@@ -195,6 +195,25 @@ class TestSimulateVerb:
         assert code == EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, key", [
+        (b'{"run": {"output_dir": 5}}', "output_dir"),
+        (b'{"scenarios": [{"scenario_id": ["S1"]}]}', "scenario_id"),
+        (b'{"run": {"superpop": true}}', "superpop"),
+        (b'{"run": {"n_individuals": true}}', "n_individuals"),
+        (b'{"scenarios": [{"scenario_id": "S1", "decision_prob": [true, 0.3]}]}',
+         "decision_prob"),
+        (b'{"scenarios": [{"scenario_id": "S1", "horizon_tau": 2}]}', "horizon_tau"),
+        (b'{"scenarios": [{"scenario_id": "S1", "n_visits": 3}]}', "n_visits"),
+        ('{"run": {"master_seed": 7}} \u00e9'.encode("latin-1"), "UTF-8"),
+    ], ids=["output_dir-number", "scenario_id-list", "superpop-bool", "n_individuals-bool",
+            "decision_prob-bool", "horizon_tau", "n_visits", "not-utf8"])
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, document, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(document)
+        code = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_superpop_mode_runs(self, tmp_path):
         code = run_cli(*simulate_args(tmp_path, "--superpop", "1000"))
         assert code == EXIT_OK

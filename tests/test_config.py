@@ -4,8 +4,11 @@ import json
 import pytest
 
 from snt_lab.config import (
+    HORIZON_TAU,
+    N_VISITS,
     ConfigError,
     RunConfig,
+    ScenarioSpec,
     SCENARIO_IDS,
     builtin_scenarios,
     load_config,
@@ -29,7 +32,10 @@ def test_builtin_grid():
         assert s.risk_untreated == (0.15, 0.25)
         assert s.treat_prob == (0.25, 0.75)
         assert s.baseline_high_prob == 0.25
-        assert s.horizon_tau == 2 and s.n_visits == 3
+    # the horizon and the visit count are fixed by the design, not settings
+    assert (HORIZON_TAU, N_VISITS) == (2, 3)
+    fields = {f.name for f in dataclasses.fields(ScenarioSpec)}
+    assert fields.isdisjoint({"horizon_tau", "n_visits"})
 
 
 def test_builtins_referentially_transparent():

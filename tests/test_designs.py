@@ -21,11 +21,11 @@ from snt_lab.designs import (
     build_esnt_td,
     build_spt,
     count_table,
-    describe_dataset,
+    describe_block,
     describe_replicate,
 )
 from snt_lab.hazards import solve
-from snt_lab.population import Cohort, PATTERN_NEVER, PATTERN_VISIT1, PATTERN_VISIT2, draw_cohort
+from snt_lab.population import Cohort, PATTERN_NEVER, draw_cohort
 
 # Enumerated ever-treated probability for S1 at progression 0.6:
 #   P(initiate at Visit 1) + P(untreated, event-free, decision point, initiate)
@@ -82,10 +82,12 @@ def hand_assignment():
     a1 = np.array([False, False, False, False, True, True])
     a2 = np.array([True, False, False, False, False, False])
     spt_arm = np.array([True, False, False, True, False, True])
-    observed = np.where(a1, PATTERN_VISIT1, np.where(a2, PATTERN_VISIT2, PATTERN_NEVER))
-    return TreatmentAssignment(
-        spt_arm=spt_arm, a1=a1, a2=a2, observed_pattern=observed.astype(np.int8)
-    )
+    return TreatmentAssignment(spt_arm=spt_arm, a1=a1, a2=a2)
+
+
+def describe_rows(idx, n_persons):
+    """The descriptive rows of one design's table, as a block of one."""
+    return describe_block([count_table(idx)], n_persons).rows(0, (idx.design,))
 
 
 class TestAssignTreatments:
@@ -95,7 +97,6 @@ class TestAssignTreatments:
         cohort = draw_cohort(rng(), spec, h, 2000)
         a = assign_treatments(rng(1), cohort, spec)
         assert not a.a1.any() and not a.a2.any()
-        assert (a.observed_pattern == PATTERN_NEVER).all()
 
     def test_no_visit2_initiation_without_decision_points(self):
         spec, h = spec_and_hazards()
@@ -111,8 +112,6 @@ class TestAssignTreatments:
         alive = cohort.event_time[:, PATTERN_NEVER] != 1
         assert not (a.a2 & a.a1).any()
         assert (a.a2 <= (cohort.decision2 & alive & ~a.a1)).all()
-        assert np.array_equal(a.observed_pattern == PATTERN_VISIT1, a.a1)
-        assert np.array_equal(a.observed_pattern == PATTERN_VISIT2, a.a2)
 
     def test_ever_treated_share_matches_enumeration(self):
         spec, h = spec_and_hazards()
@@ -330,7 +329,7 @@ class TestDescribe:
         a = assign_treatments(rng(21), cohort, spec)
         rows = {
             (r.group, r.severity): r
-            for r in describe_dataset(build_spt(cohort, a), n)
+            for r in describe_rows(build_spt(cohort, a), n)
         }
         assert rows[(GROUP_ALL, "high")].pct_high == pytest.approx(25.0, abs=0.75)
         assert rows[(GROUP_TREATED, "high")].pct_high == pytest.approx(25.0, abs=1.5)
@@ -344,7 +343,7 @@ class TestDescribe:
 
     def test_initiator_group_counts_all_their_indexes(self):
         cal = build_esnt_cal(hand_cohort(), hand_assignment())
-        rows = {(r.group, r.severity): r for r in describe_dataset(cal, 6)}
+        rows = {(r.group, r.severity): r for r in describe_rows(cal, 6)}
         # initiators: persons 0, 4, 5; their indexes: three V1 (low, low,
         # high) plus person 0's treated V2 index (low)
         assert rows[(GROUP_INITIATOR, "low")].n_people == 3

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import km_risk_oracle, standardized_rr_oracle, stratified_km_oracle
+from oracles import (
+    km_risk_oracle,
+    severity_shares_oracle,
+    standardized_rr_oracle,
+    stratified_km_oracle,
+)
 from snt_lab.config import WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER, builtin_scenarios
 from snt_lab.designs import (
     DESIGN_CAL,
@@ -24,7 +29,6 @@ from snt_lab.estimators import (
     censoring_weights,
     crude_rr,
     ipcw_km_risk,
-    severity_distribution,
     standardized_rr,
 )
 from snt_lab.hazards import solve
@@ -189,28 +193,22 @@ class TestIpcwKmRisk:
 
 class TestSeverityDistribution:
     def test_empirical_shares(self):
-        idx = dataset([
+        records = [
             record(severity_at_index=0), record(severity_at_index=0),
             record(severity_at_index=1), record(severity_at_index=1, treated=True),
-        ])
-        assert severity_distribution(idx, "all") == (0.5, 0.5)
-        assert severity_distribution(idx, "treated") == (0.0, 1.0)
+        ]
+        assert severity_shares_oracle(records, "all") == (0.5, 0.5)
+        assert severity_shares_oracle(records, "treated") == (0.0, 1.0)
 
     def test_point_mass(self):
-        idx = dataset([record(severity_at_index=1)])
-        assert severity_distribution(idx, "all") == (0.0, 1.0)
-
-    def test_empty_subset_raises(self):
-        idx = dataset([record()])
-        with pytest.raises(EmptyRiskSetError):
-            severity_distribution(idx, "treated")
+        assert severity_shares_oracle([record(severity_at_index=1)], "all") == (0.0, 1.0)
 
     def test_shares_sum_to_one(self):
         spec, h = spec_and_hazards("S2")
         cohort = draw_cohort(np.random.default_rng(5), spec, h, 10000)
         a = assign_treatments(np.random.default_rng(6), cohort, spec)
         for subset in ("all", "treated"):
-            low, high = severity_distribution(build_esnt_td(cohort, a), subset)
+            low, high = severity_shares_oracle(build_esnt_td(cohort, a).records(), subset)
             assert low + high == pytest.approx(1.0, abs=1e-12)
 
 
@@ -348,7 +346,7 @@ class TestAnalyzeReplicate:
         unit = np.ones((len(idx), 2))
         crude = crude_rr(idx, unit)
         for subset in ("all", "treated"):
-            target = severity_distribution(idx, subset)
+            target = severity_shares_oracle(idx.records(), subset)
             res = standardized_rr(idx, unit, target, "x", "y")
             assert res.rr == pytest.approx(crude.rr, abs=1e-12)
 

@@ -65,7 +65,7 @@ MODES = (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER)
 
 def cohort_arrays(cohort, assignment):
     return [cohort.severity, cohort.decision2, cohort.po, cohort.event_time,
-            assignment.spt_arm, assignment.a1, assignment.a2, assignment.observed_pattern]
+            assignment.spt_arm, assignment.a1, assignment.a2]
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))

@@ -1,25 +1,24 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oracles import event_time_under_pattern
 from snt_lab.config import builtin_scenarios
-from snt_lab.estimators import cohort_true_rr
+from snt_lab.designs import assign_treatments, build_esnt_cal, build_esnt_td, build_spt
+from snt_lab.estimators import ANALYSIS_TRUE, analyze_replicate
 from snt_lab.hazards import solve
 from snt_lab.output import truth_rows
 from snt_lab.population import (
     Cohort,
-    Individual,
     NO_EVENT,
     PATTERN_NEVER,
     PATTERN_VISIT1,
     PATTERN_VISIT2,
-    UndefinedRatioError,
     draw_cohort,
-    draw_individual,
     enumerate_truth,
-    event_time_under_pattern,
 )
 
 
@@ -32,36 +31,60 @@ def rng(seed=1234):
     return np.random.default_rng(seed)
 
 
-def make_individual(po, severity=(0, 0, 1), decision2=False):
-    cohort = Cohort.from_arrays(
+def one_person(po, severity=(0, 0, 1), decision2=False):
+    return Cohort.from_arrays(
         severity=np.array([severity]), decision2=np.array([decision2]),
         po=np.array([po]),
     )
-    return cohort.individual(0)
+
+
+def walked_times(po):
+    """The oracle's event time of each pattern, NO_EVENT for none."""
+    times = (event_time_under_pattern(po, pattern) for pattern in range(3))
+    return [NO_EVENT if t is None else t for t in times]
+
+
+def true_rr_row(cohort, spec, seed=0):
+    """The true_rr result of analyze_replicate on the cohort, with
+    treatments drawn from seed (the truth does not depend on them)."""
+    a = assign_treatments(rng(seed), cohort, spec)
+    results = analyze_replicate(
+        cohort, build_spt(cohort, a), build_esnt_cal(cohort, a), build_esnt_td(cohort, a), spec
+    )
+    assert results[0].analysis == ANALYSIS_TRUE
+    return results[0]
 
 
 class TestEventTimes:
     def test_severity_increasing_individual(self):
         # severity (low, low, high); arm-0 outcomes at visits 1 and 3,
         # arm-1 outcomes at visits 2 and 3
-        ind = make_individual(po=[[1, 0], [0, 1], [1, 1]])
-        assert event_time_under_pattern(ind, PATTERN_NEVER) == 1
-        assert event_time_under_pattern(ind, PATTERN_VISIT2) == 1
-        assert event_time_under_pattern(ind, PATTERN_VISIT1) == 2
-        assert ind.event_time == (1, 1, 2)
+        po = [[1, 0], [0, 1], [1, 1]]
+        assert event_time_under_pattern(po, PATTERN_NEVER) == 1
+        assert event_time_under_pattern(po, PATTERN_VISIT2) == 1
+        assert event_time_under_pattern(po, PATTERN_VISIT1) == 2
+        assert one_person(po).event_time[0].tolist() == [1, 1, 2]
 
     def test_divergent_arms_individual(self):
         # arm-0 flags (none, visit 2); arm-1 flags (visit 1, none)
-        ind = make_individual(po=[[0, 1], [1, 0], [0, 0]])
-        assert event_time_under_pattern(ind, PATTERN_NEVER) == 2
-        assert event_time_under_pattern(ind, PATTERN_VISIT2) is None
-        assert event_time_under_pattern(ind, PATTERN_VISIT1) == 1
+        po = [[0, 1], [1, 0], [0, 0]]
+        assert event_time_under_pattern(po, PATTERN_NEVER) == 2
+        assert event_time_under_pattern(po, PATTERN_VISIT2) is None
+        assert event_time_under_pattern(po, PATTERN_VISIT1) == 1
 
     def test_no_outcomes_anywhere(self):
-        ind = make_individual(po=[[0, 0], [0, 0], [0, 0]])
+        po = [[0, 0], [0, 0], [0, 0]]
         for pattern in (PATTERN_NEVER, PATTERN_VISIT2, PATTERN_VISIT1):
-            assert event_time_under_pattern(ind, pattern) is None
-        assert ind.event_time == (None, None, None)
+            assert event_time_under_pattern(po, pattern) is None
+        assert one_person(po).event_time[0].tolist() == [NO_EVENT] * 3
+
+    def test_from_arrays_matches_the_walk_on_every_outcome_grid(self):
+        grids = np.array(list(itertools.product((0, 1), repeat=6))).reshape(64, 3, 2)
+        cohort = Cohort.from_arrays(
+            severity=np.zeros((64, 3)), decision2=np.zeros(64), po=grids
+        )
+        for po, times in zip(grids.tolist(), cohort.event_time.tolist()):
+            assert times == walked_times(po), po
 
     def test_patterns_share_first_year_under_no_treatment(self):
         spec, h = spec_and_hazards()
@@ -118,14 +141,12 @@ class TestDrawCohort:
         se = math.sqrt(0.7 * 0.3 / n)
         assert abs(share - 0.70) < 3 * se
 
-    def test_draw_individual_matches_accessor(self):
+    def test_single_draw_matches_the_walk(self):
         spec, h = spec_and_hazards("S2")
-        ind = draw_individual(rng(5), spec, h, person_id=17)
-        assert isinstance(ind, Individual)
-        assert ind.person_id == 17
-        assert ind.severity[0] <= ind.severity[1] <= ind.severity[2]
-        for k in range(3):
-            assert ind.event_time[k] == event_time_under_pattern(ind, k)
+        cohort = draw_cohort(rng(5), spec, h, 1)
+        severity = cohort.severity[0]
+        assert severity[0] <= severity[1] <= severity[2]
+        assert cohort.event_time[0].tolist() == walked_times(cohort.po[0].tolist())
 
 
 class TestEnumerateTruth:
@@ -181,29 +202,32 @@ class TestEnumerateTruth:
 
 class TestCohortTrueRR:
     def test_empty_cohort_is_undefined(self):
-        with pytest.raises(UndefinedRatioError):
-            cohort_true_rr(
-                Cohort.from_arrays(
-                    severity=np.empty((0, 3)), decision2=np.empty(0),
-                    po=np.empty((0, 3, 2)),
-                )
-            )
+        spec, _ = spec_and_hazards()
+        empty = Cohort.from_arrays(
+            severity=np.empty((0, 3)), decision2=np.empty(0), po=np.empty((0, 3, 2))
+        )
+        row = true_rr_row(empty, spec)
+        assert row.degenerate == "undefined_truth"
+        assert math.isnan(row.rr)
 
     def test_no_events_is_undefined(self):
+        spec, _ = spec_and_hazards()
         cohort = Cohort.from_arrays(
             severity=np.zeros((4, 3)), decision2=np.zeros(4),
             po=np.zeros((4, 3, 2)),
         )
-        with pytest.raises(UndefinedRatioError):
-            cohort_true_rr(cohort)
+        row = true_rr_row(cohort, spec)
+        assert row.degenerate == "undefined_truth"
+        assert math.isnan(row.rr)
 
     def test_degenerate_single_person(self):
         # never-initiate event at year 1, no event under sustained initiation
+        spec, _ = spec_and_hazards()
         cohort = Cohort.from_arrays(
             severity=np.zeros((1, 3)), decision2=np.zeros(1),
             po=np.array([[[1, 0], [0, 0], [0, 0]]]),
         )
-        entry = cohort_true_rr(cohort)
+        entry = true_rr_row(cohort, spec)
         assert entry.risk_treated == 0.0
         assert entry.risk_untreated == 1.0
         assert entry.rr == 0.0
@@ -212,7 +236,7 @@ class TestCohortTrueRR:
     def test_large_cohort_near_enumerated_truth(self):
         spec, h = spec_and_hazards("S1")
         n = 1_000_000
-        entry = cohort_true_rr(draw_cohort(rng(13), spec, h, n))
+        entry = true_rr_row(draw_cohort(rng(13), spec, h, n), spec)
         # delta-method standard error of the risk ratio
         se_log = math.sqrt(
             (1 - 0.1225) / (0.1225 * n) + (1 - 0.175) / (0.175 * n)
@@ -226,9 +250,7 @@ class TestSuperpopulationResampling:
         pool = draw_cohort(rng(3), spec, h, 100)
         picked = pool.take(np.array([5, 5, 17]))
         assert len(picked) == 3
-        assert picked.individual(0) == dataclasses.replace(
-            pool.individual(5), person_id=0
-        )
-        assert picked.individual(1) == dataclasses.replace(
-            pool.individual(5), person_id=1
-        )
+        for column in ("severity", "decision2", "po", "event_time"):
+            rows = getattr(picked, column)
+            assert np.array_equal(rows[0], getattr(pool, column)[5]), column
+            assert np.array_equal(rows[1], getattr(pool, column)[5]), column
