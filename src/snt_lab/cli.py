@@ -104,8 +104,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=_positive_int, default=None,
                         help=f"worker processes (default: ${THREADS_ENV_VAR} or 1)")
     parser.add_argument("--superpop", type=_positive_int, default=None,
-                        help="materialize a finite pool of this size and sample "
-                             "cohorts from it with replacement")
+                        help="draw a finite pool of this size once per scenario "
+                             "and sample cohorts from it with replacement")
     parser.add_argument("--cal-weights", choices=("initiation", "paper"), default=None,
                         help="censoring-weight formula for the calendar emulation")
     parser.add_argument("--truth-override", type=float, default=None,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,7 +87,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """A finite int or float (JSON Infinity and NaN are not numbers here)."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _is_prob(x) -> bool:
@@ -125,7 +127,7 @@ def validate(spec: ScenarioSpec) -> list[str]:
         and len(spec.delta) == 2
         and all(_is_number(v) and v > 0 for v in spec.delta)
     ):
-        bad.append("delta must be > 0")
+        bad.append("delta must be finite and > 0")
     return bad
 
 
@@ -146,7 +148,7 @@ def validate_run(run: RunConfig) -> list[str]:
     if run.truth_override is not None and not (
         _is_number(run.truth_override) and run.truth_override > 0
     ):
-        bad.append("truth_override must be > 0")
+        bad.append("truth_override must be finite and > 0")
     return bad
 
 

@@ -145,14 +145,20 @@ def draw_treatment_bits(
     return bits
 
 
-def person_type_codes(
-    rng: np.random.Generator, base: np.ndarray, spec: ScenarioSpec
-) -> np.ndarray:
-    """Append the treatment bits drawn from rng to each base code."""
-    bits = draw_treatment_bits(rng, base_severity(base, 0), base_severity(base, 1), spec)
-    code = base << 3
-    code |= bits
-    return code
+def treatment_probabilities(spec: ScenarioSpec) -> np.ndarray:
+    """Exact (N_BASE_TYPES, 8) probability of each treatment-bit pattern
+    given the base type, the law that draw_treatment_bits draws from. Row b,
+    column k is the probability of person type (b << 3) | k given base type
+    b."""
+    base = np.arange(N_BASE_TYPES)[:, None]
+    bits = np.arange(8)
+    spt = spec.spt_treat_prob
+    prob = np.where(bits & 4, spt, 1.0 - spt)
+    tp_low, tp_high = spec.treat_prob
+    for visit, bit in ((0, 2), (1, 1)):
+        q = np.where(base_severity(base, visit), tp_high, tp_low)
+        prob = prob * np.where(bits & bit, q, 1.0 - q)
+    return prob
 
 
 def assignment_from_bits(cohort: Cohort, bits: np.ndarray) -> TreatmentAssignment:

@@ -4,9 +4,10 @@ Every replicate owns a random substream derived from (master seed, scenario
 ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
 PCG64 (period 2^128, documented cross-platform output) as the generator. A
 replicate is therefore reproducible in isolation and results never depend on
-worker count or scheduling: a replicate only draws and counts its cohort, the
-counts are merged by index, and one block computation per scenario reads
-every analysis and descriptive row off the merged counts.
+worker count or scheduling: a replicate only draws its cohort's count of
+each class of person types, in one multinomial call, the counts are merged
+by index, and one block computation per scenario reads every analysis and
+descriptive row off the merged counts.
 
 Performance measures per summary cell, on the log risk-ratio scale:
 
@@ -21,6 +22,7 @@ can be overridden with a fixed risk-ratio value.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from .designs import (
     DESCRIBE_LABELS,
     SEVERITY_LABELS,
     describe_block,
-    person_type_codes,
+    treatment_probabilities,
 )
 from .estimators import (
     ANALYSES,
@@ -46,7 +48,7 @@ from .estimators import (
     person_class_map,
 )
 from .hazards import HazardSet, solve
-from .population import TruthEntry, draw_base_codes, enumerate_truth
+from .population import TruthEntry, base_type_probabilities, enumerate_truth
 
 # run_replicate no longer takes the person-level path. Its entry points stay
 # importable from this module, where perfbench/trace.py wraps them.
@@ -131,10 +133,46 @@ def replicate_stream(
 def draw_superpopulation(
     spec: ScenarioSpec, hazards: HazardSet, run: RunConfig
 ) -> np.ndarray:
-    """Draw the base codes of the finite pool for with-replacement cohort
-    sampling."""
+    """Draw the finite pool for with-replacement cohort sampling: how many
+    of its run.superpop people have each base type
+    (population.N_BASE_TYPES)."""
     rng = replicate_stream(run.master_seed, spec.scenario_id, _POOL_STREAM_ID)
-    return draw_base_codes(rng, spec, hazards, run.superpop)
+    return rng.multinomial(run.superpop, base_type_probabilities(spec, hazards))
+
+
+def class_probabilities(
+    spec: ScenarioSpec,
+    hazards: HazardSet,
+    cal_weight_mode: str,
+    pool: np.ndarray | None = None,
+) -> np.ndarray:
+    """The probability that a person of a cohort falls in each class of
+    person types (estimators.person_class_map): the base-type law, or the
+    pool's base-type frequencies, times the treatment law, summed per class.
+    Sampling from a pool with replacement gives i.i.d. people whose type law
+    is exactly that product. Cached per process like the map."""
+    key = None if pool is None else np.asarray(pool, dtype=np.int64).tobytes()
+    return _class_probabilities(spec, hazards, cal_weight_mode, key)
+
+
+@functools.lru_cache(maxsize=8)
+def _class_probabilities(
+    spec: ScenarioSpec, hazards: HazardSet, cal_weight_mode: str, pool: bytes | None
+) -> np.ndarray:
+    """class_probabilities, keyed by the bytes of the pool's counts so that
+    the cache can hash them. The result is read-only: callers share it."""
+    if pool is None:
+        base_p = base_type_probabilities(spec, hazards)
+    else:
+        counts = np.frombuffer(pool, dtype=np.int64)
+        base_p = counts / counts.sum()
+    type_class, _ = person_class_map(spec, cal_weight_mode)
+    p_class = np.bincount(
+        type_class, weights=(base_p[:, None] * treatment_probabilities(spec)).ravel()
+    )
+    p_class /= p_class.sum()
+    p_class.setflags(write=False)
+    return p_class
 
 
 def run_replicate(
@@ -144,20 +182,15 @@ def run_replicate(
     run: RunConfig,
     pool: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw one replicate and count it: draw (or resample from the pool) the
-    base codes, draw the treatment bits, and count the people of each class
-    of person types (estimators.person_class_map). Raises
-    DegenerateWeightError if the replicate has a person of a blocked type."""
+    """Draw one replicate as its count of people in each class of person
+    types: one multinomial draw of the cohort over the class probabilities
+    (class_probabilities, from the pool's base-type counts if given).
+    Raises DegenerateWeightError if the replicate has a person of a blocked
+    class."""
+    p_class = class_probabilities(spec, hazards, run.cal_weight_mode, pool)
     rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
-    n = run.n_individuals
-    if pool is None:
-        base = draw_base_codes(rng, spec, hazards, n)
-    else:
-        base = pool[rng.integers(0, len(pool), size=n)]
-    type_class, classes = person_class_map(spec, run.cal_weight_mode)
-    counts = np.bincount(
-        type_class[person_type_codes(rng, base, spec)], minlength=len(classes.blocked)
-    )
+    counts = rng.multinomial(run.n_individuals, p_class)
+    _, classes = person_class_map(spec, run.cal_weight_mode)
     classes.check(counts)
     return counts
 

@@ -9,9 +9,11 @@ counted in years from Visit 1. An outcome determined at visit t is observed
 at year t; nothing is generated past year 3.
 
 Severity is monotone: low may progress to high between visits, high never
-reverts. So a person's draws fit in a 9-bit base code (draw_base_codes),
-which expand_base_codes unpacks into the cohort's arrays. The cohort is
-column-oriented; there is no per-person object.
+reverts. So a person's draws fit in a 9-bit base type, whose exact
+probability base_type_probabilities gives. draw_base_codes draws a cohort's
+base codes person by person, and expand_base_codes unpacks them into the
+cohort's arrays. The cohort is column-oriented; there is no per-person
+object.
 """
 
 from __future__ import annotations
@@ -116,10 +118,33 @@ def base_severity(base: np.ndarray, visit: int) -> np.ndarray:
     return base >= (3 - visit) << 7
 
 
-#: Persons per rng.random call when drawing base codes. Consecutive calls
-#: continue the stream, so blocks of any size give the same draws as one
-#: call per stage; the block bounds the uniforms held at once.
-DRAW_BLOCK = 1 << 15
+def _bernoulli(outcome: np.ndarray, prob) -> np.ndarray:
+    """Probability of each outcome of a Bernoulli(prob) draw."""
+    return np.where(outcome, prob, 1.0 - prob)
+
+
+def _by_severity(high: np.ndarray, pair: tuple[float, float]) -> np.ndarray:
+    """The low- or high-severity entry of pair for each person."""
+    return np.where(high, pair[1], pair[0])
+
+
+def base_type_probabilities(spec: ScenarioSpec, hazards: HazardSet) -> np.ndarray:
+    """Exact probability of each of the N_BASE_TYPES base types under the
+    generative law (draw_base_codes): the product of the probabilities of
+    its baseline severity, progression steps, decision point and outcome
+    grid."""
+    base = np.arange(N_BASE_TYPES)
+    high = [base_severity(base, v) for v in range(N_VISITS)]
+    prob = _bernoulli(high[0], spec.baseline_high_prob)
+    for before, after in zip(high, high[1:]):  # high severity never reverts
+        prob *= np.where(before, 1.0, _bernoulli(after, spec.progression_prob))
+    prob *= _bernoulli((base >> 6) & 1, _by_severity(high[1], spec.decision_prob))
+    p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
+    po = ((base[:, None] >> np.arange(5, -1, -1)) & 1).reshape(-1, N_VISITS, 2)
+    for visit in range(N_VISITS):
+        for arm in (0, 1):
+            prob *= _bernoulli(po[:, visit, arm], _by_severity(high[visit], p[arm]))
+    return prob
 
 
 def draw_base_codes(
@@ -129,41 +154,26 @@ def draw_base_codes(
 
     Draw order is fixed (baseline severity, the two progression steps, the
     decision-point indicator, then the per-visit-per-arm outcome grid) so a
-    given stream always reproduces the same cohort. Each stage draws its
-    uniforms for all n persons, DRAW_BLOCK persons at a time into one
-    reused buffer.
+    given stream always reproduces the same cohort.
     """
     pi = spec.progression_prob
-    dec_low, dec_high = spec.decision_prob
     # p[arm] = (low, high) probability the outcome is determined at a visit
     p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
-    size = min(n, DRAW_BLOCK)
-    flat, grid = np.empty(size), np.empty((size, 3, 2))
-    blocks = [slice(start, min(n, start + DRAW_BLOCK)) for start in range(0, n, DRAW_BLOCK)]
-
-    def uniforms(buffer: np.ndarray, block: slice) -> np.ndarray:
-        return rng.random(out=buffer[: block.stop - block.start])
-
-    s1, s2, s3, decision2 = (np.empty(n, dtype=bool) for _ in range(4))
-    for b in blocks:
-        np.less(uniforms(flat, b), spec.baseline_high_prob, out=s1[b])
-    for before, after in ((s1, s2), (s2, s3)):
-        for b in blocks:
-            np.logical_or(before[b], uniforms(flat, b) < pi, out=after[b])
-    for b in blocks:
-        np.less(uniforms(flat, b), np.where(s2[b], dec_high, dec_low), out=decision2[b])
+    s1 = rng.random(n) < spec.baseline_high_prob
+    s2 = s1 | (rng.random(n) < pi)
+    s3 = s2 | (rng.random(n) < pi)
+    decision2 = rng.random(n) < _by_severity(s2, spec.decision_prob)
 
     code = s1.astype(np.uint16)
     code += s2
     code += s3
     code *= 2
     code |= decision2
-    for b in blocks:
-        u, part = uniforms(grid, b), code[b]
-        for visit, high in enumerate((s1[b], s2[b], s3[b])):
-            for arm in (0, 1):
-                part *= 2
-                part |= u[:, visit, arm] < np.where(high, p[arm][1], p[arm][0])
+    u = rng.random((n, 3, 2))
+    for visit, high in enumerate((s1, s2, s3)):
+        for arm in (0, 1):
+            code *= 2
+            code |= u[:, visit, arm] < _by_severity(high, p[arm])
     return code
 
 

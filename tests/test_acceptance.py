@@ -22,16 +22,19 @@ import pytest
 
 from oracles import km_risk_oracle, standardized_rr_oracle
 from snt_lab.cli import main as cli_main
-from snt_lab.config import RunConfig, builtin_scenarios
+from snt_lab.config import RunConfig, WEIGHT_MODE_INITIATION, builtin_scenarios
 from snt_lab.designs import DESCRIBE_LABELS, IndexRecord, IndexSet
 from snt_lab.estimators import (
     ANALYSIS_LABELS,
+    battery_block,
     censoring_weights,
     crude_rr,
     ipcw_km_risk,
+    person_class_map,
     standardized_rr,
 )
 from snt_lab.harness import (
+    class_probabilities,
     estimate_cells,
     run_scenario,
     summarize,
@@ -227,6 +230,44 @@ def test_criterion_7_precision_ordering(desk):
         ok &= cal_ate < spt_ese and cal_att < spt_ese
         details.append(f"{sid}: {max(cal_ate, cal_att):.3f} < {spt_ese:.3f}")
     assert report("criterion 7 (precision ordering)", ok, "; ".join(details))
+
+
+def delta_method_ese(spec, n):
+    """Law-level ESE of every analysis of an n-person cohort: the
+    delta-method standard deviation sqrt(sum_i p_i J_i^2 / n) of each log RR
+    as a function of the class frequencies p (Bishop, Fienberg & Holland
+    1975, ch. 14), with the gradient J from central differences of step
+    1e-2 x p_i. The log RRs do not change when all counts are scaled, so the
+    multinomial covariance term p p' drops out. Every difference is one row
+    of one battery_block call over frequency-weighted class counts."""
+    hazards = solve(spec).hazards
+    p = class_probabilities(spec, hazards, WEIGHT_MODE_INITIATION)
+    _, classes = person_class_map(spec, WEIGHT_MODE_INITIATION)
+    assert (p > 0).all()
+    step = np.diag(1e-2 * p)
+    block = battery_block(*classes.blocks(np.vstack([p, p + step, p - step])), n)
+    assert (block.degenerate == "").all()
+    k = len(p)
+    gradient = (block.log_rr[1 : k + 1] - block.log_rr[k + 1 :]) / (2e-2 * p[:, None])
+    return np.sqrt((p[:, None] * gradient**2).sum(axis=0) / n)
+
+
+def test_criterion_7_law_level_precision_ordering(desk):
+    """Criterion 7 on the law: the delta-method ESEs at n = 5000 order the
+    designs as the Monte Carlo ESEs should, and agree with the desk run's."""
+    column = {label[:2]: j for j, label in enumerate(ANALYSIS_LABELS)}
+    cells = (("SPT", "crude"), ("eSNT-CAL", "ate_snt"), ("eSNT-CAL", "att_snt"))
+    ok = True
+    details = []
+    for spec in builtin_scenarios():
+        ese = delta_method_ese(spec, 5000)
+        spt, ate, att = (ese[column[cell]] for cell in cells)
+        ok &= ate < spt and att < spt
+        for cell in cells:
+            mc = desk["cells"][(spec.scenario_id, *cell)].ese
+            ok &= abs(mc / ese[column[cell]] - 1.0) < 0.1
+        details.append(f"{spec.scenario_id}: {ate:.4f}/{att:.4f} < {spt:.4f}")
+    assert report("criterion 7 law level (precision ordering)", ok, "; ".join(details))
 
 
 def test_criterion_8_descriptive_calibration():

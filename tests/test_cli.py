@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import snt_lab
-from snt_lab import output
+from snt_lab import estimators, harness, output
 from snt_lab.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from snt_lab.config import SCENARIO_IDS
+from snt_lab.designs import DESIGNS
+from snt_lab.estimators import ANALYSES
 from snt_lab.output import (
     DESCRIBE_COLUMNS,
     DESCRIBE_SUMMARY_COLUMNS,
@@ -175,6 +178,28 @@ class TestSimulateVerb:
         ]
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("pool", [(), ("--superpop", "1000")], ids=["law", "superpop"])
+    def test_zero_replicates_build_no_type_map_and_no_class_law(
+        self, tmp_path, monkeypatch, pool
+    ):
+        # set-up time stays set-up: the map and the class law are built in
+        # the first replicate
+        calls = []
+        for owner, name in ((estimators, "person_type_map"), (harness, "person_class_map"),
+                            (harness, "class_probabilities")):
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        args = ("simulate", "--scenario", "all", "--n", "50", *pool)
+        assert run_cli(*args, "--reps", "0", "--out", str(tmp_path / "zero")) == EXIT_OK
+        assert calls == []
+        assert run_cli(*args, "--reps", "1", "--out", str(tmp_path / "one")) == EXIT_OK
+        assert "class_probabilities" in calls
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"run": {"n_replicates": 3, "n_individuals": 200}}))
@@ -205,8 +230,11 @@ class TestSimulateVerb:
         (b'{"scenarios": [{"scenario_id": "S1", "horizon_tau": 2}]}', "horizon_tau"),
         (b'{"scenarios": [{"scenario_id": "S1", "n_visits": 3}]}', "n_visits"),
         ('{"run": {"master_seed": 7}} \u00e9'.encode("latin-1"), "UTF-8"),
+        (b'{"run": {"truth_override": Infinity}}', "truth_override"),
+        (b'{"scenarios": [{"scenario_id": "S1", "delta": [Infinity, 0.7]}]}', "delta"),
     ], ids=["output_dir-number", "scenario_id-list", "superpop-bool", "n_individuals-bool",
-            "decision_prob-bool", "horizon_tau", "n_visits", "not-utf8"])
+            "decision_prob-bool", "horizon_tau", "n_visits", "not-utf8",
+            "truth_override-infinite", "delta-infinite"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, document, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(document)
@@ -237,11 +265,18 @@ class TestSimulateVerb:
             (tmp_path / stale).write_text("stale")
         args = ("--scenario", "all", "--n", "5", "--reps", "300", "--seed", "3")
         assert run_cli("simulate", *args, "--out", str(tmp_path)) == EXIT_USAGE
-        assert "cell ('S2', 'eSNT-TD', 'att_spt', 'spt_treated')" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ("hazards.csv", "truth.csv", "estimates.csv", "describe.csv")
         )
-        assert cell_rows(read_estimates(tmp_path / "estimates.csv")) == 4 * 300 * 14
+        cells = read_estimates(tmp_path / "estimates.csv")
+        assert cell_rows(cells) == 4 * 300 * 14
+        # the first cell in summary order with fewer than two unflagged rows
+        summary_order = sorted(cells, key=lambda key: (
+            SCENARIO_IDS.index(key[0]), DESIGNS.index(key[1]), ANALYSES.index(key[2])
+        ))
+        short = [key for key in summary_order if (cells[key][1] == "").sum() < 2]
+        assert short
+        assert f"cell {short[0]} has " in capsys.readouterr().err
         assert len((tmp_path / "describe.csv").read_text().splitlines()) == 1 + 4 * 300 * 24
 
     @staticmethod
@@ -344,6 +379,14 @@ class TestReaggregationVerbs:
             "summarize", "--scenario", "S1", "--truth-override", "0.7",
             "--out", str(sim_dir),
         ) == EXIT_OK
+
+    def test_summarize_rejects_an_infinite_truth_override(self, sim_dir, capsys):
+        before = (sim_dir / "summary.csv").read_bytes()
+        assert run_cli(
+            "summarize", "--truth-override", "inf", "--out", str(sim_dir)
+        ) == EXIT_USAGE
+        assert "truth_override" in capsys.readouterr().err
+        assert (sim_dir / "summary.csv").read_bytes() == before
 
     def test_describe_verb(self, sim_dir):
         assert run_cli("describe", "--out", str(sim_dir)) == EXIT_OK

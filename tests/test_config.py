@@ -64,7 +64,7 @@ def test_validate_flags_bad_progression():
 
 def test_validate_flags_nonpositive_delta():
     s = dataclasses.replace(builtin_scenarios()[1], delta=(0.0, 0.9))
-    assert validate(s) == ["delta must be > 0"]
+    assert validate(s) == ["delta must be finite and > 0"]
 
 
 def test_validate_collects_multiple_violations():

@@ -19,11 +19,11 @@ GOLDEN = {
         {
             "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
             "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
-            "estimates.csv": "b3e25c14446d830d81e44f9d44eef01fa6feb8abc574f37da72cb6f625517524",
-            "describe.csv": "3bcc1f5ffb057d501345ecd989b6f7a5e5d5c02aa81843434b90b2b2041d43d7",
-            "summary.csv": "2c0ceb5adb7cec9a94b344be800900388ad69bda6c9f820a97a5ade894d95338",
-            "figure3.csv": "a45a6eeff0cb2a1893cece02314bbdfc9138a6a364a24cf224e4973c9294eedb",
-            "figureS3.csv": "c2e3d4776a9af7f66c408873332ca878fcfbd26c702be82e57d0077e4acd2da4",
+            "estimates.csv": "0d206dfa7f7a36ed338e6a99d2c3ec23f0decd03d07192adbb811b85fcc848a8",
+            "describe.csv": "8b7c4db035f41ca4b17f1f8f3ae3019bf1926ad55171b60bc4c6a95ef3e13d1b",
+            "summary.csv": "f759bca51a0130958450413b9390b2bd3b97890871054a95fdfab20439c8adc2",
+            "figure3.csv": "414c4756711ca44e75bec641d220dc239fbe2fc464fb418d1e5e385ee24f9b66",
+            "figureS3.csv": "025cc9f3c9863fb61cd271e978afdaef42b2603c3c8f31b4ede8021fa4602779",
         },
     ),
     "paper-weights-superpop": (
@@ -31,11 +31,11 @@ GOLDEN = {
         {
             "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
             "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
-            "estimates.csv": "b8257bb249b0119807e97a678da1e1cad5d96a4ac8287dd339ede490714b3823",
-            "describe.csv": "81ce35ccc7607b078a2e01dddb0f712e6b88f859a9ff7d49ce55cc8c52e4eb72",
-            "summary.csv": "0109fb6b81097c30bd252a65647a33744c3d793871b22d12075adecd71507c7c",
-            "figure3.csv": "b2f6174704beba7964e863689bb70bf1ceba7bb280b58e8b9d88cb13b47bc95a",
-            "figureS3.csv": "55568919905fca6ae323b082f00a3466e3bf422f56c90237bfd96d1e65d18f54",
+            "estimates.csv": "99c87d84997fb526786cef37dfafe8758fb1080f5a5dc5f8ce79e8ca7321ff17",
+            "describe.csv": "1c9e4ee4eb8febdb01cbe33f383986b516f83dc76fdb088cf3781aa5971abd48",
+            "summary.csv": "6f4a23a17ecaf0cd29cd194212cc37e4525cedb17cabe7d5a3283d624663c3be",
+            "figure3.csv": "9819654fc27fd9c8cae9590f7e59d89e2e076c926e43691e7d66551de842e9fb",
+            "figureS3.csv": "d4330b1e7d867d08a79b61a7aee51cf606e40c664fad62959871c627a6510e53",
         },
     ),
     "tiny-every-flag": (
@@ -43,11 +43,11 @@ GOLDEN = {
         {
             "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
             "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
-            "estimates.csv": "f03f1b831762017c1dd7c97ed15f3f12a3fb4f2d9c5dcb67546508b0afb72ef3",
-            "describe.csv": "0d2908bfa529a9ff0d84d8695db44dcf406f47e8528f8c066403251175732a2b",
-            "summary.csv": "f9a36f7da3b03f856c5662a94c335b7d1681fd9e18c78e2daa7e1a1ff1885ced",
-            "figure3.csv": "237dc71e61504b45b238ef5c3fa68f914a73e0938d2a598073d10db427442576",
-            "figureS3.csv": "89475d5fdd0d31ee163a947b5cf051b03b8b36efe2155a9523cffaec93ed8f85",
+            "estimates.csv": "20fe429800444e2c603e17d361a6c8bc83f75db798aef8a76d0c0078e4f249db",
+            "describe.csv": "7f329a43603190431c0700883bcd401d5fccf33029e2d21d2be9216f124da3da",
+            "summary.csv": "0280b2dc64dbc8aa3a3541dda919044dc7bf49842fba7e4d5d061c34c1f00f09",
+            "figure3.csv": "acdd08d8b80837abeb53344dffe8443880ddf7c3ef9cb88e256b3dac46d8e999",
+            "figureS3.csv": "28d00312766e934ad2498249d7e6eeaada0a35cbf0905aa814ea87ef495cabe5",
         },
     ),
     "paper-cohort": (
@@ -55,11 +55,11 @@ GOLDEN = {
         {
             "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
             "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
-            "estimates.csv": "635ec259e00a746cf7ab900b82ad8d93f20438067c9be5f02538c0417db89285",
-            "describe.csv": "755c028b04521c8db376f9ff0d274f5535c4c754abd8880b6285d008cd964f13",
-            "summary.csv": "b4354f2c618422c24b7ac192e2b5991228f37a5b54d1f3894e22d116470c74f3",
-            "figure3.csv": "2411ece5eba0c644a60f0c165ee57a60eb32e13a43947938417bd1ba7f0b6c5b",
-            "figureS3.csv": "f147175ea74e9ae3e4dee990dbb88690b51edea5d77fa75c64e9211039644461",
+            "estimates.csv": "64903bb885bea68544812452e3cc5a76ead3e562b87f315a0fc5c361c4d5b4b2",
+            "describe.csv": "b6a58043d2b898977d779330296f726abe768ff73c57ec0e27f0f29923650822",
+            "summary.csv": "eaa968a229b06b30558be1e273f7f877829ae913eda61972062494292111f92c",
+            "figure3.csv": "7fa228e0f27c6d888dfb22fe3d1d6cdf3ec0163ad4a80f54540f80933bb623c0",
+            "figureS3.csv": "56103f106cdc80fd81a73571e4decfb047e3f77ca5872f54bf9130238e23f762",
         },
     ),
     "superpop-two-workers": (
@@ -68,11 +68,11 @@ GOLDEN = {
         {
             "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
             "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
-            "estimates.csv": "f286ba655f5057710b8e94d3d632b4a759f49d41d22ddd5e9410c3867f3bf923",
-            "describe.csv": "3455aa721bfddb656899fe355f5f26c59ad0f0226f68de9f78ed76b18766acbe",
-            "summary.csv": "8834790db450e517de08e7bff36ee36428ab51e4e91e9c9132fe11c63ec969e7",
-            "figure3.csv": "9a2dcf23f1f349ca36e378841dceef27b44e9cd4dfad5872986570331703d69c",
-            "figureS3.csv": "0d958f77051d73b21631b90bde3a858a1b58f0d5287a666902adad55b41e30b4",
+            "estimates.csv": "d28cc40430145d01d3f6cf43abcc6f8da309172b40b4c18b39295419ae314fef",
+            "describe.csv": "7cceecec038382e5baf09dd9819eacd7978d211571d18add772d4a9c12c539b1",
+            "summary.csv": "e6baace2f9d6c026bb524f4bf9f36bde37e0ad9036607eb902b415cfbf21fb95",
+            "figure3.csv": "7e82eaa64c403c47e053a14dc51af08575b9165e79365e5f83f4ba2035bed184",
+            "figureS3.csv": "5fd1deb5dda891565dda706e4abea81f8fc4daeeeeb67dc407f54dedbb0beb6c",
         },
     ),
 }
@@ -83,34 +83,34 @@ GOLDEN = {
 #: from that summary.
 REAGGREGATED = {
     "default": {
-        "summary.csv": "5490d2ed6ba13d015851d437e2113689921ffa8db305dda18413559a1ec90e83",
-        "describe_summary.csv": "d05290914c2189b46efbece4be0b6e4bb520affe5d4b81434af3d254036d82d0",
-        "figure3.csv": "d955d3ce40abde67717ef2c0ea17412886d44a8bdf36e7ba7378c461785bb659",
-        "figureS3.csv": "268e40ceb5b6ba2e1ab2ce1cd6b55c53155c6f9ebc96f877475e03e6a2c1f26c",
+        "summary.csv": "fd7c09e7e917ac641efee78c8899384800febbc7ffd2d852ccdda4735c5295e1",
+        "describe_summary.csv": "08f680b970f4a5babd6ffa04d0b6b7a5cb48ebf3f2eabfe4732043c7ff747c16",
+        "figure3.csv": "c8218b846685a9e980553a84569a61f113f9cbab4aca791a36dcc60e0f10e0c1",
+        "figureS3.csv": "5d9a707a767b58b3c1d5e6f2a842de7550264e1df509c883a42830c79c14434a",
     },
     "paper-cohort": {
-        "summary.csv": "8f30a2de8f6e657fb39a9e43ca509faf2564c04893a8b8ef48f11b69ebb8f6a7",
-        "describe_summary.csv": "98aa59d599672506f3ca058419063e073d096146c26081e19727915de4812221",
-        "figure3.csv": "b9f1fbcefc41cda3caa32b0b6db8aa17aa236f9aedb5982d36785c8567380c79",
-        "figureS3.csv": "cec73bee3f4992e6be6b176ccdf5d526d654a40c3e8e29fa8ef99ddafab1a54f",
+        "summary.csv": "cd75d9b3345befc82baa557841f72b6db4bd3d7d48befc941941f16943034bac",
+        "describe_summary.csv": "36a23e48a91ef6c244ff95c762e140b7501480c3827d1b014db4e6fe2584af61",
+        "figure3.csv": "bf2b87eae3079b1406a364001b599e1fa72a0a13f68cb046b6655741d942783f",
+        "figureS3.csv": "921563c345d433be02cefbc3138c4ebe316fc3600198e1ed6c3f62ee1c64b299",
     },
     "paper-weights-superpop": {
-        "summary.csv": "2b6b5977bba5f7ebd48790dd64177080e5d745f96a8e6663a2e647173d28e3c8",
-        "describe_summary.csv": "78cb7ef8bb86af0ee3a8b460c304c04c0e232c6d8fbcfbbf1a6b4e4835d0e0b2",
-        "figure3.csv": "f72b031b88d63298e804ba9841188cde6d5792335f2e80feaa1a751a4c45c0e5",
-        "figureS3.csv": "a467da69609562c08cf49808d0794f037ced9e0817b960e983bc5845ff0b92e5",
+        "summary.csv": "c8f5736b853f55c3750c9fe1b4db5c52798b37de38db6628a1e8e721174006f8",
+        "describe_summary.csv": "3c5469eba7b77c287e408591d95d592952913ac51cc21f2ac1f213a6021db8bf",
+        "figure3.csv": "91f01091ab558c69eca050a9fba00d03fed4526582c39be187ddb30ddd1ebffe",
+        "figureS3.csv": "5c2ce526b3ac5301a3f5d1001cd52e7ea40df4dedb0e6bb784f978f48aa3c9c7",
     },
     "superpop-two-workers": {
-        "summary.csv": "977e09d74adcefca929d1efc897c0c7ad5e4f9bff6b02138783d2e7776eb8d3f",
-        "describe_summary.csv": "4d717526c39b9d94bff0c8fd80ec9d70ada4f5180b4931df950cac7f54535841",
-        "figure3.csv": "958621a83275a566ef8de70e95bc46d8418828becb492e13283e8d68ee93d637",
-        "figureS3.csv": "41d8e98d9f105d0f0dc221157aa1526a1acbc8fa730f13837f887846eface78f",
+        "summary.csv": "df92556792ed81c4de4485344b684211a7d28e345c5b4fbc60acaee0771d8133",
+        "describe_summary.csv": "6464ae36970df8a2c54f432a055a873d2da916df0a91567dba46660e71e3d1a4",
+        "figure3.csv": "0b70fc5ab5d39c62e0f66382b23a6f83f03a9787d8c4179a47f3f632ea4dab96",
+        "figureS3.csv": "f0da63615260a4a9be022faa28c4e1a585c5a8e3c06cf992350399ad1436257c",
     },
     "tiny-every-flag": {
-        "summary.csv": "d92510cb931a1525d938faf128e37f99b776965a4a63016ad418c838a2b0783c",
-        "describe_summary.csv": "00498ac89a184bae533a3877cede55bdeac367b4b81f8e97013348768d5218dd",
-        "figure3.csv": "720f278ec6afa5a6a330f719363e355107346207ed072eb19a60ef97018bd2fb",
-        "figureS3.csv": "18779670fd8b01f0d51740e8098e28c5eef4d9a20d4d412ae33713a0cc7a27aa",
+        "summary.csv": "b71842aa3cbcbde8311c8c658483ceda19970b3519f891951f8936228a621e3c",
+        "describe_summary.csv": "7328d68e6a77a7d8ec2192a6df8e32c00145b29ad521d64ae164e3b6383ea888",
+        "figure3.csv": "ae258f00ebcc714df5b4a5f211fdd87e92a979b914381e8993ca958a048f1e2e",
+        "figureS3.csv": "0140f4331587ad690ad5781677852e3ea288778fd1237b55d8310cd15ad98aa2",
     },
 }
 REAGGREGATION_VERBS = ("summarize", "describe", "plot-data")

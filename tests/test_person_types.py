@@ -1,13 +1,18 @@
-"""The person-type engine against the person-level path.
+"""The class-count draw against its law, and the class map against the
+person-level path.
 
-A replicate's draws are packed into one of designs.N_TYPES type codes per
-person and every output is read off the type counts through a fixed map.
-These tests check that the codes expand to the cohort and the treatments of
-the same stream; that the types fall into classes with identical map
-columns; that a scenario block of class counts gives, row by row, the
-battery and descriptive rows of a one-row block of the type counts, and
-those the person-level analyses and descriptive rows; and that exact type
-probabilities through the same map give the enumerated truth.
+A replicate is one multinomial draw of its cohort's count of each class of
+person types (estimators.person_class_map), over class probabilities
+factored into a base-type law (population.base_type_probabilities) and a
+treatment law given the base type (designs.treatment_probabilities). These
+tests check the factors against the product of the Bernoulli probabilities
+of each type's draws (type_probabilities); the pooled class counts of many
+replicates against the class law, with and without a finite pool; that the
+types of a class have identical map columns; that a cohort drawn by the
+plain-array oracle and tabulated into class counts gives, through the
+scenario block, the rows of the person-level path; that a scenario block
+equals the one-row blocks of its replicates' counts; and that exact type
+probabilities through the map give the enumerated truth.
 """
 
 import dataclasses
@@ -26,41 +31,140 @@ from snt_lab.config import (
 )
 from snt_lab.designs import (
     N_TYPES,
+    TreatmentAssignment,
     assign_treatments,
-    assignment_from_bits,
     build_esnt_cal,
     build_esnt_td,
     build_spt,
     describe_block,
     describe_replicate,
-    person_type_codes,
+    treatment_probabilities,
     type_cohort,
 )
 from snt_lab.estimators import (
     DegenerateWeightError,
+    PersonTypeMap,
     analyze_replicate,
     battery_block,
     person_class_map,
     person_type_map,
 )
 from snt_lab.harness import (
+    class_probabilities,
     draw_superpopulation,
-    replicate_stream,
     run_replicate,
     run_scenario,
     scenario_block,
 )
 from snt_lab.hazards import solve
 from snt_lab.population import (
-    draw_base_codes,
+    PATTERN_NEVER,
+    Cohort,
+    base_type_probabilities,
     draw_cohort,
     enumerate_truth,
-    expand_base_codes,
 )
 
 SPECS = {s.scenario_id: s for s in builtin_scenarios()}
 HAZARDS = {sid: solve(spec).hazards for sid, spec in SPECS.items()}
 MODES = (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER)
+#: A high-severity decision point that always initiates: an untreated Visit 1
+#: index with high severity at Visit 2 is censored for certain.
+BLOCKING = dataclasses.replace(SPECS["S3"], decision_prob=(0.2, 1.0), treat_prob=(0.25, 1.0))
+
+
+def type_probabilities(spec, hazards):
+    """Exact probability of each person type: the product of the Bernoulli
+    probabilities of its draws."""
+    cohort, a = type_cohort()
+    sev = cohort.severity.astype(bool)
+    init2 = (np.arange(N_TYPES) & 1).astype(bool)
+
+    def bernoulli(outcome, prob):
+        return np.where(outcome, prob, 1.0 - prob)
+
+    def by_severity(high, pair):
+        return np.where(high, pair[1], pair[0])
+
+    pi = spec.progression_prob
+    prob = bernoulli(sev[:, 0], spec.baseline_high_prob)
+    for v in (1, 2):
+        prob *= np.where(sev[:, v - 1], sev[:, v], bernoulli(sev[:, v], pi))
+    prob *= bernoulli(cohort.decision2, by_severity(sev[:, 1], spec.decision_prob))
+    p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
+    for v in range(3):
+        for arm in (0, 1):
+            prob *= bernoulli(cohort.po[:, v, arm], by_severity(sev[:, v], p[arm]))
+    prob *= bernoulli(a.spt_arm, spec.spt_treat_prob)
+    prob *= bernoulli(a.a1, by_severity(sev[:, 0], spec.treat_prob))
+    prob *= bernoulli(init2, by_severity(sev[:, 1], spec.treat_prob))
+    return prob
+
+
+@pytest.mark.parametrize("spec", [*SPECS.values(), BLOCKING], ids=[*SPECS, "blocking"])
+def test_factored_probabilities_equal_the_reference(spec):
+    hazards = HAZARDS[spec.scenario_id]
+    reference = type_probabilities(spec, hazards)
+    base_p = base_type_probabilities(spec, hazards)
+    cond = treatment_probabilities(spec)
+    assert base_p.shape == (N_TYPES // 8,) and cond.shape == (N_TYPES // 8, 8)
+    assert np.abs((base_p[:, None] * cond).ravel() - reference).max() <= 1e-15
+    assert abs(base_p.sum() - 1.0) <= 1e-12
+    assert np.abs(cond.sum(axis=1) - 1.0).max() <= 1e-12
+    for mode in MODES:
+        type_class, classes = person_class_map(spec, mode)
+        p_class = np.bincount(type_class, weights=reference)
+        got = class_probabilities(spec, hazards, mode)
+        assert got.shape == classes.blocked.shape
+        assert np.abs(got - p_class / p_class.sum()).max() <= 1e-15
+
+
+#: -log of the false-alarm probability of each chi-square test below.
+FALSE_ALARM_LOG = math.log(1e6)
+
+
+def assert_pearson_below_bound(counts, p):
+    """Pearson's X^2 of counts against the class probabilities p stays below
+    the level that a chi-square variable with k degrees of freedom exceeds
+    with probability below 1e-6: k + 2 sqrt(k x) + 2x with x = log(1e6)
+    (Laurent & Massart 2000, Lemma 1). Classes with an expected count below
+    5 are merged into one cell, and that cell with the next class if it is
+    still below 5."""
+    assert not counts[p == 0].any(), "a class of probability 0 was drawn"
+    mean = counts.sum() * p
+    order = np.argsort(mean, kind="stable")
+    small = int(np.searchsorted(mean[order], 5.0))
+    if small and mean[order[:small]].sum() < 5.0:
+        small += 1
+    cells = [order[:small]] * bool(small) + [[i] for i in order[small:]]
+    observed = np.array([counts[cell].sum() for cell in cells])
+    expected = np.array([mean[cell].sum() for cell in cells])
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    k = len(cells) - 1
+    bound = k + 2 * math.sqrt(k * FALSE_ALARM_LOG) + 2 * FALSE_ALARM_LOG
+    assert statistic < bound, (statistic, bound, k)
+
+
+@pytest.mark.parametrize("superpop", [None, 20_000], ids=["law", "pool"])
+@pytest.mark.parametrize("scenario_id", sorted(SPECS))
+def test_pooled_class_counts_follow_the_class_law(scenario_id, superpop):
+    # replicates are i.i.d., so their summed class counts are one
+    # multinomial draw of all their people over the class probabilities
+    spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
+    mode = MODES[int(scenario_id[1]) % 2]
+    run = RunConfig(n_individuals=5000, master_seed=17, cal_weight_mode=mode, superpop=superpop)
+    # the law of a person's type: the reference, or with a pool the pool's
+    # base-type frequencies times the reference's treatment law
+    law = type_probabilities(spec, hazards).reshape(-1, 8)
+    pool = None
+    if superpop is not None:
+        pool = draw_superpopulation(spec, hazards, run)
+        assert_pearson_below_bound(pool, law.sum(axis=1))
+        law = pool[:, None] / superpop * (law / law.sum(axis=1, keepdims=True))
+    type_class, _ = person_class_map(spec, mode)
+    pooled = sum(run_replicate(spec, hazards, r, run, pool) for r in range(1, 201))
+    assert pooled.sum() == 200 * 5000
+    assert_pearson_below_bound(pooled, np.bincount(type_class, weights=law.ravel()))
 
 
 def cohort_arrays(cohort, assignment):
@@ -68,58 +172,52 @@ def cohort_arrays(cohort, assignment):
             assignment.spt_arm, assignment.a1, assignment.a2]
 
 
+def oracle_replicate(spec, hazards, n, seed):
+    """A cohort of the plain-array oracle draws (draw_oracle): the cohort,
+    its treatments and each person's type code, packed by hand: the number
+    of high-severity visits (2 bits), the decision point, the outcome grid
+    by visit and then arm, the SPT arm, Visit 1 initiation and the Visit 2
+    initiation draw."""
+    severity, decision2, po, spt_arm, a1, init2 = draw_oracle(
+        np.random.default_rng(seed), spec, hazards, n
+    )
+    cohort = Cohort.from_arrays(severity=severity, decision2=decision2, po=po)
+    alive1 = cohort.event_time[:, PATTERN_NEVER] != 1
+    assignment = TreatmentAssignment(
+        spt_arm=spt_arm, a1=a1, a2=~a1 & alive1 & decision2 & init2
+    )
+    code = severity.sum(axis=1).astype(np.int64)
+    for bit in (decision2, *po.reshape(n, 6).T, spt_arm, a1, init2):
+        code = 2 * code + bit
+    return cohort, assignment, code
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
 @pytest.mark.parametrize("n", [1, 7, 5000])
-def test_type_codes_expand_to_the_person_level_draws(scenario_id, n):
+def test_person_level_draws_follow_the_oracle_and_pack_into_type_codes(scenario_id, n):
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
-    rng = np.random.default_rng(n)
-    codes = person_type_codes(rng, draw_base_codes(rng, spec, hazards, n), spec)
-    assert codes.max() < N_TYPES
-    cohort = expand_base_codes(codes >> 3)
-    from_codes = cohort_arrays(cohort, assignment_from_bits(cohort, codes & 7))
-
     rng = np.random.default_rng(n)
     cohort = draw_cohort(rng, spec, hazards, n)
     person_level = cohort_arrays(cohort, assign_treatments(rng, cohort, spec))
-    for got, expected in zip(from_codes, person_level):
+    oracle, oracle_assignment, code = oracle_replicate(spec, hazards, n, n)
+    from_oracle = cohort_arrays(oracle, oracle_assignment)
+    types, type_assignment = type_cohort()
+    from_codes = cohort_arrays(types.take(code), TreatmentAssignment(
+        *(getattr(type_assignment, f.name)[code] for f in dataclasses.fields(type_assignment))
+    ))
+    for got, oracle_array, expected in zip(person_level, from_oracle, from_codes):
         assert got.dtype == expected.dtype
+        assert np.array_equal(got, oracle_array)
         assert np.array_equal(got, expected)
 
-    rng = np.random.default_rng(n)
-    severity, decision2, po, spt_arm, a1, init2 = draw_oracle(rng, spec, hazards, n)
-    assert np.array_equal(cohort.severity, severity)
-    assert np.array_equal(cohort.decision2, decision2)
-    assert np.array_equal(cohort.po, po)
-    assert np.array_equal(from_codes[4], spt_arm)
-    assert np.array_equal(from_codes[5], a1)
-    assert np.array_equal(from_codes[6], ~a1 & (cohort.event_time[:, 0] != 1) & decision2 & init2)
 
-
-def person_level_replicate(spec, hazards, replicate_id, run, pool):
-    """run_replicate's stream taken through the cohort, the index sets and
-    the person-level battery."""
-    rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
-    if pool is None:
-        cohort = draw_cohort(rng, spec, hazards, run.n_individuals)
-    else:
-        picks = rng.integers(0, len(pool), size=run.n_individuals)
-        cohort = expand_base_codes(pool).take(picks)
-    a = assign_treatments(rng, cohort, spec)
-    spt, cal, td = build_spt(cohort, a), build_esnt_cal(cohort, a), build_esnt_td(cohort, a)
+def person_level_rows(cohort, assignment, spec, mode):
+    """The person-level analyses and descriptive rows of one cohort."""
+    spt, cal, td = (build(cohort, assignment) for build in (build_spt, build_esnt_cal, build_esnt_td))
     return (
-        analyze_replicate(cohort, spt, cal, td, spec, run.cal_weight_mode),
+        analyze_replicate(cohort, spt, cal, td, spec, mode),
         describe_replicate(spt, cal, td, len(cohort)),
     )
-
-
-def type_counts(spec, hazards, replicate_id, run, pool):
-    """run_replicate's stream counted over the person types."""
-    rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
-    if pool is None:
-        base = draw_base_codes(rng, spec, hazards, run.n_individuals)
-    else:
-        base = pool[rng.integers(0, len(pool), size=run.n_individuals)]
-    return np.bincount(person_type_codes(rng, base, spec), minlength=N_TYPES)
 
 
 def one_row(types, counts, n):
@@ -127,12 +225,6 @@ def one_row(types, counts, n):
     counts, read off a block of one."""
     tables, events = types.blocks(counts[None])
     return battery_block(tables, events, n).results(0), describe_block(tables, n).rows(0)
-
-
-def reference_replicate(spec, hazards, replicate_id, run, pool):
-    """The battery and descriptive rows of the type counts."""
-    counts = type_counts(spec, hazards, replicate_id, run, pool)
-    return one_row(person_type_map(spec, run.cal_weight_mode), counts, run.n_individuals)
 
 
 def same_float(a, b, tol=1e-12):
@@ -151,32 +243,30 @@ def assert_same_rows(got, expected, tol=1e-12):
                 assert type(gv) is type(ev) and gv == ev, (field.name, g, e)
 
 
-def check_replicate(scenario_id, n, replicate_id, mode, pool=None):
-    """The block row of one replicate equals the one-row block of its type
-    counts exactly, and that the person-level path to 1e-12."""
+def check_oracle_cohort(scenario_id, n, seed, mode):
+    """An oracle cohort tabulated into class counts gives, as a scenario
+    block of one, exactly the rows of its type counts, and those of the
+    person-level path to 1e-12."""
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
-    run = RunConfig(n_individuals=n, master_seed=7, cal_weight_mode=mode)
-    counts = run_replicate(spec, hazards, replicate_id, run, pool)
-    result = replicate_rows(scenario_block(spec, run, [replicate_id], counts[None]))[0]
-    reference = reference_replicate(spec, hazards, replicate_id, run, pool)
-    assert_same_rows(result.analyses, reference[0], tol=0.0)
-    assert_same_rows(result.descriptives, reference[1], tol=0.0)
-    analyses, descriptives = person_level_replicate(spec, hazards, replicate_id, run, pool)
-    assert_same_rows(reference[0], analyses)
-    assert_same_rows(reference[1], descriptives)
+    cohort, assignment, code = oracle_replicate(spec, hazards, n, seed)
+    type_class, classes = person_class_map(spec, mode)
+    counts = np.bincount(type_class[code], minlength=len(classes.blocked))
+    run = RunConfig(n_individuals=n, cal_weight_mode=mode)
+    result = replicate_rows(scenario_block(spec, run, [seed], counts[None]))[0]
+    by_type = one_row(person_type_map(spec, mode), np.bincount(code, minlength=N_TYPES), n)
+    assert_same_rows(result.analyses, by_type[0], tol=0.0)
+    assert_same_rows(result.descriptives, by_type[1], tol=0.0)
+    analyses, descriptives = person_level_rows(cohort, assignment, spec, mode)
+    assert_same_rows(result.analyses, analyses)
+    assert_same_rows(result.descriptives, descriptives)
     return {r.degenerate for r in result.analyses}
 
 
-def test_tiny_cohorts_match_the_person_level_path_and_hit_every_flag():
-    pools = {
-        sid: draw_superpopulation(SPECS[sid], HAZARDS[sid], RunConfig(superpop=50))
-        for sid in SPECS
-    }
+def test_tiny_oracle_cohorts_through_class_counts_match_the_person_level_path_and_hit_every_flag():
     flags = set()
     for k in range(320):
         scenario_id = ("S1", "S2", "S3", "S4")[k % 4]
-        pool = pools[scenario_id] if (k // 8) % 2 else None
-        flags |= check_replicate(scenario_id, 1 + k % 12, 1 + k, MODES[(k // 4) % 2], pool)
+        flags |= check_oracle_cohort(scenario_id, 1 + k % 12, 1 + k, MODES[(k // 4) % 2])
     kinds = {part.split(":")[0] for flag in flags if flag for part in flag.split(";")}
     assert kinds == {
         "empty_stratum", "empty_target", "zero_risk_treated", "zero_risk_untreated",
@@ -185,22 +275,17 @@ def test_tiny_cohorts_match_the_person_level_path_and_hit_every_flag():
 
 
 @pytest.mark.parametrize(
-    "scenario_id,replicate_id,mode,superpop",
+    "scenario_id,seed,mode",
     [
-        ("S4", 1, WEIGHT_MODE_INITIATION, None),
-        ("S2", 2, WEIGHT_MODE_PAPER, None),
-        ("S3", 3, WEIGHT_MODE_INITIATION, 20_000),
+        ("S4", 1, WEIGHT_MODE_INITIATION),
+        ("S2", 2, WEIGHT_MODE_PAPER),
+        ("S3", 3, WEIGHT_MODE_INITIATION),
     ],
 )
-def test_paper_size_replicates_match_the_person_level_path(
-    scenario_id, replicate_id, mode, superpop
+def test_paper_size_oracle_cohorts_through_class_counts_match_the_person_level_path(
+    scenario_id, seed, mode
 ):
-    pool = None
-    if superpop is not None:
-        pool = draw_superpopulation(
-            SPECS[scenario_id], HAZARDS[scenario_id], RunConfig(superpop=superpop)
-        )
-    assert check_replicate(scenario_id, 5000, replicate_id, mode, pool) == {""}
+    assert check_oracle_cohort(scenario_id, 5000, seed, mode) == {""}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -242,15 +327,16 @@ def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
-def test_scenario_blocks_equal_the_per_replicate_reference_row_by_row(scenario_id, mode):
+def test_scenario_blocks_equal_one_row_blocks_of_the_replicate_counts(scenario_id, mode):
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
     run = RunConfig(n_individuals=8, n_replicates=150, master_seed=3, cal_weight_mode=mode)
-    block = run_scenario(spec, run, hazards)
-    rows = replicate_rows(block)
+    rows = replicate_rows(run_scenario(spec, run, hazards))
     assert [r.replicate for r in rows] == list(range(1, 151))
+    _, classes = person_class_map(spec, mode)
     flags = set()
     for row in rows:
-        analyses, descriptives = reference_replicate(spec, hazards, row.replicate, run, None)
+        counts = run_replicate(spec, hazards, row.replicate, run)
+        analyses, descriptives = one_row(classes, counts, run.n_individuals)
         assert_same_rows(row.analyses, analyses, tol=0.0)
         assert_same_rows(row.descriptives, descriptives, tol=0.0)
         flags |= {r.degenerate for r in analyses}
@@ -285,72 +371,47 @@ def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
         assert_same_rows(row.descriptives, descriptives, 0.0)
 
 
-def test_degenerate_weights_are_raised_only_for_types_present():
-    # a high-severity decision point that always initiates: an untreated
-    # Visit 1 index with high severity at Visit 2 is censored for certain
-    spec = dataclasses.replace(SPECS["S3"], decision_prob=(0.2, 1.0), treat_prob=(0.25, 1.0))
+def drawn_counts(monkeypatch, spec, hazards, run):
+    """The class counts that run_replicate draws for each replicate of run,
+    blocked classes included: the run's own draws with the check that
+    raises switched off."""
+    with monkeypatch.context() as patched:
+        patched.setattr(PersonTypeMap, "check", lambda self, counts: None)
+        replicates = range(1, run.n_replicates + 1)
+        return np.array([run_replicate(spec, hazards, r, run) for r in replicates])
+
+
+def blocked_draws(monkeypatch, run):
+    """Per replicate of a BLOCKING run: whether it draws a blocked class."""
     hazards = HAZARDS["S3"]
-    raised = {True: 0, False: 0}
-    for replicate_id in range(1, 41):
-        run = RunConfig(n_individuals=3, master_seed=1)
-        try:
-            person_level_replicate(spec, hazards, replicate_id, run, None)
-        except DegenerateWeightError:
-            expected = True
-        else:
-            expected = False
-        if expected:
+    _, classes = person_class_map(BLOCKING, run.cal_weight_mode)
+    p_class = class_probabilities(BLOCKING, hazards, run.cal_weight_mode)
+    assert 0 < p_class[classes.blocked].sum() < 1
+    counts = drawn_counts(monkeypatch, BLOCKING, hazards, run)
+    return counts, counts[:, classes.blocked].any(axis=1)
+
+
+def test_degenerate_weights_are_raised_only_for_classes_drawn(monkeypatch):
+    run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1)
+    counts, blocked = blocked_draws(monkeypatch, run)
+    assert blocked.any() and not blocked.all()
+    for replicate_id, (expected, raises) in enumerate(zip(counts, blocked), start=1):
+        if raises:
             with pytest.raises(DegenerateWeightError):
-                run_replicate(spec, hazards, replicate_id, run)
+                run_replicate(BLOCKING, HAZARDS["S3"], replicate_id, run)
         else:
-            run_replicate(spec, hazards, replicate_id, run)
-        raised[expected] += 1
-    assert raised[True] and raised[False]
+            assert np.array_equal(run_replicate(BLOCKING, HAZARDS["S3"], replicate_id, run),
+                                  expected)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_degenerate_replicate_is_named(threads):
-    spec = dataclasses.replace(SPECS["S3"], decision_prob=(0.2, 1.0), treat_prob=(0.25, 1.0))
-    hazards = HAZARDS["S3"]
+def test_a_degenerate_replicate_is_named(threads, monkeypatch):
     run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1, parallelism=threads)
-    first = None
-    for replicate_id in range(1, 41):
-        try:
-            person_level_replicate(spec, hazards, replicate_id, run, None)
-        except DegenerateWeightError:
-            first = replicate_id
-            break
-    assert first is not None and first > 1
+    _, blocked = blocked_draws(monkeypatch, run)
+    assert blocked.any()
+    first = 1 + int(np.argmax(blocked))
     with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
-        run_scenario(spec, run, hazards)
-
-
-def type_probabilities(spec, hazards):
-    """Exact probability of each person type: the product of the Bernoulli
-    probabilities of its draws."""
-    cohort, a = type_cohort()
-    sev = cohort.severity.astype(bool)
-    init2 = (np.arange(N_TYPES) & 1).astype(bool)
-
-    def bernoulli(outcome, prob):
-        return np.where(outcome, prob, 1.0 - prob)
-
-    def by_severity(high, pair):
-        return np.where(high, pair[1], pair[0])
-
-    pi = spec.progression_prob
-    prob = bernoulli(sev[:, 0], spec.baseline_high_prob)
-    for v in (1, 2):
-        prob *= np.where(sev[:, v - 1], sev[:, v], bernoulli(sev[:, v], pi))
-    prob *= bernoulli(cohort.decision2, by_severity(sev[:, 1], spec.decision_prob))
-    p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
-    for v in range(3):
-        for arm in (0, 1):
-            prob *= bernoulli(cohort.po[:, v, arm], by_severity(sev[:, v], p[arm]))
-    prob *= bernoulli(a.spt_arm, spec.spt_treat_prob)
-    prob *= bernoulli(a.a1, by_severity(sev[:, 0], spec.treat_prob))
-    prob *= bernoulli(init2, by_severity(sev[:, 1], spec.treat_prob))
-    return prob
+        run_scenario(BLOCKING, run, HAZARDS["S3"])
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
