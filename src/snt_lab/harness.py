@@ -4,10 +4,11 @@ Every replicate owns a random substream derived from (master seed, scenario
 ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
 PCG64 (period 2^128, documented cross-platform output) as the generator. A
 replicate is therefore reproducible in isolation and results never depend on
-worker count or scheduling: a replicate only draws its cohort's count of
-each class of person types, in one multinomial call, the counts are merged
-by index, and one block computation per scenario reads every analysis and
-descriptive row off the merged counts.
+worker count or scheduling: the class law is computed once per scenario, a
+replicate only draws its cohort's count of each class of person types from
+it, in one multinomial call, the counts are merged by index, and one block
+computation per scenario checks the merged counts for blocked classes and
+reads every analysis and descriptive row off them.
 
 Performance measures per summary cell, on the log risk-ratio scale:
 
@@ -22,7 +23,6 @@ can be overridden with a fixed risk-ratio value.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -43,6 +43,7 @@ from .designs import (
 from .estimators import (
     ANALYSES,
     ANALYSIS_LABELS,
+    CERTAIN_CENSORING,
     AnalysisBlock,
     battery_block,
     person_class_map,
@@ -150,65 +151,31 @@ def class_probabilities(
     person types (estimators.person_class_map): the base-type law, or the
     pool's base-type frequencies, times the treatment law, summed per class.
     Sampling from a pool with replacement gives i.i.d. people whose type law
-    is exactly that product. Cached per process like the map."""
-    key = None if pool is None else np.asarray(pool, dtype=np.int64).tobytes()
-    return _class_probabilities(spec, hazards, cal_weight_mode, key)
-
-
-@functools.lru_cache(maxsize=8)
-def _class_probabilities(
-    spec: ScenarioSpec, hazards: HazardSet, cal_weight_mode: str, pool: bytes | None
-) -> np.ndarray:
-    """class_probabilities, keyed by the bytes of the pool's counts so that
-    the cache can hash them. The result is read-only: callers share it."""
-    if pool is None:
-        base_p = base_type_probabilities(spec, hazards)
-    else:
-        counts = np.frombuffer(pool, dtype=np.int64)
-        base_p = counts / counts.sum()
+    is exactly that product."""
+    base_p = base_type_probabilities(spec, hazards) if pool is None else pool / pool.sum()
     type_class, _ = person_class_map(spec, cal_weight_mode)
     p_class = np.bincount(
         type_class, weights=(base_p[:, None] * treatment_probabilities(spec)).ravel()
     )
-    p_class /= p_class.sum()
-    p_class.setflags(write=False)
-    return p_class
+    return p_class / p_class.sum()
 
 
 def run_replicate(
-    spec: ScenarioSpec,
-    hazards: HazardSet,
-    replicate_id: int,
-    run: RunConfig,
-    pool: np.ndarray | None = None,
+    p_class: np.ndarray, run: RunConfig, scenario_id: str, replicate_id: int
 ) -> np.ndarray:
     """Draw one replicate as its count of people in each class of person
     types: one multinomial draw of the cohort over the class probabilities
-    (class_probabilities, from the pool's base-type counts if given).
-    Raises DegenerateWeightError if the replicate has a person of a blocked
-    class."""
-    p_class = class_probabilities(spec, hazards, run.cal_weight_mode, pool)
-    rng = replicate_stream(run.master_seed, spec.scenario_id, replicate_id)
-    counts = rng.multinomial(run.n_individuals, p_class)
-    _, classes = person_class_map(spec, run.cal_weight_mode)
-    classes.check(counts)
-    return counts
+    (class_probabilities) from the replicate's own stream."""
+    rng = replicate_stream(run.master_seed, scenario_id, replicate_id)
+    return rng.multinomial(run.n_individuals, p_class)
 
 
 def _run_chunk(args) -> np.ndarray:
     """The class counts of a run of replicates, one row each."""
-    spec, hazards, run, replicate_ids, pool = args
-    out = None
+    p_class, run, scenario_id, replicate_ids = args
+    out = np.empty((len(replicate_ids), len(p_class)), dtype=np.int64)
     for row, rid in enumerate(replicate_ids):
-        try:
-            counts = run_replicate(spec, hazards, rid, run, pool)
-        except Exception as exc:
-            raise RuntimeError(
-                f"replicate {rid} of {spec.scenario_id} failed: {exc}"
-            ) from exc
-        if out is None:  # the class count is known once the map is built
-            out = np.empty((len(replicate_ids), len(counts)), dtype=counts.dtype)
-        out[row] = counts
+        out[row] = run_replicate(p_class, run, scenario_id, rid)
     return out
 
 
@@ -217,7 +184,8 @@ def scenario_block(
 ) -> ScenarioBlock:
     """The analyses and descriptive rows of the given replicates of one
     scenario, computed as column operations on their (R x classes) class
-    counts (run_replicate)."""
+    counts (run_replicate). Raises RuntimeError naming the first replicate
+    that counts a person of a blocked class."""
     replicates = np.asarray(replicate_ids, dtype=np.int64)
     if len(counts) == 0:  # an empty run builds no map
         return ScenarioBlock(
@@ -228,6 +196,12 @@ def scenario_block(
                             for t in (int, int, float, float))),
         )
     _, classes = person_class_map(spec, run.cal_weight_mode)
+    blocked = counts[:, classes.blocked].any(axis=1)
+    if blocked.any():
+        raise RuntimeError(
+            f"replicate {replicates[blocked.argmax()]} of {spec.scenario_id} failed: "
+            f"{CERTAIN_CENSORING}"
+        )
     n = run.n_individuals
     analyses, descriptives = [], []
     for start in range(0, len(counts), BLOCK_ROWS):
@@ -245,35 +219,34 @@ def _concat(parts: list):
 def run_scenario(
     spec: ScenarioSpec, run: RunConfig, hazards: HazardSet | None = None
 ) -> ScenarioBlock:
-    """Run all replicates of one scenario, optionally across worker
-    processes that return integer class counts only. The counts are merged
-    in replicate order and every float is computed here, on the merged
-    block, so the result does not depend on scheduling; a failing replicate
-    aborts the run and is named."""
+    """Run all replicates of one scenario, in chunks of replicates that run
+    serially or across worker processes. The class law is computed once,
+    here; a chunk only draws and returns integer class counts. The counts
+    are merged in replicate order and every float is computed here, on the
+    merged block, so the result does not depend on scheduling."""
+    replicate_ids = list(range(1, run.n_replicates + 1))
+    if not replicate_ids:  # builds no map, no law and no pool
+        return scenario_block(spec, run, replicate_ids, np.empty((0, 0), dtype=np.int64))
     if hazards is None:
         hazards = solve(spec).hazards
-    pool = None
-    if run.superpop is not None:
-        pool = draw_superpopulation(spec, hazards, run)
-
-    replicate_ids = list(range(1, run.n_replicates + 1))
-    if run.parallelism <= 1 or len(replicate_ids) <= 1:
-        counts = (
-            _run_chunk((spec, hazards, run, replicate_ids, pool))
-            if replicate_ids else np.empty((0, 0), dtype=np.int64)
-        )
-        return scenario_block(spec, run, replicate_ids, counts)
+    pool = None if run.superpop is None else draw_superpopulation(spec, hazards, run)
+    p_class = class_probabilities(spec, hazards, run.cal_weight_mode, pool)
 
     workers = min(run.parallelism, len(replicate_ids))
-    chunk_size = max(1, math.ceil(len(replicate_ids) / (workers * 4)))
+    # four chunks per worker balance the load; a serial run is one chunk,
+    # so its counts are never copied into a merged matrix
+    chunk_size = math.ceil(len(replicate_ids) / (4 * workers if workers > 1 else 1))
     chunks = [
-        (spec, hazards, run, replicate_ids[i : i + chunk_size], pool)
+        (p_class, run, spec.scenario_id, replicate_ids[i : i + chunk_size])
         for i in range(0, len(replicate_ids), chunk_size)
     ]
-    from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
+    if workers == 1:
+        (counts,) = map(_run_chunk, chunks)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
 
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        counts = np.concatenate(list(executor.map(_run_chunk, chunks)))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            counts = np.concatenate(list(executor.map(_run_chunk, chunks)))
     return scenario_block(spec, run, replicate_ids, counts)
 
 

@@ -182,11 +182,11 @@ class TestSimulateVerb:
     def test_zero_replicates_build_no_type_map_and_no_class_law(
         self, tmp_path, monkeypatch, pool
     ):
-        # set-up time stays set-up: the map and the class law are built in
-        # the first replicate
+        # a scenario without replicates draws no pool and builds no map and
+        # no class law
         calls = []
         for owner, name in ((estimators, "person_type_map"), (harness, "person_class_map"),
-                            (harness, "class_probabilities")):
+                            (harness, "class_probabilities"), (harness, "draw_superpopulation")):
             real = getattr(owner, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -199,6 +199,7 @@ class TestSimulateVerb:
         assert calls == []
         assert run_cli(*args, "--reps", "1", "--out", str(tmp_path / "one")) == EXIT_OK
         assert "class_probabilities" in calls
+        assert ("draw_superpopulation" in calls) == bool(pool)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -500,13 +501,19 @@ class TestEnvironmentDefaults:
         assert proc.returncode == 0
         assert (tmp_path / "hazards.csv").exists()
 
-    def test_import_leaves_the_process_pool_unloaded(self):
+    def test_import_leaves_the_process_pool_unloaded(self, tmp_path):
+        script = (
+            "import sys, snt_lab.cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            "assert snt_lab.cli.main(['simulate', '--scenario', 'S1', '--n', '1000',\n"
+            "                         '--reps', '2', '--threads', '1', '--out', sys.argv[1]]) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, snt_lab.cli; print('concurrent.futures.process' in sys.modules)"],
+            [sys.executable, "-c", script, str(tmp_path / "out")],
             capture_output=True, text=True, check=True, env=package_env(),
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False"]
 
 
 def test_trace_script_patches_names_that_exist(tmp_path):

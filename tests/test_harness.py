@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from block_rows import replicate_rows
-from snt_lab.config import RunConfig, builtin_scenarios
+from snt_lab.config import RunConfig, builtin_scenarios, validate_run
 from snt_lab.harness import (
     InsufficientReplicatesError,
+    class_probabilities,
     estimate_cells,
     replicate_stream,
     run_replicate,
@@ -44,7 +45,8 @@ def crude_cells(sid, log_rr, degenerate=None):
 
 def replicate_result(spec, hazards, replicate_id, run):
     """One replicate's rows, counted by run_replicate and read off its block."""
-    counts = run_replicate(spec, hazards, replicate_id, run)
+    p_class = class_probabilities(spec, hazards, run.cal_weight_mode)
+    counts = run_replicate(p_class, run, spec.scenario_id, replicate_id)
     return replicate_rows(scenario_block(spec, run, [replicate_id], counts[None]))[0]
 
 
@@ -120,13 +122,16 @@ class TestRunScenario:
         b = replicate_rows(run_scenario(spec, run))
         assert a == b
 
-    def test_failure_names_replicate(self):
+    def test_an_invalid_mode_fails_in_the_class_law(self):
+        # the law is computed once per scenario, before any replicate, so
+        # the mode's own error surfaces; every entry point validates first
         spec = scenario()
         h = solve(spec).hazards
         bad = dataclasses.replace(
             small_run(n_replicates=2), cal_weight_mode="not_a_mode"
         )
-        with pytest.raises(RuntimeError, match="replicate 1 of S1"):
+        assert any("cal_weight_mode" in problem for problem in validate_run(bad))
+        with pytest.raises(ValueError, match="unknown weight mode 'not_a_mode'"):
             run_scenario(spec, bad, h)
 
 

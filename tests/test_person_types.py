@@ -42,8 +42,6 @@ from snt_lab.designs import (
     type_cohort,
 )
 from snt_lab.estimators import (
-    DegenerateWeightError,
-    PersonTypeMap,
     analyze_replicate,
     battery_block,
     person_class_map,
@@ -162,7 +160,8 @@ def test_pooled_class_counts_follow_the_class_law(scenario_id, superpop):
         assert_pearson_below_bound(pool, law.sum(axis=1))
         law = pool[:, None] / superpop * (law / law.sum(axis=1, keepdims=True))
     type_class, _ = person_class_map(spec, mode)
-    pooled = sum(run_replicate(spec, hazards, r, run, pool) for r in range(1, 201))
+    p_class = class_probabilities(spec, hazards, mode, pool)
+    pooled = sum(run_replicate(p_class, run, scenario_id, r) for r in range(1, 201))
     assert pooled.sum() == 200 * 5000
     assert_pearson_below_bound(pooled, np.bincount(type_class, weights=law.ravel()))
 
@@ -333,9 +332,10 @@ def test_scenario_blocks_equal_one_row_blocks_of_the_replicate_counts(scenario_i
     rows = replicate_rows(run_scenario(spec, run, hazards))
     assert [r.replicate for r in rows] == list(range(1, 151))
     _, classes = person_class_map(spec, mode)
+    p_class = class_probabilities(spec, hazards, mode)
     flags = set()
     for row in rows:
-        counts = run_replicate(spec, hazards, row.replicate, run)
+        counts = run_replicate(p_class, run, scenario_id, row.replicate)
         analyses, descriptives = one_row(classes, counts, run.n_individuals)
         assert_same_rows(row.analyses, analyses, tol=0.0)
         assert_same_rows(row.descriptives, descriptives, tol=0.0)
@@ -371,43 +371,46 @@ def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
         assert_same_rows(row.descriptives, descriptives, 0.0)
 
 
-def drawn_counts(monkeypatch, spec, hazards, run):
-    """The class counts that run_replicate draws for each replicate of run,
-    blocked classes included: the run's own draws with the check that
-    raises switched off."""
-    with monkeypatch.context() as patched:
-        patched.setattr(PersonTypeMap, "check", lambda self, counts: None)
-        replicates = range(1, run.n_replicates + 1)
-        return np.array([run_replicate(spec, hazards, r, run) for r in replicates])
-
-
-def blocked_draws(monkeypatch, run):
-    """Per replicate of a BLOCKING run: whether it draws a blocked class."""
-    hazards = HAZARDS["S3"]
+def blocked_draws(run):
+    """The class counts that run_replicate draws for each replicate of a
+    BLOCKING run, and per replicate whether they include a blocked class."""
     _, classes = person_class_map(BLOCKING, run.cal_weight_mode)
-    p_class = class_probabilities(BLOCKING, hazards, run.cal_weight_mode)
+    p_class = class_probabilities(BLOCKING, HAZARDS["S3"], run.cal_weight_mode)
     assert 0 < p_class[classes.blocked].sum() < 1
-    counts = drawn_counts(monkeypatch, BLOCKING, hazards, run)
+    counts = np.array([run_replicate(p_class, run, "S3", r)
+                       for r in range(1, run.n_replicates + 1)])
     return counts, counts[:, classes.blocked].any(axis=1)
 
 
-def test_degenerate_weights_are_raised_only_for_classes_drawn(monkeypatch):
+def test_degenerate_weights_are_raised_only_for_classes_drawn():
     run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1)
-    counts, blocked = blocked_draws(monkeypatch, run)
+    counts, blocked = blocked_draws(run)
     assert blocked.any() and not blocked.all()
-    for replicate_id, (expected, raises) in enumerate(zip(counts, blocked), start=1):
+    for replicate_id, (row, raises) in enumerate(zip(counts, blocked), start=1):
         if raises:
-            with pytest.raises(DegenerateWeightError):
-                run_replicate(BLOCKING, HAZARDS["S3"], replicate_id, run)
+            with pytest.raises(RuntimeError, match=f"^replicate {replicate_id} of S3 failed"):
+                scenario_block(BLOCKING, run, [replicate_id], row[None])
         else:
-            assert np.array_equal(run_replicate(BLOCKING, HAZARDS["S3"], replicate_id, run),
-                                  expected)
+            block = scenario_block(BLOCKING, run, [replicate_id], row[None])
+            assert block.replicates.tolist() == [replicate_id]
+
+
+def test_the_blocked_check_names_a_replicate_by_its_id():
+    # rows 1 and 2 (replicates 9 and 12) count a person of a blocked class
+    run = RunConfig(n_individuals=4)
+    _, classes = person_class_map(BLOCKING, run.cal_weight_mode)
+    blocked, allowed = np.flatnonzero(classes.blocked)[0], np.flatnonzero(~classes.blocked)[0]
+    counts = np.zeros((3, len(classes.blocked)), dtype=np.int64)
+    counts[:, allowed] = 4
+    counts[1:, allowed], counts[1:, blocked] = 3, 1
+    with pytest.raises(RuntimeError, match="^replicate 9 of S3 failed: certain censoring"):
+        scenario_block(BLOCKING, run, [5, 9, 12], counts)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_degenerate_replicate_is_named(threads, monkeypatch):
+def test_a_degenerate_replicate_is_named(threads):
     run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1, parallelism=threads)
-    _, blocked = blocked_draws(monkeypatch, run)
+    _, blocked = blocked_draws(run)
     assert blocked.any()
     first = 1 + int(np.argmax(blocked))
     with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
