@@ -10,6 +10,11 @@ simulate also removes the derived files of an earlier run in the same
 directory that it did not rewrite. A simulate whose summary has a cell with
 fewer than two usable replicates moves in its complete per-replicate files,
 writes no summary and exits 2.
+
+Only truth, simulate and summarize load the engine (harness, and with it
+numpy): its entry points are bound into this module when one of those verbs
+starts, or when they are first read as attributes of the module. solve,
+describe, plot-data and --help run on the standard library.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import time
 from pathlib import Path
 
 from . import output
+from .cells import InsufficientReplicatesError, summarize_descriptives
 from .config import (
     ConfigError,
     RunConfig,
@@ -36,14 +42,6 @@ from .config import (
     validate,
     validate_run,
 )
-from .harness import (
-    InsufficientReplicatesError,
-    estimate_cells,
-    run_scenario,
-    summarize,
-    summarize_descriptives,
-    truth_tables,
-)
 from .hazards import SolverInfeasible, solve
 
 VERBS = ("solve", "truth", "simulate", "summarize", "describe", "plot-data")
@@ -54,6 +52,27 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 THREADS_ENV_VAR = "SNT_LAB_THREADS"
+
+#: The engine's entry points that the verbs call, and the verbs that call them.
+_ENGINE_NAMES = ("estimate_cells", "run_scenario", "summarize", "truth_tables")
+_ENGINE_VERBS = ("truth", "simulate", "summarize")
+
+
+def _load_engine() -> None:
+    """Bind the engine's entry points into this module. A name already bound
+    is kept, so a wrapper installed as this module's attribute (as
+    perfbench/trace.py installs them) is the one the verbs call."""
+    from . import harness
+
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(harness, name))
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        _load_engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -341,7 +360,9 @@ def _cmd_describe(specs, run, tracker) -> None:
 
 
 def _cmd_plot_data(specs, run, tracker) -> None:
-    _write_figures(tracker, output.read_summary(run.output_dir / "summary.csv"))
+    rows = output.read_summary(run.output_dir / "summary.csv")
+    # read_summary holds each cell on one row, so keying the rows by cell drops none
+    _write_figures(tracker, _selected(specs, {row[:4]: row for row in rows}).values())
 
 
 _COMMANDS = {
@@ -364,6 +385,8 @@ def execute(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    if args.verb in _ENGINE_VERBS:
+        _load_engine()
     tracker = _OutputTracker(
         run.output_dir, _DERIVED_FILES if args.verb == "simulate" else ()
     )

@@ -22,6 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cells import (
+    DESCRIBE_GROUPS,
+    DESIGN_CAL,
+    DESIGN_SPT,
+    DESIGN_TD,
+    DESIGNS,
+    SEVERITY_LABELS,
+)
 from .config import HORIZON_TAU, ScenarioSpec
 from .population import (
     Cohort,
@@ -33,19 +41,6 @@ from .population import (
     base_severity,
     expand_base_codes,
 )
-
-DESIGN_SPT = "SPT"
-DESIGN_CAL = "eSNT-CAL"
-DESIGN_TD = "eSNT-TD"
-DESIGNS = (DESIGN_SPT, DESIGN_CAL, DESIGN_TD)
-
-GROUP_ALL = "all"
-GROUP_TREATED = "treated"
-GROUP_INITIATOR = "initiator-person"
-GROUP_NONINITIATOR = "noninitiator-person"
-DESCRIBE_GROUPS = (GROUP_ALL, GROUP_TREATED, GROUP_INITIATOR, GROUP_NONINITIATOR)
-
-SEVERITY_LABELS = ("low", "high")
 
 #: A person type is the base type (population.N_BASE_TYPES) followed by three
 #: treatment bits: the SPT arm, Visit 1 initiation and the Visit 2 initiation
@@ -429,19 +424,9 @@ class DescribeRow:
     avg_indexes_per_person: float
 
 
-#: The (design, group, severity) of each descriptive row of a replicate, in
-#: column order.
-DESCRIBE_LABELS = tuple(
-    (design, group, severity)
-    for design in DESIGNS
-    for group in DESCRIBE_GROUPS
-    for severity in SEVERITY_LABELS
-)
-
-
 class DescribeBlock(NamedTuple):
     """The descriptive rows of a block of replicates as columns: row r,
-    column j holds the DescribeRow of replicate r labelled DESCRIBE_LABELS[j]."""
+    column j holds the DescribeRow of replicate r labelled cells.DESCRIBE_LABELS[j]."""
 
     n_people: np.ndarray  # (R, 24) int
     n_indexes: np.ndarray  # (R, 24) int

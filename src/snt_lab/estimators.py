@@ -31,11 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cells import ANALYSIS_CRUDE, ANALYSIS_LABELS, TARGET_NONE
 from .config import ScenarioSpec, WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER
 from .designs import (
-    DESIGN_CAL,
-    DESIGN_SPT,
-    DESIGN_TD,
     CountTable,
     IndexSet,
     TableMap,
@@ -47,27 +45,6 @@ from .designs import (
     type_cohort,
 )
 from .population import Cohort, pattern_events
-
-ANALYSIS_TRUE = "true_rr"
-ANALYSIS_CRUDE = "crude"
-ANALYSIS_ATE_SNT = "ate_snt"
-ANALYSIS_ATT_SNT = "att_snt"
-ANALYSIS_ATE_SPT = "ate_spt"
-ANALYSIS_ATT_SPT = "att_spt"
-ANALYSES = (
-    ANALYSIS_TRUE,
-    ANALYSIS_CRUDE,
-    ANALYSIS_ATE_SNT,
-    ANALYSIS_ATT_SNT,
-    ANALYSIS_ATE_SPT,
-    ANALYSIS_ATT_SPT,
-)
-
-TARGET_NONE = "none"
-TARGET_SNT_ALL = "snt_all"
-TARGET_SNT_TREATED = "snt_treated"
-TARGET_SPT_ALL = "spt_all"
-TARGET_SPT_TREATED = "spt_treated"
 
 FLAG_EMPTY_STRATUM = "empty_stratum"
 FLAG_EMPTY_TARGET = "empty_target"
@@ -133,27 +110,6 @@ def censoring_weights(
     w = np.ones((len(indexes), 2))
     w[:, 1] = 1.0 / p
     return w
-
-
-#: The (design, analysis, target population) of each result of the battery,
-#: in order; the columns of an AnalysisBlock.
-ANALYSIS_LABELS = (
-    (DESIGN_SPT, ANALYSIS_TRUE, TARGET_NONE),
-    (DESIGN_SPT, ANALYSIS_CRUDE, TARGET_NONE),
-    (DESIGN_SPT, ANALYSIS_ATE_SPT, TARGET_SPT_ALL),
-    (DESIGN_SPT, ANALYSIS_ATT_SPT, TARGET_SPT_TREATED),
-    *(
-        (design, analysis, target)
-        for design in (DESIGN_CAL, DESIGN_TD)
-        for analysis, target in (
-            (ANALYSIS_CRUDE, TARGET_NONE),
-            (ANALYSIS_ATE_SNT, TARGET_SNT_ALL),
-            (ANALYSIS_ATT_SNT, TARGET_SNT_TREATED),
-            (ANALYSIS_ATE_SPT, TARGET_SPT_ALL),
-            (ANALYSIS_ATT_SPT, TARGET_SPT_TREATED),
-        )
-    ),
-)
 
 
 class AnalysisBlock(NamedTuple):

@@ -19,6 +19,11 @@ Performance measures per summary cell, on the log risk-ratio scale:
 
 The reference defaults to the exact enumerated single point trial truth and
 can be overridden with a fixed risk-ratio value.
+
+This module is the engine, with population, designs and estimators: it
+needs numpy, and the CLI imports it only for the verbs that simulate,
+enumerate the truth or summarize estimates. The labels, the summary row
+types and the descriptive summary live in cells, on the standard library.
 """
 
 from __future__ import annotations
@@ -26,23 +31,22 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig, ScenarioSpec, SCENARIO_IDS
-from .designs import (
-    DESIGNS,
-    DescribeBlock,
-    DESCRIBE_GROUPS,
-    DESCRIBE_LABELS,
-    SEVERITY_LABELS,
-    describe_block,
-    treatment_probabilities,
-)
-from .estimators import (
+from .cells import (
     ANALYSES,
     ANALYSIS_LABELS,
+    DESCRIBE_LABELS,
+    DESIGNS,
+    Cells,
+    InsufficientReplicatesError,
+    MetricsRow,
+    label_order,
+)
+from .config import RunConfig, ScenarioSpec, SCENARIO_IDS
+from .designs import DescribeBlock, describe_block, treatment_probabilities
+from .estimators import (
     CERTAIN_CENSORING,
     AnalysisBlock,
     battery_block,
@@ -71,13 +75,6 @@ _POOL_STREAM_ID = 0
 #: once; bounds the temporaries of a paper-scale scenario to a few MB.
 BLOCK_ROWS = 1024
 
-DESCRIBE_STATISTICS = ("n_people", "n_indexes", "pct_high", "avg_indexes_per_person")
-
-
-class InsufficientReplicatesError(ValueError):
-    """A summary cell has fewer than two usable replicates."""
-
-
 @dataclass(frozen=True)
 class ScenarioBlock:
     """Every replicate of one scenario as columns: row r of the analyses and
@@ -87,34 +84,6 @@ class ScenarioBlock:
     replicates: np.ndarray
     analyses: AnalysisBlock
     descriptives: DescribeBlock
-
-
-class MetricsRow(NamedTuple):
-    """One summary.csv row, its fields in column order."""
-
-    scenario_id: str
-    design: str
-    analysis: str
-    target_population: str
-    rr_summary: float  # exp(mean log rr): geometric-mean summary of the RR
-    bias: float
-    mcse_bias: float
-    ese: float
-    rmse: float
-    n_effective: int
-
-
-class DescriptiveSummaryRow(NamedTuple):
-    """One describe_summary.csv row, its fields in column order."""
-
-    scenario_id: str
-    design: str
-    group: str
-    severity: str
-    statistic: str
-    median: float
-    q25: float
-    q75: float
 
 
 def scenario_ordinal(scenario_id: str) -> int:
@@ -250,15 +219,6 @@ def run_scenario(
     return scenario_block(spec, run, replicate_ids, counts)
 
 
-#: summarize's input: per (scenario, design, analysis, target population)
-#: cell, the log RR and the degenerate flag of each of its replicates.
-Cells = dict[tuple[str, str, str, str], tuple[np.ndarray, np.ndarray]]
-
-#: summarize_descriptives' input: per (scenario, design, group, severity)
-#: cell, one row per replicate and one column per DESCRIBE_STATISTICS entry.
-DescribeCells = dict[tuple[str, str, str, str], np.ndarray]
-
-
 def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
     """The cells of scenario blocks: columns of their analysis blocks."""
     cells = {}
@@ -269,12 +229,6 @@ def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
     return cells
 
 
-def _label_order(*labels: tuple[str, ...]):
-    """The sort key of cell keys: the position of each leading label of a key
-    in the matching tuple of labels."""
-    return lambda key: tuple(map(tuple.index, labels, key))
-
-
 def summarize(
     cells: Cells,
     truth_by_scenario: dict[str, TruthEntry],
@@ -282,16 +236,17 @@ def summarize(
 ) -> list[MetricsRow]:
     """Aggregate per-replicate estimates into one row per
     (scenario, design, analysis) cell against the truth reference (cells:
-    estimate_cells, output.read_estimates).
+    estimate_cells, or output.read_estimates' lists, which are converted
+    here).
 
     Replicates flagged degenerate are excluded cell-wise and reported
     through n_effective. Cells with fewer than two usable replicates raise
     InsufficientReplicatesError.
     """
     rows: list[MetricsRow] = []
-    for key in sorted(cells, key=_label_order(SCENARIO_IDS, DESIGNS, ANALYSES)):
+    for key in sorted(cells, key=label_order(SCENARIO_IDS, DESIGNS, ANALYSES)):
         log_rr, degenerate = cells[key]
-        values = log_rr[degenerate == ""]
+        values = np.asarray(log_rr, dtype=float)[np.asarray(degenerate, dtype=object) == ""]
         n_eff = values.size
         if n_eff < 2:
             raise InsufficientReplicatesError(
@@ -310,22 +265,6 @@ def summarize(
             ese=ese, rmse=rmse, n_effective=n_eff,
         ))
     return rows
-
-
-def summarize_descriptives(cells: DescribeCells) -> list[DescriptiveSummaryRow]:
-    """Median and interquartile range of each descriptive statistic across
-    replicates (percentiles by linear interpolation; cells:
-    output.read_describe)."""
-    order = _label_order(SCENARIO_IDS, DESIGNS, DESCRIBE_GROUPS, SEVERITY_LABELS)
-    out: list[DescriptiveSummaryRow] = []
-    for key in sorted(cells, key=order):
-        for stat, values in zip(DESCRIBE_STATISTICS, cells[key].T):
-            if np.isnan(values).all():
-                q25 = med = q75 = float("nan")
-            else:
-                q25, med, q75 = np.nanpercentile(values, [25, 50, 75])
-            out.append(DescriptiveSummaryRow(*key, stat, float(med), float(q25), float(q75)))
-    return out
 
 
 def truth_tables(

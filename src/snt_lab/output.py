@@ -3,6 +3,10 @@
 Column order and names are fixed contracts. Floats are rendered with six
 significant digits, '.' decimal separator, '\\n' line endings; undefined
 values are written as 'nan' so every file parses back losslessly.
+
+The module runs on the standard library: the readers return Python lists,
+so the verbs that only re-read files never load numpy. Only the block line
+writers take the engine's scenario blocks.
 """
 
 from __future__ import annotations
@@ -10,24 +14,23 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-
-from .config import SCENARIO_IDS
-from .designs import DESCRIBE_LABELS
-from .estimators import ANALYSIS_LABELS
-from .harness import (
-    BLOCK_ROWS,
+from .cells import (
+    ANALYSIS_LABELS,
+    DESCRIBE_LABELS,
     DESCRIBE_STATISTICS,
     Cells,
     DescribeCells,
     DescriptiveSummaryRow,
     MetricsRow,
-    ScenarioBlock,
 )
+from .config import SCENARIO_IDS
 from .hazards import SolveReport
-from .population import TruthEntry
+
+if TYPE_CHECKING:
+    from .harness import ScenarioBlock
+    from .population import TruthEntry
 
 HAZARDS_COLUMNS = (
     "scenario_id", "pi", "p00", "p01", "p10", "p11", "max_abs_residual", "feasible",
@@ -93,6 +96,8 @@ def _block_lines(
     column's label, then that row's value of each (R, labels) column through
     template. '%.6g' and '%d' format exactly as fmt does, and no field needs
     csv quoting: labels and flags hold no ',', '"' or line break."""
+    from .harness import BLOCK_ROWS  # loaded already: it made the block
+
     tails = [",".join(label) + "," for label in labels]
     line = template.__mod__
     for start in range(0, len(block.replicates), BLOCK_ROWS):
@@ -179,17 +184,18 @@ def _read_columns(path: Path, columns: tuple[str, ...]) -> dict[str, tuple[str, 
     return dict(zip(columns, zip(*rows))) if rows else dict.fromkeys(columns, ())
 
 
-def _numbers(path: Path, columns: dict, name: str, kind=float) -> np.ndarray:
+def _numbers(path: Path, columns: dict, name: str, kind=float) -> list:
     """Column name parsed by kind (float or int)."""
     values = columns[name]
     try:
-        return np.fromiter(map(kind, values), kind, len(values))
+        return list(map(kind, values))
     except ValueError:
+        what = "an integer" if kind is int else "a number"
         for line, value in enumerate(values, start=2):
             try:
                 kind(value)
             except ValueError:
-                raise SchemaError(f"{path}:{line}: {name} {value!r} is not a number") from None
+                raise SchemaError(f"{path}:{line}: {name} {value!r} is not {what}") from None
         raise
 
 
@@ -207,35 +213,68 @@ def _rows_by_key(
     return rows
 
 
+def _replicates(path: Path, columns: dict) -> list[int]:
+    """The replicate column, each an integer >= 1."""
+    replicates = _numbers(path, columns, "replicate", int)
+    if min(replicates, default=1) < 1:
+        row = next(row for row, rid in enumerate(replicates) if rid < 1)
+        raise SchemaError(f"{path}:{row + 2}: replicate {replicates[row]} is not >= 1")
+    return replicates
+
+
+def _reject_repeats(path: Path, what: str, keys: list[tuple]) -> None:
+    """Each row's key must be new; the error names the first line that
+    repeats one."""
+    if len(set(keys)) == len(keys):
+        return
+    first: dict[tuple, int] = {}
+    for row, key in enumerate(keys):
+        if key in first:
+            raise SchemaError(f"{path}:{row + 2}: {what} {key} repeats line {first[key] + 2}")
+        first[key] = row
+
+
 def read_estimates(path: Path) -> Cells:
-    """summarize's cells of an estimates.csv, as harness.estimate_cells
-    gives them for blocks: per (scenario, design, analysis, target) key, the
-    log RR and the flag of each of its rows, in file order."""
+    """summarize's cells of an estimates.csv, in the form
+    harness.estimate_cells gives for blocks: per (scenario, design,
+    analysis, target) key, the log RR and the flag of each of its rows, in
+    file order, as lists."""
     columns = _read_columns(path, ESTIMATES_COLUMNS)
     cells = _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)
+    labels = [columns[name] for name in _CELL_COLUMNS]
+    _reject_repeats(path, "cell/replicate", list(zip(*labels, _replicates(path, columns))))
     log_rr = _numbers(path, columns, "log_rr")
-    flags = np.array(columns["degenerate_flag"], dtype=object)
-    return {key: (log_rr[rows], flags[rows]) for key, rows in cells.items()}
+    flags = columns["degenerate_flag"]
+    return {
+        key: ([log_rr[row] for row in rows], [flags[row] for row in rows])
+        for key, rows in cells.items()
+    }
 
 
 def read_describe(path: Path) -> DescribeCells:
     """summarize_descriptives' cells of a describe.csv: per (scenario,
-    design, group, severity) key, a (rows x DESCRIBE_STATISTICS) array of
-    its rows, in file order."""
+    design, group, severity) key, a list of each DESCRIBE_STATISTICS
+    column's values over its rows, in file order."""
     columns = _read_columns(path, DESCRIBE_COLUMNS)
     names = ("scenario_id", "design", "group", "severity")
     cells = _rows_by_key(path, columns, names, _DESCRIBE_KEYS)
-    stats = np.column_stack([_numbers(path, columns, name) for name in DESCRIBE_STATISTICS])
-    return {key: stats[rows] for key, rows in cells.items()}
+    labels = [columns[name] for name in names]
+    _reject_repeats(path, "cell/replicate", list(zip(*labels, _replicates(path, columns))))
+    stats = [_numbers(path, columns, name) for name in DESCRIBE_STATISTICS]
+    return {
+        key: [[values[row] for row in rows] for values in stats]
+        for key, rows in cells.items()
+    }
 
 
 def read_summary(path: Path) -> list[MetricsRow]:
-    """The rows of a summary.csv, in file order."""
+    """The rows of a summary.csv, in file order; each cell on one row."""
     columns = _read_columns(path, SUMMARY_COLUMNS)
     _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)  # checks the labels
     labels = [columns[name] for name in _CELL_COLUMNS]
+    _reject_repeats(path, "cell", list(zip(*labels)))
     numbers = [
-        _numbers(path, columns, name, int if name == "n_effective" else float).tolist()
+        _numbers(path, columns, name, int if name == "n_effective" else float)
         for name in SUMMARY_COLUMNS[len(_CELL_COLUMNS):]
     ]
     return list(map(MetricsRow, *labels, *numbers))

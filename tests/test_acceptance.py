@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from oracles import km_risk_oracle, standardized_rr_oracle
+from snt_lab.cells import DESCRIBE_LABELS, summarize_descriptives
 from snt_lab.cli import main as cli_main
 from snt_lab.config import RunConfig, WEIGHT_MODE_INITIATION, builtin_scenarios
-from snt_lab.designs import DESCRIBE_LABELS, IndexRecord, IndexSet
+from snt_lab.designs import IndexRecord, IndexSet
 from snt_lab.estimators import (
     ANALYSIS_LABELS,
     battery_block,
@@ -38,7 +39,6 @@ from snt_lab.harness import (
     estimate_cells,
     run_scenario,
     summarize,
-    summarize_descriptives,
     truth_tables,
 )
 from snt_lab.hazards import RESIDUAL_TOL, SolverInfeasible, solve
@@ -279,7 +279,7 @@ def test_criterion_8_descriptive_calibration():
     # summarize_descriptives' cells: per label, the block's column of each statistic
     columns = block.descriptives
     cells = {
-        (block.scenario_id, *label): np.column_stack([column[:, j] for column in columns])
+        (block.scenario_id, *label): [column[:, j].tolist() for column in columns]
         for j, label in enumerate(DESCRIBE_LABELS)
     }
     medians = {

@@ -12,10 +12,9 @@ import pytest
 
 import snt_lab
 from snt_lab import estimators, harness, output
+from snt_lab.cells import ANALYSES, DESIGNS
 from snt_lab.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from snt_lab.config import SCENARIO_IDS
-from snt_lab.designs import DESIGNS
-from snt_lab.estimators import ANALYSES
 from snt_lab.output import (
     DESCRIBE_COLUMNS,
     DESCRIBE_SUMMARY_COLUMNS,
@@ -275,7 +274,7 @@ class TestSimulateVerb:
         summary_order = sorted(cells, key=lambda key: (
             SCENARIO_IDS.index(key[0]), DESIGNS.index(key[1]), ANALYSES.index(key[2])
         ))
-        short = [key for key in summary_order if (cells[key][1] == "").sum() < 2]
+        short = [key for key in summary_order if cells[key][1].count("") < 2]
         assert short
         assert f"cell {short[0]} has " in capsys.readouterr().err
         assert len((tmp_path / "describe.csv").read_text().splitlines()) == 1 + 4 * 300 * 24
@@ -407,6 +406,16 @@ class TestReaggregationVerbs:
             header, *(row for row in rows if row[0] == "S1")
         ]
 
+    def test_plot_data_scenario_filter(self, tmp_path):
+        args = ("--n", "100", "--reps", "3", "--seed", "4", "--out", str(tmp_path))
+        assert run_cli("simulate", "--scenario", "all", *args) == EXIT_OK
+        figures = {name: csv_rows(tmp_path / name) for name in ("figure3.csv", "figureS3.csv")}
+        for _header, *rows in figures.values():
+            assert {row[0] for row in rows} == {"S1", "S2", "S3", "S4"}
+        assert run_cli("plot-data", "--scenario", "S1", *args) == EXIT_OK
+        for name, (header, *rows) in figures.items():
+            assert csv_rows(tmp_path / name) == [header, *(row for row in rows if row[0] == "S1")]
+
     def test_plot_data_round_trip_is_byte_identical(self, sim_dir):
         fig3 = (sim_dir / "figure3.csv").read_bytes()
         figs3 = (sim_dir / "figureS3.csv").read_bytes()
@@ -429,14 +438,25 @@ class TestReaggregationVerbs:
         ("summarize", "estimates.csv", "scenario_id", "S9"),
         ("summarize", "estimates.csv", "analysis", "bogus"),
         ("summarize", "estimates.csv", "target_population", "all"),
+        ("summarize", "estimates.csv", "replicate", "abc"),
+        ("summarize", "estimates.csv", "replicate", "0"),
+        ("summarize", "estimates.csv", "replicate", "1.5"),
+        # line 2 holds replicate 1's true_rr row, so line 3 repeats its key
+        ("summarize", "estimates.csv", "analysis", "true_rr"),
         ("describe", "describe.csv", None, None),
         ("describe", "describe.csv", "design", "XX"),
         ("describe", "describe.csv", "group", "bogus"),
         ("describe", "describe.csv", "severity", "medium"),
         ("describe", "describe.csv", "pct_high", "1.2.3"),
+        ("describe", "describe.csv", "replicate", "abc"),
+        ("describe", "describe.csv", "replicate", "-1"),
+        # line 2 holds replicate 1's (SPT, all, low) row
+        ("describe", "describe.csv", "severity", "low"),
         ("plot-data", "summary.csv", None, None),
         ("plot-data", "summary.csv", "bias", "x"),
         ("plot-data", "summary.csv", "design", "XX"),
+        # line 2 holds the (S1, SPT, true_rr, none) cell
+        ("plot-data", "summary.csv", "analysis", "true_rr"),
     ])
     def test_malformed_input_is_io_error_naming_the_line(
         self, sim_dir, capsys, verb, name, column, value
@@ -514,6 +534,36 @@ class TestEnvironmentDefaults:
             capture_output=True, text=True, check=True, env=package_env(),
         )
         assert proc.stdout.split() == ["False", "False"]
+
+    def test_only_the_engine_verbs_load_numpy(self, tmp_path):
+        out = str(tmp_path / "out")
+        script = (
+            "import json, sys, snt_lab.cli\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        status = snt_lab.cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "    assert status == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+
+        def numpy_loaded(*verbs):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(verbs)],
+                capture_output=True, text=True, check=True, env=package_env(),
+            )
+            return json.loads(proc.stdout.splitlines()[-1])  # after --help's text
+
+        simulate = ["simulate", "--scenario", "S1", "--n", "50", "--reps", "3", "--out", out]
+        assert numpy_loaded(simulate) == [True]
+        stdlib = [["--help"], ["solve", "--out", out], ["describe", "--out", out],
+                  ["plot-data", "--out", out]]
+        assert numpy_loaded(*stdlib) == [False] * 4
+        assert numpy_loaded(*stdlib, ["summarize", "--out", out]) == [False] * 4 + [True]
+        assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [True]
 
 
 def test_trace_script_patches_names_that_exist(tmp_path):

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from snt_lab.config import builtin_scenarios
+from snt_lab.cells import GROUP_ALL, GROUP_INITIATOR, GROUP_NONINITIATOR, GROUP_TREATED
 from snt_lab.designs import (
     DESIGN_CAL,
     DESIGN_SPT,
     DESIGN_TD,
-    GROUP_ALL,
-    GROUP_INITIATOR,
-    GROUP_NONINITIATOR,
-    GROUP_TREATED,
     IndexRecord,
     IndexSet,
     TreatmentAssignment,

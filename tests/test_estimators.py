@@ -10,6 +10,7 @@ from oracles import (
     standardized_rr_oracle,
     stratified_km_oracle,
 )
+from snt_lab.cells import ANALYSES
 from snt_lab.config import WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER, builtin_scenarios
 from snt_lab.designs import (
     DESIGN_CAL,
@@ -22,7 +23,6 @@ from snt_lab.designs import (
     build_spt,
 )
 from snt_lab.estimators import (
-    ANALYSES,
     DegenerateWeightError,
     EmptyRiskSetError,
     analyze_replicate,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from block_rows import replicate_rows
+from snt_lab.cells import percentiles, summarize_descriptives
 from snt_lab.config import RunConfig, builtin_scenarios, validate_run
 from snt_lab.harness import (
     InsufficientReplicatesError,
@@ -15,7 +16,6 @@ from snt_lab.harness import (
     run_scenario,
     scenario_block,
     summarize,
-    summarize_descriptives,
     truth_tables,
 )
 from snt_lab.hazards import solve
@@ -215,9 +215,9 @@ class TestSummarizeDescriptives:
     def cells(self, values):
         """summarize_descriptives' cells: one cell whose replicates have
         these pct_high values, columns in DESCRIBE_STATISTICS order."""
-        stats = np.tile([100.0, 25.0, 25.0, 0.25], (len(values), 1))
-        stats[:, 2] = values
-        return {("S1", "SPT", "all", "high"): stats}
+        n = len(values)
+        return {("S1", "SPT", "all", "high"): [[100.0] * n, [25.0] * n, list(values),
+                                               [0.25] * n]}
 
     def test_single_replicate_iqr_collapses(self):
         out = summarize_descriptives(self.cells([25.0]))
@@ -243,7 +243,32 @@ class TestSummarizeDescriptives:
         rows = self.cells([float("nan"), float("nan")])
         out = summarize_descriptives(rows)
         cell = {r.statistic: r for r in out}["pct_high"]
-        assert math.isnan(cell.median)
+        assert all(math.isnan(v) for v in (cell.median, cell.q25, cell.q75))
+
+    def test_percentiles_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        specials = np.array([np.nan, np.inf, -np.inf])
+        for trial in range(4000):
+            n = int(rng.integers(1, 401))
+            kind = trial % 4
+            if kind == 0:
+                values = rng.normal(size=n)
+            elif kind == 1:  # many ties
+                values = rng.integers(0, 5, size=n).astype(float)
+            elif kind == 2:  # all equal
+                values = np.full(n, rng.normal())
+            else:  # magnitudes over ten orders
+                values = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, size=n)
+            special = rng.random(n) < rng.choice([0.0, 0.05, 0.3])
+            values[special] = rng.choice(specials, size=special.sum())
+            if np.isnan(values).all():
+                continue
+            with np.errstate(invalid="ignore"):  # inf - inf inside numpy's lerp
+                expected = np.nanpercentile(values, [25, 50, 75])
+            got = np.array(percentiles(values.tolist(), (0.25, 0.5, 0.75)))
+            same = (got.view(np.uint64) == expected.view(np.uint64)) | (
+                np.isnan(got) & np.isnan(expected))
+            assert same.all(), (values, got, expected)
 
 
 class TestTruthTables:

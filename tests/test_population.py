@@ -8,7 +8,8 @@ import pytest
 from oracles import event_time_under_pattern
 from snt_lab.config import builtin_scenarios
 from snt_lab.designs import assign_treatments, build_esnt_cal, build_esnt_td, build_spt
-from snt_lab.estimators import ANALYSIS_TRUE, analyze_replicate
+from snt_lab.cells import ANALYSIS_TRUE
+from snt_lab.estimators import analyze_replicate
 from snt_lab.hazards import solve
 from snt_lab.output import truth_rows
 from snt_lab.population import (
