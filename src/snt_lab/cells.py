@@ -1,19 +1,36 @@
-"""The cells of the lab's outputs, on the standard library alone.
+"""The cells of the lab's outputs and their summaries, on the standard
+library alone.
 
 Every per-replicate and summary row belongs to a labelled cell: (design,
 analysis, target population) for an estimate, (design, group, severity)
 for a descriptive row, each within a scenario. This module holds those
-labels, the summary row types, and the descriptive summary, which needs no
-numpy, so the verbs that only re-read CSV files (describe, plot-data) and
-solve never load the engine.
+labels, the summary row types, the Monte Carlo summary (summarize) and the
+descriptive summary (summarize_descriptives). Both summaries reproduce
+numpy's arithmetic bit for bit in plain Python (pairwise_sum, percentiles),
+so only simulate loads the engine and numpy.
+
+Performance measures per summary cell, on the log risk-ratio scale:
+
+  bias  = mean(estimate) - reference
+  ese   = sample standard deviation of the estimates (n-1 denominator)
+  rmse  = sqrt(mean((estimate - reference)^2))
+  mcse  = ese / sqrt(n_effective)   (Monte Carlo standard error of the bias)
+
+The reference defaults to the exact enumerated single point trial truth
+(hazards.enumerate_truth) and can be overridden with a fixed risk-ratio
+value.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .config import SCENARIO_IDS
+from .hazards import TruthEntry
 
 DESIGN_SPT = "SPT"
 DESIGN_CAL = "eSNT-CAL"
@@ -80,7 +97,7 @@ ANALYSIS_LABELS = (
     ),
 )
 
-#: harness.summarize's input: per (scenario, design, analysis, target
+#: summarize's input: per (scenario, design, analysis, target
 #: population) cell, the log RR and the degenerate flag of each of its
 #: replicates.
 Cells = dict[tuple[str, str, str, str], tuple[Sequence[float], Sequence[str]]]
@@ -126,6 +143,74 @@ def label_order(*labels: tuple[str, ...]):
     """The sort key of cell keys: the position of each leading label of a key
     in the matching tuple of labels."""
     return lambda key: tuple(map(tuple.index, labels, key))
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of the values exactly as numpy.add.reduce computes it over a
+    contiguous float64 array: from the identity 0.0, plus numpy's pairwise
+    sum, which adds fewer than 8 values in a loop from -0.0, up to 128 in
+    eight strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and then the tail, and splits more at n/2 rounded down to a multiple of
+    8. reduce(add) keeps each addition rounded; sum() compensates from
+    Python 3.12."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], start: int, n: int) -> float:
+    if n < 8:
+        return reduce(add, values[start : start + n], -0.0)
+    if n <= 128:
+        stop = start + n - n % 8
+        r = [reduce(add, values[start + j : stop : 8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[stop : start + n], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
+
+
+def _sum_of_squares(values: Sequence[float], center: float) -> float:
+    """The sum of squared deviations from center, as numpy forms it in var
+    and in mean((values - center) ** 2)."""
+    return pairwise_sum([(v - center) * (v - center) for v in values])
+
+
+def summarize(
+    cells: Cells,
+    truth_by_scenario: dict[str, TruthEntry],
+    truth_override: float | None = None,
+) -> list[MetricsRow]:
+    """Aggregate per-replicate estimates into one row per
+    (scenario, design, analysis) cell against the truth reference (cells:
+    harness.estimate_cells or output.read_estimates). The mean, the SD and
+    the RMSE are numpy's mean, std(ddof=1) and sqrt(mean(d ** 2)), bit for
+    bit (pairwise_sum).
+
+    Replicates flagged degenerate are excluded cell-wise and reported
+    through n_effective. Cells with fewer than two usable replicates raise
+    InsufficientReplicatesError.
+    """
+    rows: list[MetricsRow] = []
+    for key in sorted(cells, key=label_order(SCENARIO_IDS, DESIGNS, ANALYSES)):
+        log_rr, degenerate = cells[key]
+        values = [v for v, flag in zip(log_rr, degenerate) if flag == ""]
+        n_eff = len(values)
+        if n_eff < 2:
+            raise InsufficientReplicatesError(
+                f"cell {key} has {n_eff} non-degenerate replicates; need >= 2"
+            )
+        if truth_override is not None:
+            theta_ref = math.log(truth_override)
+        else:
+            theta_ref = truth_by_scenario[key[0]].log_rr
+        mean = pairwise_sum(values) / n_eff
+        ese = math.sqrt(_sum_of_squares(values, mean) / (n_eff - 1))
+        rmse = math.sqrt(_sum_of_squares(values, theta_ref) / n_eff)
+        rows.append(MetricsRow(
+            *key, rr_summary=math.exp(mean), bias=mean - theta_ref,
+            mcse_bias=ese / math.sqrt(n_eff), ese=ese, rmse=rmse, n_effective=n_eff,
+        ))
+    return rows
 
 
 def percentiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:

@@ -2,19 +2,20 @@
 
 Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
 0 success, 1 I/O failure or malformed input file (named with its line), 2
-usage error, 3 infeasible calibration. A verb writes its files into a
-temporary sibling of the output directory and moves them in only when it
-succeeds, so a failed, interrupted or killed run never leaves a truncated
-file there; the next run removes the siblings that killed runs left.
+usage error, 3 infeasible calibration or an undefined truth (an untreated
+two-year risk of 0). A verb writes its files into a temporary sibling of
+the output directory and moves them in only when it succeeds, so a failed,
+interrupted or killed run never leaves a truncated file there; the next run
+removes the siblings that killed runs left.
 simulate also removes the derived files of an earlier run in the same
 directory that it did not rewrite. A simulate whose summary has a cell with
 fewer than two usable replicates moves in its complete per-replicate files,
 writes no summary and exits 2.
 
-Only truth, simulate and summarize load the engine (harness, and with it
-numpy): its entry points are bound into this module when one of those verbs
-starts, or when they are first read as attributes of the module. solve,
-describe, plot-data and --help run on the standard library.
+Only simulate loads the engine (harness, and with it numpy): its entry
+points are bound into this module when simulate starts, or when they are
+first read as attributes of the module. solve, truth, summarize, describe,
+plot-data and --help run on the standard library.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 from . import output
-from .cells import InsufficientReplicatesError, summarize_descriptives
+from .cells import InsufficientReplicatesError, summarize, summarize_descriptives
 from .config import (
     ConfigError,
     RunConfig,
@@ -42,7 +43,7 @@ from .config import (
     validate,
     validate_run,
 )
-from .hazards import SolverInfeasible, solve
+from .hazards import SolverInfeasible, solve, truth_tables
 
 VERBS = ("solve", "truth", "simulate", "summarize", "describe", "plot-data")
 
@@ -54,8 +55,8 @@ EXIT_INFEASIBLE = 3
 THREADS_ENV_VAR = "SNT_LAB_THREADS"
 
 #: The engine's entry points that the verbs call, and the verbs that call them.
-_ENGINE_NAMES = ("estimate_cells", "run_scenario", "summarize", "truth_tables")
-_ENGINE_VERBS = ("truth", "simulate", "summarize")
+_ENGINE_NAMES = ("estimate_cells", "run_scenario")
+_ENGINE_VERBS = ("simulate",)
 
 
 def _load_engine() -> None:

@@ -1,4 +1,4 @@
-"""Deterministic replicate loops and Monte Carlo performance summaries.
+"""Deterministic replicate loops.
 
 Every replicate owns a random substream derived from (master seed, scenario
 ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
@@ -8,22 +8,13 @@ worker count or scheduling: the class law is computed once per scenario, a
 replicate only draws its cohort's count of each class of person types from
 it, in one multinomial call, the counts are merged by index, and one block
 computation per scenario checks the merged counts for blocked classes and
-reads every analysis and descriptive row off them.
-
-Performance measures per summary cell, on the log risk-ratio scale:
-
-  bias  = mean(estimate) - reference
-  ese   = sample standard deviation of the estimates (n-1 denominator)
-  rmse  = sqrt(mean((estimate - reference)^2))
-  mcse  = ese / sqrt(n_effective)   (Monte Carlo standard error of the bias)
-
-The reference defaults to the exact enumerated single point trial truth and
-can be overridden with a fixed risk-ratio value.
+reads every analysis and descriptive row off them. estimate_cells hands
+the blocks' estimates to cells.summarize as lists.
 
 This module is the engine, with population, designs and estimators: it
-needs numpy, and the CLI imports it only for the verbs that simulate,
-enumerate the truth or summarize estimates. The labels, the summary row
-types and the descriptive summary live in cells, on the standard library.
+needs numpy, and the CLI imports it only for simulate. The labels, the
+Monte Carlo and descriptive summaries (cells) and the calibration and exact
+truth (hazards) run on the standard library.
 """
 
 from __future__ import annotations
@@ -34,16 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import (
-    ANALYSES,
-    ANALYSIS_LABELS,
-    DESCRIBE_LABELS,
-    DESIGNS,
-    Cells,
-    InsufficientReplicatesError,
-    MetricsRow,
-    label_order,
-)
+from .cells import ANALYSIS_LABELS, DESCRIBE_LABELS, Cells
 from .config import RunConfig, ScenarioSpec, SCENARIO_IDS
 from .designs import DescribeBlock, describe_block, treatment_probabilities
 from .estimators import (
@@ -53,7 +35,7 @@ from .estimators import (
     person_class_map,
 )
 from .hazards import HazardSet, solve
-from .population import TruthEntry, base_type_probabilities, enumerate_truth
+from .population import base_type_probabilities
 
 # run_replicate no longer takes the person-level path. Its entry points stay
 # importable from this module, where perfbench/trace.py wraps them.
@@ -220,58 +202,13 @@ def run_scenario(
 
 
 def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
-    """The cells of scenario blocks: columns of their analysis blocks."""
+    """The cells of scenario blocks: columns of their analysis blocks, as
+    lists (the form output.read_estimates gives)."""
     cells = {}
     for block in blocks:
         a = block.analyses
         for j, label in enumerate(ANALYSIS_LABELS):
-            cells[(block.scenario_id, *label)] = (a.log_rr[:, j], a.degenerate[:, j])
-    return cells
-
-
-def summarize(
-    cells: Cells,
-    truth_by_scenario: dict[str, TruthEntry],
-    truth_override: float | None = None,
-) -> list[MetricsRow]:
-    """Aggregate per-replicate estimates into one row per
-    (scenario, design, analysis) cell against the truth reference (cells:
-    estimate_cells, or output.read_estimates' lists, which are converted
-    here).
-
-    Replicates flagged degenerate are excluded cell-wise and reported
-    through n_effective. Cells with fewer than two usable replicates raise
-    InsufficientReplicatesError.
-    """
-    rows: list[MetricsRow] = []
-    for key in sorted(cells, key=label_order(SCENARIO_IDS, DESIGNS, ANALYSES)):
-        log_rr, degenerate = cells[key]
-        values = np.asarray(log_rr, dtype=float)[np.asarray(degenerate, dtype=object) == ""]
-        n_eff = values.size
-        if n_eff < 2:
-            raise InsufficientReplicatesError(
-                f"cell {key} has {n_eff} non-degenerate replicates; need >= 2"
+            cells[(block.scenario_id, *label)] = (
+                a.log_rr[:, j].tolist(), a.degenerate[:, j].tolist()
             )
-        if truth_override is not None:
-            theta_ref = math.log(truth_override)
-        else:
-            theta_ref = truth_by_scenario[key[0]].log_rr
-        mean = float(values.mean())
-        ese = float(values.std(ddof=1))
-        bias = mean - theta_ref
-        rmse = float(np.sqrt(np.mean((values - theta_ref) ** 2)))
-        rows.append(MetricsRow(
-            *key, rr_summary=math.exp(mean), bias=bias, mcse_bias=ese / math.sqrt(n_eff),
-            ese=ese, rmse=rmse, n_effective=n_eff,
-        ))
-    return rows
-
-
-def truth_tables(
-    specs: list[ScenarioSpec], hazards_by_scenario: dict[str, HazardSet]
-) -> dict[str, TruthEntry]:
-    """The enumerated truth of each scenario."""
-    return {
-        spec.scenario_id: enumerate_truth(spec, hazards_by_scenario[spec.scenario_id])
-        for spec in specs
-    }
+    return cells

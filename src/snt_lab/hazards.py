@@ -21,6 +21,10 @@ system is feasible; the high-severity pair is solved first because the
 low-severity equations depend on it. The low-severity equations are
 infeasible when pi * q already exceeds the two-year target, since the
 left-hand side is strictly increasing in p on [0, 1].
+
+The exact truth (enumerate_truth) follows from the solved probabilities by
+summation over the severity paths. The module runs on the standard library,
+so the verbs that calibrate or enumerate the truth never load numpy.
 """
 
 from __future__ import annotations
@@ -148,8 +152,9 @@ def _solve_low(target: float, q: float, pi: float, equation: str) -> float:
         # pi = 1: the equation degenerates to p(1 - q) + q = target.
         p = c if q == 1.0 else c / (1.0 - q)
         return _check_range(p, equation, f"target {target:.6g} (pi = 1)")
+    # at target 1 and q = 1 the discriminant is exactly 0 and may round below
     disc = b * b - 4.0 * a * c
-    big_root_scaled = 0.5 * (-b + math.sqrt(disc))
+    big_root_scaled = 0.5 * (-b + math.sqrt(max(disc, 0.0)))
     p = c / big_root_scaled
     return _check_range(p, equation, f"target {target:.6g}")
 
@@ -174,3 +179,60 @@ def solve(spec: ScenarioSpec) -> SolveReport:
     h = HazardSet(p00=p00, p01=p01, p10=p10, p11=p11)
     res = residuals(h, spec)
     return SolveReport(hazards=h, residuals=res, feasible=max(abs(r) for r in res) < RESIDUAL_TOL)
+
+
+@dataclass(frozen=True)
+class TruthEntry:
+    """Two-year risks under sustained initiation and under never initiating,
+    and their ratio."""
+
+    risk_treated: float
+    risk_untreated: float
+    rr: float
+    log_rr: float
+
+
+def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthEntry:
+    """Exact two-year risks under sustained treatment versus never treating,
+    by summation over the discrete severity state space (0 low, 1 high;
+    severity never reverts). No sampling.
+
+    Raises SolverInfeasible when the untreated risk is 0, where the risk
+    ratio is undefined.
+    """
+    pi = spec.progression_prob
+    p_s1 = (1.0 - spec.baseline_high_prob, spec.baseline_high_prob)
+    trans = ((1.0 - pi, pi), (0.0, 1.0))
+
+    risks = []
+    for arm in (0, 1):
+        p_arm = hazards.for_arm(arm)
+        risk = 0.0
+        for s1 in (0, 1):
+            year2 = sum(trans[s1][s2] * p_arm[s2] for s2 in (0, 1))
+            risk += p_s1[s1] * (p_arm[s1] + (1.0 - p_arm[s1]) * year2)
+        risks.append(risk)
+
+    risk_untreated, risk_treated = risks
+    if risk_untreated == 0.0:
+        raise SolverInfeasible(
+            f"{spec.scenario_id} truth",
+            "untreated two-year risk is 0; the risk ratio is undefined",
+        )
+    rr = risk_treated / risk_untreated
+    return TruthEntry(
+        risk_treated=risk_treated,
+        risk_untreated=risk_untreated,
+        rr=rr,
+        log_rr=math.log(rr) if rr > 0.0 else -math.inf,
+    )
+
+
+def truth_tables(
+    specs: list[ScenarioSpec], hazards_by_scenario: dict[str, HazardSet]
+) -> dict[str, TruthEntry]:
+    """The enumerated truth of each scenario."""
+    return {
+        spec.scenario_id: enumerate_truth(spec, hazards_by_scenario[spec.scenario_id])
+        for spec in specs
+    }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -26,11 +27,10 @@ from .cells import (
     MetricsRow,
 )
 from .config import SCENARIO_IDS
-from .hazards import SolveReport
+from .hazards import SolveReport, TruthEntry
 
 if TYPE_CHECKING:
     from .harness import ScenarioBlock
-    from .population import TruthEntry
 
 HAZARDS_COLUMNS = (
     "scenario_id", "pi", "p00", "p01", "p10", "p11", "max_abs_residual", "feasible",
@@ -164,9 +164,16 @@ _ESTIMATE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in AN
 _DESCRIBE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in DESCRIBE_LABELS)
 
 
-def _read_columns(path: Path, columns: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
-    """The fields of a CSV file with the given header, column by column.
-    Errors name the file's line: row i of the body is line i + 2."""
+def _read_columns(
+    path: Path, columns: tuple[str, ...], names: tuple[str, ...]
+) -> dict[str, tuple[str, ...]]:
+    """The fields of the named columns of a CSV file with the given header,
+    column by column. Each row is kept only as a tuple of those fields, which
+    the garbage collector stops scanning, and its field count is checked as
+    it is read. Errors name the file's line: row i of the body is line
+    i + 2."""
+    pick = operator.itemgetter(*map(columns.index, names))
+    width = len(columns)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -177,11 +184,14 @@ def _read_columns(path: Path, columns: tuple[str, ...]) -> dict[str, tuple[str, 
             raise SchemaError(
                 f"{path}: header {header} does not match expected {columns}"
             )
-        rows = list(reader)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(columns):
-            raise SchemaError(f"{path}:{line}: {len(row)} fields, expected {len(columns)}")
-    return dict(zip(columns, zip(*rows))) if rows else dict.fromkeys(columns, ())
+        rows = []
+        for row in reader:
+            if len(row) != width:
+                raise SchemaError(
+                    f"{path}:{len(rows) + 2}: {len(row)} fields, expected {width}"
+                )
+            rows.append(pick(row))
+    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
 
 
 def _numbers(path: Path, columns: dict, name: str, kind=float) -> list:
@@ -239,7 +249,9 @@ def read_estimates(path: Path) -> Cells:
     harness.estimate_cells gives for blocks: per (scenario, design,
     analysis, target) key, the log RR and the flag of each of its rows, in
     file order, as lists."""
-    columns = _read_columns(path, ESTIMATES_COLUMNS)
+    columns = _read_columns(
+        path, ESTIMATES_COLUMNS, (*_CELL_COLUMNS, "replicate", "log_rr", "degenerate_flag")
+    )
     cells = _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)
     labels = [columns[name] for name in _CELL_COLUMNS]
     _reject_repeats(path, "cell/replicate", list(zip(*labels, _replicates(path, columns))))
@@ -255,7 +267,7 @@ def read_describe(path: Path) -> DescribeCells:
     """summarize_descriptives' cells of a describe.csv: per (scenario,
     design, group, severity) key, a list of each DESCRIBE_STATISTICS
     column's values over its rows, in file order."""
-    columns = _read_columns(path, DESCRIBE_COLUMNS)
+    columns = _read_columns(path, DESCRIBE_COLUMNS, DESCRIBE_COLUMNS)
     names = ("scenario_id", "design", "group", "severity")
     cells = _rows_by_key(path, columns, names, _DESCRIBE_KEYS)
     labels = [columns[name] for name in names]
@@ -269,7 +281,7 @@ def read_describe(path: Path) -> DescribeCells:
 
 def read_summary(path: Path) -> list[MetricsRow]:
     """The rows of a summary.csv, in file order; each cell on one row."""
-    columns = _read_columns(path, SUMMARY_COLUMNS)
+    columns = _read_columns(path, SUMMARY_COLUMNS, SUMMARY_COLUMNS)
     _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)  # checks the labels
     labels = [columns[name] for name in _CELL_COLUMNS]
     _reject_repeats(path, "cell", list(zip(*labels)))

@@ -1,4 +1,4 @@
-"""Cohort generation and exact truth enumeration.
+"""Cohort generation: the base-type law, its draw and the cohort arrays.
 
 Each simulated person carries three annual visits. At every visit the
 generator draws, for both treatment arms, whether the composite outcome
@@ -13,7 +13,8 @@ reverts. So a person's draws fit in a 9-bit base type, whose exact
 probability base_type_probabilities gives. draw_base_codes draws a cohort's
 base codes person by person, and expand_base_codes unpacks them into the
 cohort's arrays. The cohort is column-oriented; there is no per-person
-object.
+object. The exact truth these draws converge to is enumerated in hazards,
+on the standard library.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from .config import HORIZON_TAU, N_VISITS, ScenarioSpec
 from .hazards import HazardSet
 
-LOW, HIGH = 0, 1
+#: The severity code of high severity; low severity is 0.
+HIGH = 1
 
 #: Treatment patterns as (index, per-visit arms). Initiation at Visit 1 or 2
 #: is carried forward, so arms never switch back to 0.
@@ -79,17 +81,6 @@ class Cohort:
             po=po,
             event_time=_pattern_event_times(po),
         )
-
-
-@dataclass(frozen=True)
-class TruthEntry:
-    """Two-year risks under sustained initiation and under never initiating,
-    and their ratio."""
-
-    risk_treated: float
-    risk_untreated: float
-    rr: float
-    log_rr: float
 
 
 def _pattern_event_times(po: np.ndarray) -> np.ndarray:
@@ -192,32 +183,6 @@ def draw_cohort(
 ) -> Cohort:
     """Draw n individuals i.i.d. from the generative law (draw_base_codes)."""
     return expand_base_codes(draw_base_codes(rng, spec, hazards, n))
-
-
-def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthEntry:
-    """Exact two-year risks under sustained treatment versus never treating,
-    by summation over the discrete severity state space. No sampling."""
-    pi = spec.progression_prob
-    p_s1 = {LOW: 1.0 - spec.baseline_high_prob, HIGH: spec.baseline_high_prob}
-    trans = {LOW: {LOW: 1.0 - pi, HIGH: pi}, HIGH: {LOW: 0.0, HIGH: 1.0}}
-
-    risks = []
-    for arm in (0, 1):
-        p_arm = hazards.for_arm(arm)
-        risk = 0.0
-        for s1 in (LOW, HIGH):
-            year2 = sum(trans[s1][s2] * p_arm[s2] for s2 in (LOW, HIGH))
-            risk += p_s1[s1] * (p_arm[s1] + (1.0 - p_arm[s1]) * year2)
-        risks.append(risk)
-
-    risk_untreated, risk_treated = risks
-    rr = risk_treated / risk_untreated
-    return TruthEntry(
-        risk_treated=risk_treated,
-        risk_untreated=risk_untreated,
-        rr=rr,
-        log_rr=float(np.log(rr)),
-    )
 
 
 def pattern_events(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from oracles import km_risk_oracle, standardized_rr_oracle
-from snt_lab.cells import DESCRIBE_LABELS, summarize_descriptives
+from snt_lab.cells import DESCRIBE_LABELS, summarize, summarize_descriptives
 from snt_lab.cli import main as cli_main
 from snt_lab.config import RunConfig, WEIGHT_MODE_INITIATION, builtin_scenarios
 from snt_lab.designs import IndexRecord, IndexSet
@@ -34,15 +34,14 @@ from snt_lab.estimators import (
     person_class_map,
     standardized_rr,
 )
-from snt_lab.harness import (
-    class_probabilities,
-    estimate_cells,
-    run_scenario,
-    summarize,
+from snt_lab.harness import class_probabilities, estimate_cells, run_scenario
+from snt_lab.hazards import (
+    RESIDUAL_TOL,
+    SolverInfeasible,
+    enumerate_truth,
+    solve,
     truth_tables,
 )
-from snt_lab.hazards import RESIDUAL_TOL, SolverInfeasible, solve
-from snt_lab.population import enumerate_truth
 
 THREADS = min(8, os.cpu_count() or 1)
 ADJUSTED_ANALYSES = ("ate_snt", "att_snt", "ate_spt", "att_spt")

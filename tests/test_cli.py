@@ -136,6 +136,29 @@ class TestTruthVerb:
         assert float(first["rr_true"]) == pytest.approx(0.7, abs=1e-9)
 
 
+    def test_zero_untreated_risk_exits_three_and_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"scenarios": [{"scenario_id": "S1", "risk_untreated": [0, 0]}]}))
+        sim = tmp_path / "sim"
+        assert run_cli(*simulate_args(sim)) == EXIT_OK
+        (sim / "summary.csv").unlink()
+        before = sorted(path.name for path in sim.iterdir())
+        for verb, out in (("truth", tmp_path / "truth"), ("simulate", tmp_path / "simulate"),
+                          ("summarize", sim)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "snt_lab", verb, "--scenario", "S1", "--config",
+                 str(cfg), "--n", "50", "--reps", "3", "--out", str(out)],
+                capture_output=True, text=True, env=package_env(),
+            )
+            assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "untreated two-year risk is 0; the risk ratio is undefined" in proc.stderr
+            assert staging_dirs(out) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "sim"]
+        assert sorted(path.name for path in sim.iterdir()) == before
+
+
 class TestSimulateVerb:
     def test_emits_all_files_with_schemas(self, tmp_path):
         assert run_cli(*simulate_args(tmp_path)) == EXIT_OK
@@ -559,10 +582,11 @@ class TestEnvironmentDefaults:
 
         simulate = ["simulate", "--scenario", "S1", "--n", "50", "--reps", "3", "--out", out]
         assert numpy_loaded(simulate) == [True]
-        stdlib = [["--help"], ["solve", "--out", out], ["describe", "--out", out],
+        stdlib = [["--help"], ["solve", "--out", out], ["truth", "--out", out],
+                  ["summarize", "--out", out], ["describe", "--out", out],
                   ["plot-data", "--out", out]]
-        assert numpy_loaded(*stdlib) == [False] * 4
-        assert numpy_loaded(*stdlib, ["summarize", "--out", out]) == [False] * 4 + [True]
+        assert numpy_loaded(*stdlib) == [False] * 6
+        assert numpy_loaded(*stdlib, simulate) == [False] * 6 + [True]
         assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [True]
 
 

@@ -5,21 +5,23 @@ import numpy as np
 import pytest
 
 from block_rows import replicate_rows
-from snt_lab.cells import percentiles, summarize_descriptives
+from snt_lab.cells import (
+    InsufficientReplicatesError,
+    pairwise_sum,
+    percentiles,
+    summarize,
+    summarize_descriptives,
+)
 from snt_lab.config import RunConfig, builtin_scenarios, validate_run
 from snt_lab.harness import (
-    InsufficientReplicatesError,
     class_probabilities,
     estimate_cells,
     replicate_stream,
     run_replicate,
     run_scenario,
     scenario_block,
-    summarize,
-    truth_tables,
 )
-from snt_lab.hazards import solve
-from snt_lab.population import enumerate_truth
+from snt_lab.hazards import enumerate_truth, solve, truth_tables
 
 
 def scenario(name="S1", pi=0.6):
@@ -35,12 +37,8 @@ def small_run(**overrides):
 def crude_cells(sid, log_rr, degenerate=None):
     """summarize's cells: one SPT crude cell with these replicates' log RR
     and flags (none flagged by default)."""
-    flags = [""] * len(log_rr) if degenerate is None else degenerate
-    return {
-        (sid, "SPT", "crude", "none"): (
-            np.asarray(log_rr, dtype=float), np.array(flags, dtype=object)
-        )
-    }
+    flags = [""] * len(log_rr) if degenerate is None else list(degenerate)
+    return {(sid, "SPT", "crude", "none"): (list(map(float, log_rr)), flags)}
 
 
 def replicate_result(spec, hazards, replicate_id, run):
@@ -209,6 +207,61 @@ class TestSummarize:
         assert [(r.design, r.analysis) for r in rows[:4]] == [
             ("SPT", "true_rr"), ("SPT", "crude"), ("SPT", "ate_spt"), ("SPT", "att_spt"),
         ]
+
+
+def same_bits(got, expected):
+    """Equal as float64 bit patterns (so -0.0 differs from 0.0), or both NaN."""
+    got, expected = np.float64(got), np.float64(expected)
+    return got.view(np.uint64) == expected.view(np.uint64) or (
+        np.isnan(got) and np.isnan(expected))
+
+
+class TestPairwiseSum:
+    """pairwise_sum and summarize against numpy's sum, mean, std(ddof=1)
+    and RMSE, bit for bit, across the three branches of numpy's pairwise
+    summation (under 8 values, up to 128, split above)."""
+
+    BOUNDARIES = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137,
+                  255, 256, 257, 1023, 1024, 1025, 4999, 5000)
+
+    def arrays(self, largest_exponent):
+        """Seeded arrays: normal values, magnitudes over many orders up to
+        10**largest_exponent, or a single repeated value, some entries
+        replaced by NaN, +-inf, -0.0 or 0.0."""
+        rng = np.random.default_rng(20261019)
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        lengths = [*self.BOUNDARIES, *rng.integers(1, 5001, size=200).tolist()]
+        for trial, n in enumerate(lengths):
+            kind = trial % 4
+            if kind == 0:
+                values = rng.normal(size=n)
+            elif kind == 1:
+                values = rng.normal(size=n) * 10.0 ** rng.integers(-8, largest_exponent + 1, size=n)
+            elif kind == 2:
+                values = np.full(n, rng.choice([-0.0, 0.0, rng.normal()]))
+            else:
+                values = rng.normal(-0.3, 0.1, size=n)
+            special = rng.random(n) < rng.choice([0.0, 0.0, 0.01, 0.3])
+            values[special] = rng.choice(specials, size=special.sum())
+            yield values
+
+    def test_sum_matches_numpy(self):
+        for values in self.arrays(300):
+            with np.errstate(all="ignore"):
+                expected = np.sum(values)
+            assert same_bits(pairwise_sum(values.tolist()), expected), values
+
+    def test_summary_matches_numpy(self):
+        theta = math.log(0.7)
+        for values in self.arrays(2):
+            if values.size < 2:
+                continue
+            row = summarize(crude_cells("S1", values), {}, truth_override=0.7)[0]
+            with np.errstate(all="ignore"):
+                expected = (values.mean() - theta, values.std(ddof=1),
+                            np.sqrt(np.mean((values - theta) ** 2)))
+            for got, want in zip((row.bias, row.ese, row.rmse), expected):
+                assert same_bits(got, want), values
 
 
 class TestSummarizeDescriptives:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -177,3 +178,30 @@ def test_pi_one_degenerate_case():
     spec = dataclasses.replace(by_scenario()["S1"], progression_prob=1.0)
     report = solve(spec)
     assert report.max_abs_residual < RESIDUAL_TOL
+
+
+def test_certain_risk_with_zero_discriminant_solves():
+    # at a low-severity target of 1 and q = 1 the discriminant is exactly 0,
+    # and rounding once put it below 0 (math domain error)
+    spec = dataclasses.replace(
+        by_scenario()["S1"], risk_untreated=(1.0, 1.0),
+        delta=(0.5939101306738267, 1.0), progression_prob=0.10474628201641056,
+    )
+    report = solve(spec)
+    assert report.hazards.p00 == 1.0
+    assert report.feasible
+
+
+def test_certain_risk_sweep_raises_only_infeasibility():
+    rng = random.Random(20261018)
+    base = by_scenario()["S1"]
+    for _ in range(20_000):
+        spec = dataclasses.replace(
+            base, risk_untreated=(1.0, 1.0), delta=(rng.random(), 1.0),
+            progression_prob=rng.random(),
+        )
+        try:
+            report = solve(spec)
+        except SolverInfeasible:
+            continue
+        assert report.max_abs_residual < RESIDUAL_TOL, spec

@@ -54,13 +54,12 @@ from snt_lab.harness import (
     run_scenario,
     scenario_block,
 )
-from snt_lab.hazards import solve
+from snt_lab.hazards import enumerate_truth, solve
 from snt_lab.population import (
     PATTERN_NEVER,
     Cohort,
     base_type_probabilities,
     draw_cohort,
-    enumerate_truth,
 )
 
 SPECS = {s.scenario_id: s for s in builtin_scenarios()}

@@ -10,7 +10,7 @@ from snt_lab.config import builtin_scenarios
 from snt_lab.designs import assign_treatments, build_esnt_cal, build_esnt_td, build_spt
 from snt_lab.cells import ANALYSIS_TRUE
 from snt_lab.estimators import analyze_replicate
-from snt_lab.hazards import solve
+from snt_lab.hazards import SolverInfeasible, enumerate_truth, solve
 from snt_lab.output import truth_rows
 from snt_lab.population import (
     Cohort,
@@ -19,7 +19,6 @@ from snt_lab.population import (
     PATTERN_VISIT1,
     PATTERN_VISIT2,
     draw_cohort,
-    enumerate_truth,
 )
 
 
@@ -199,6 +198,37 @@ class TestEnumerateTruth:
             share = (cohort.event_time[:, pattern] <= 2).mean()
             se = math.sqrt(expected * (1 - expected) / n)
             assert abs(share - expected) < 3 * se
+
+    def test_log_rr_matches_numpy_log(self):
+        # math.log gives the bits np.log gave for the built-in scenarios and a
+        # --pi sweep; the two differ by 1 ulp on about 0.5% of random inputs
+        specs = list(builtin_scenarios())
+        for pi in np.random.default_rng(14).random(500).tolist():
+            specs += builtin_scenarios(pi)
+        checked = 0
+        for spec in specs:
+            try:
+                h = solve(spec).hazards
+            except SolverInfeasible:
+                continue
+            entry = enumerate_truth(spec, h)
+            assert entry.log_rr == float(np.log(entry.rr)), spec
+            checked += 1
+        assert checked > 1000
+
+    def test_zero_untreated_risk_is_infeasible(self):
+        spec, _ = spec_and_hazards("S1")
+        spec = dataclasses.replace(spec, risk_untreated=(0.0, 0.0))
+        with pytest.raises(SolverInfeasible, match="untreated two-year risk is 0"):
+            enumerate_truth(spec, solve(spec).hazards)
+
+    def test_zero_treated_risk_gives_minus_infinity(self):
+        # a subnormal delta rounds the treated targets, and risk, to 0
+        spec, _ = spec_and_hazards("S1")
+        spec = dataclasses.replace(spec, delta=(5e-324, 5e-324))
+        entry = enumerate_truth(spec, solve(spec).hazards)
+        assert entry.rr == 0.0
+        assert entry.log_rr == -math.inf
 
 
 class TestCohortTrueRR:
