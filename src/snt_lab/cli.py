@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Verbs: solve, truth, simulate, summarize, describe, plot-data. Exit codes:
-0 success, 1 I/O failure or malformed input file (named with its line), 2
-usage error, 3 infeasible calibration or an undefined truth (an untreated
-two-year risk of 0). A verb writes its files into a temporary sibling of
-the output directory and moves them in only when it succeeds, so a failed,
-interrupted or killed run never leaves a truncated file there; the next run
-removes the siblings that killed runs left.
+Verbs: solve, truth, simulate, summarize, describe, plot-data, each taking
+only the flags it reads (`_VERBS`); only simulate reads SNT_LAB_THREADS.
+Exit codes: 0 success, 1 I/O failure or malformed input file (named with
+its line), 2 usage error, 3 infeasible calibration or an undefined truth
+(an untreated two-year risk of 0). A verb writes its files into a
+temporary sibling of the output directory and moves them in only when it
+succeeds, so a failed, interrupted or killed run never leaves a truncated
+file there; the next run removes the siblings that killed runs left.
 simulate also removes the derived files of an earlier run in the same
 directory that it did not rewrite. A simulate whose summary has a cell with
 fewer than two usable replicates moves in its complete per-replicate files,
@@ -45,8 +46,6 @@ from .config import (
 )
 from .hazards import SolverInfeasible, solve, truth_tables
 
-VERBS = ("solve", "truth", "simulate", "summarize", "describe", "plot-data")
-
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
@@ -54,9 +53,8 @@ EXIT_INFEASIBLE = 3
 
 THREADS_ENV_VAR = "SNT_LAB_THREADS"
 
-#: The engine's entry points that the verbs call, and the verbs that call them.
+#: The engine's entry points that simulate calls.
 _ENGINE_NAMES = ("estimate_cells", "run_scenario")
-_ENGINE_VERBS = ("simulate",)
 
 
 def _load_engine() -> None:
@@ -109,31 +107,40 @@ def _default_threads() -> int | None:
         ) from None
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scenario", choices=SCENARIO_IDS + ("all",), default="all",
-        help="scenario to operate on (default: all)",
-    )
-    parser.add_argument("--pi", type=float, default=None,
-                        help="override the per-visit severity progression probability")
-    parser.add_argument("--reps", type=_nonnegative_int, default=None,
-                        help="number of simulation replicates")
-    parser.add_argument("--n", type=_positive_int, default=None,
-                        help="individuals per cohort")
-    parser.add_argument("--seed", type=_seed, default=None, help="master seed")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help=f"worker processes (default: ${THREADS_ENV_VAR} or 1)")
-    parser.add_argument("--superpop", type=_positive_int, default=None,
-                        help="draw a finite pool of this size once per scenario "
-                             "and sample cohorts from it with replacement")
-    parser.add_argument("--cal-weights", choices=("initiation", "paper"), default=None,
-                        help="censoring-weight formula for the calendar emulation")
-    parser.add_argument("--truth-override", type=float, default=None,
-                        help="summarize against this fixed true risk ratio instead "
-                             "of the enumerated truth")
-    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output directory (default: runs)")
+def _cal_weights(text: str) -> str:
+    modes = {"initiation": WEIGHT_MODE_INITIATION, "paper": WEIGHT_MODE_PAPER}
+    if text not in modes:
+        raise argparse.ArgumentTypeError(f"must be initiation or paper, got {text!r}")
+    return modes[text]
+
+
+#: Each flag's argparse settings. A flag that sets a config field has the
+#: field's name as its dest, and a metavar that keeps --help as it was.
+_FLAGS = {
+    "--scenario": dict(choices=SCENARIO_IDS + ("all",), default="all",
+                       help="scenario to operate on (default: all)"),
+    "--pi": dict(dest="progression_prob", type=float, metavar="PI",
+                 help="override the per-visit severity progression probability"),
+    "--reps": dict(dest="n_replicates", type=_nonnegative_int, metavar="REPS",
+                   help="number of simulation replicates"),
+    "--n": dict(dest="n_individuals", type=_positive_int, metavar="N",
+                help="individuals per cohort"),
+    "--seed": dict(dest="master_seed", type=_seed, metavar="SEED", help="master seed"),
+    "--threads": dict(dest="parallelism", type=_positive_int, metavar="THREADS",
+                      help=f"worker processes (default: ${THREADS_ENV_VAR} or 1)"),
+    "--superpop": dict(type=_positive_int,
+                       help="draw a finite pool of this size once per scenario "
+                            "and sample cohorts from it with replacement"),
+    "--cal-weights": dict(dest="cal_weight_mode", type=_cal_weights,
+                          metavar="{initiation,paper}",
+                          help="censoring-weight formula for the calendar emulation"),
+    "--truth-override": dict(type=float,
+                             help="summarize against this fixed true risk ratio instead "
+                                  "of the enumerated truth"),
+    "--config": dict(type=Path, help="JSON config file"),
+    "--out": dict(dest="output_dir", type=Path, metavar="OUT",
+                  help="output directory (default: runs)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,16 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "emulations against a single point trial.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    descriptions = {
-        "solve": "calibrate per-visit outcome probabilities (hazards.csv)",
-        "truth": "enumerate exact two-year truths (truth.csv)",
-        "simulate": "run replicates and emit all result files",
-        "summarize": "re-aggregate an existing estimates.csv into summary.csv",
-        "describe": "re-aggregate an existing describe.csv into describe_summary.csv",
-        "plot-data": "reshape summary.csv into figure3.csv and figureS3.csv",
-    }
-    for verb in VERBS:
-        _add_common_flags(sub.add_parser(verb, help=descriptions[verb]))
+    for verb, (command, help_text, flags) in _VERBS.items():
+        verb_parser = sub.add_parser(verb, help=help_text)
+        verb_parser.set_defaults(command=command)
+        for flag in flags:
+            verb_parser.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -161,38 +163,24 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
-    """Config file values first, then CLI flags on top."""
+    """Config file values first, then the verb's flags on top; a verb that
+    takes --threads and is not given it reads SNT_LAB_THREADS."""
     if args.config is not None:
         specs, run = load_config(args.config)
     else:
         specs, run = builtin_scenarios(), RunConfig()
 
-    if args.pi is not None:
-        specs = [dataclasses.replace(s, progression_prob=args.pi) for s in specs]
+    given = vars(args)
+    if given.get("progression_prob") is not None:
+        specs = [dataclasses.replace(s, progression_prob=args.progression_prob) for s in specs]
     if args.scenario != "all":
         specs = [s for s in specs if s.scenario_id == args.scenario]
-
-    overrides = {}
-    if args.reps is not None:
-        overrides["n_replicates"] = args.reps
-    if args.n is not None:
-        overrides["n_individuals"] = args.n
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads is not None:
-        overrides["parallelism"] = threads
-    if args.superpop is not None:
-        overrides["superpop"] = args.superpop
-    if args.cal_weights is not None:
-        overrides["cal_weight_mode"] = (
-            WEIGHT_MODE_PAPER if args.cal_weights == "paper" else WEIGHT_MODE_INITIATION
-        )
-    if args.truth_override is not None:
-        overrides["truth_override"] = args.truth_override
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    run = dataclasses.replace(run, **overrides)
+    if "parallelism" in given and given["parallelism"] is None:
+        given = {**given, "parallelism": _default_threads()}
+    run = dataclasses.replace(run, **{
+        field.name: given[field.name] for field in dataclasses.fields(run)
+        if given.get(field.name) is not None
+    })
 
     violations = [
         f"{s.scenario_id}: {v}" for s in specs for v in validate(s)
@@ -221,10 +209,10 @@ class _OutputTracker:
     .<name>.<pid>.<random>, so that only complete files ever appear in it
     (publish)."""
 
-    def __init__(self, out_dir: Path, stale: tuple[str, ...] = ()):
+    def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         #: files of an earlier run that publish deletes unless rewritten
-        self.stale = stale
+        self.stale: tuple[str, ...] = ()
         self.staging: Path | None = None
         self.written: list[str] = []
 
@@ -293,6 +281,8 @@ _DERIVED_FILES = ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summar
 
 
 def _cmd_simulate(specs, run, tracker) -> None:
+    _load_engine()
+    tracker.stale = _DERIVED_FILES
     reports, truths = _solve_with_truths(specs)
 
     blocks = []
@@ -366,13 +356,22 @@ def _cmd_plot_data(specs, run, tracker) -> None:
     _write_figures(tracker, _selected(specs, {row[:4]: row for row in rows}).values())
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "truth": _cmd_truth,
-    "simulate": _cmd_simulate,
-    "summarize": _cmd_summarize,
-    "describe": _cmd_describe,
-    "plot-data": _cmd_plot_data,
+_SCENARIO_FLAGS = ("--scenario", "--pi", "--config", "--out")
+_FILE_FLAGS = ("--scenario", "--config", "--out")
+
+#: Each verb's command, its help line and the flags it reads.
+_VERBS = {
+    "solve": (_cmd_solve, "calibrate per-visit outcome probabilities (hazards.csv)",
+              _SCENARIO_FLAGS),
+    "truth": (_cmd_truth, "enumerate exact two-year truths (truth.csv)", _SCENARIO_FLAGS),
+    "simulate": (_cmd_simulate, "run replicates and emit all result files", tuple(_FLAGS)),
+    "summarize": (_cmd_summarize, "re-aggregate an existing estimates.csv into summary.csv",
+                  ("--scenario", "--pi", "--truth-override", "--config", "--out")),
+    "describe": (_cmd_describe,
+                 "re-aggregate an existing describe.csv into describe_summary.csv",
+                 _FILE_FLAGS),
+    "plot-data": (_cmd_plot_data, "reshape summary.csv into figure3.csv and figureS3.csv",
+                  _FILE_FLAGS),
 }
 
 
@@ -386,13 +385,9 @@ def execute(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if args.verb in _ENGINE_VERBS:
-        _load_engine()
-    tracker = _OutputTracker(
-        run.output_dir, _DERIVED_FILES if args.verb == "simulate" else ()
-    )
+    tracker = _OutputTracker(run.output_dir)
     try:
-        _COMMANDS[args.verb](specs, run, tracker)
+        args.command(specs, run, tracker)
         tracker.publish()
     except SolverInfeasible as exc:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)

@@ -167,15 +167,19 @@ def solve(spec: ScenarioSpec) -> SolveReport:
     quadratics; the low-severity equations then use the matching
     high-severity value through the progression term.
 
-    Raises SolverInfeasible, naming the offending equation and the violated
-    bound, when any solved probability falls outside [0, 1].
+    Raises SolverInfeasible, naming the scenario, the offending equation and
+    the violated bound, when any solved probability falls outside [0, 1].
     """
     t = targets(spec)
     pi = spec.progression_prob
-    p01 = _solve_high(t[0], EQUATION_NAMES[0])
-    p11 = _solve_high(t[1], EQUATION_NAMES[1])
-    p00 = _solve_low(t[2], p01, pi, EQUATION_NAMES[2])
-    p10 = _solve_low(t[3], p11, pi, EQUATION_NAMES[3])
+    try:
+        p01 = _solve_high(t[0], EQUATION_NAMES[0])
+        p11 = _solve_high(t[1], EQUATION_NAMES[1])
+        p00 = _solve_low(t[2], p01, pi, EQUATION_NAMES[2])
+        p10 = _solve_low(t[3], p11, pi, EQUATION_NAMES[3])
+    except SolverInfeasible as exc:
+        exc.args = (f"{spec.scenario_id} {exc}",)
+        raise
     h = HazardSet(p00=p00, p01=p01, p10=p10, p11=p11)
     res = residuals(h, spec)
     return SolveReport(hazards=h, residuals=res, feasible=max(abs(r) for r in res) < RESIDUAL_TOL)

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import fnmatch
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,8 +15,17 @@ import pytest
 import snt_lab
 from snt_lab import estimators, harness, output
 from snt_lab.cells import ANALYSES, DESIGNS
-from snt_lab.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from snt_lab.config import SCENARIO_IDS
+from snt_lab.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    _resolve,
+    build_parser,
+    main,
+    parse_args,
+)
+from snt_lab.config import SCENARIO_IDS, WEIGHT_MODE_PAPER, RunConfig
 from snt_lab.output import (
     DESCRIBE_COLUMNS,
     DESCRIBE_SUMMARY_COLUMNS,
@@ -61,6 +72,24 @@ def header_of(path):
     return tuple(path.read_text().splitlines()[0].split(","))
 
 
+#: A valid value for every flag, and the flags each verb takes.
+FLAG_VALUES = {
+    "--scenario": "S1", "--pi": "0.5", "--reps": "3", "--n": "10", "--seed": "7",
+    "--threads": "2", "--superpop": "100", "--cal-weights": "paper",
+    "--truth-override": "0.8", "--config": "cfg.json", "--out": "out",
+}
+SCENARIO_FLAGS = ("--scenario", "--pi", "--config", "--out")
+FILE_FLAGS = ("--scenario", "--config", "--out")
+VERB_FLAGS = {
+    "solve": SCENARIO_FLAGS,
+    "truth": SCENARIO_FLAGS,
+    "simulate": tuple(FLAG_VALUES),
+    "summarize": SCENARIO_FLAGS + ("--truth-override",),
+    "describe": FILE_FLAGS,
+    "plot-data": FILE_FLAGS,
+}
+
+
 def simulate_args(out, *extra):
     return (
         "simulate", "--scenario", "S1", "--reps", "8", "--n", "300",
@@ -96,6 +125,67 @@ class TestParsing:
             run_cli("solve", "--scenario", "S9")
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("verb, flag", [(v, f) for v in VERB_FLAGS for f in FLAG_VALUES])
+    def test_a_verb_takes_only_the_flags_it_reads(self, capsys, verb, flag):
+        argv = [verb, flag, FLAG_VALUES[flag]]
+        if flag in VERB_FLAGS[verb]:
+            parse_args(argv)
+            return
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_each_flag_sets_its_config_field(self, monkeypatch):
+        monkeypatch.delenv("SNT_LAB_THREADS", raising=False)
+        assert _resolve(parse_args(["simulate"]))[1] == RunConfig()
+        flags = [token for flag, value in FLAG_VALUES.items() if flag != "--config"
+                 for token in (flag, value)]
+        specs, run = _resolve(parse_args(["simulate", *flags]))
+        assert [(s.scenario_id, s.progression_prob) for s in specs] == [("S1", 0.5)]
+        assert run == RunConfig(
+            n_individuals=10, n_replicates=3, master_seed=7, parallelism=2,
+            output_dir=Path("out"), cal_weight_mode=WEIGHT_MODE_PAPER, superpop=100,
+            truth_override=0.8,
+        )
+
+    def test_help_names_each_value_after_its_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("simulate", "--help")
+        text = capsys.readouterr().out
+        for usage in ("--pi PI", "--reps REPS", "--n N", "--seed SEED", "--threads THREADS",
+                      "--cal-weights {initiation,paper}", "--out OUT"):
+            assert f"[{usage}]" in text, usage
+
+    def test_bad_cal_weights_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--cal-weights", "paper_simplified")
+        assert exc.value.code == EXIT_USAGE
+        assert "--cal-weights: must be initiation or paper" in capsys.readouterr().err
+
+    def test_readme_flag_table_matches_the_parser(self):
+        """README's verb x flag table lists exactly the flags each verb takes."""
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+
+        def cells(line):  # a markdown table row; a "\|" inside a cell is no border
+            return [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+
+        verbs = cells(next(line for line in lines if line.startswith("| flag ")))[1:]
+        documented = {verb: [] for verb in verbs}
+        for line in lines:
+            if line.startswith("| `--"):
+                flag, *marks = cells(line)
+                for verb, mark in zip(verbs, marks, strict=True):
+                    if mark:
+                        documented[verb].append(re.match(r"`(--[a-z-]+)", flag).group(1))
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert documented == {
+            verb: [option for action in parser._actions for option in action.option_strings
+                   if option != "--help" and option.startswith("--")]
+            for verb, parser in subparsers.choices.items()
+        }
+
 
 class TestSolveVerb:
     def test_writes_hazards_csv(self, tmp_path):
@@ -123,6 +213,11 @@ class TestSolveVerb:
         assert "0.0933" in capsys.readouterr().err
         assert not (tmp_path / "hazards.csv").exists()
 
+    def test_infeasible_names_the_scenario(self, tmp_path, capsys):
+        # S1 solves at this pi; S2 is the first scenario that does not
+        assert run_cli("solve", "--pi", "0.78", "--out", str(tmp_path)) == EXIT_INFEASIBLE
+        assert "calibration infeasible: S2 low_treated: " in capsys.readouterr().err
+
 
 class TestTruthVerb:
     def test_truth_all_scenarios(self, tmp_path):
@@ -144,11 +239,12 @@ class TestTruthVerb:
         assert run_cli(*simulate_args(sim)) == EXIT_OK
         (sim / "summary.csv").unlink()
         before = sorted(path.name for path in sim.iterdir())
-        for verb, out in (("truth", tmp_path / "truth"), ("simulate", tmp_path / "simulate"),
-                          ("summarize", sim)):
+        for verb, out, extra in (("truth", tmp_path / "truth", ()),
+                                 ("simulate", tmp_path / "simulate", ("--n", "50", "--reps", "3")),
+                                 ("summarize", sim, ())):
             proc = subprocess.run(
                 [sys.executable, "-m", "snt_lab", verb, "--scenario", "S1", "--config",
-                 str(cfg), "--n", "50", "--reps", "3", "--out", str(out)],
+                 str(cfg), *extra, "--out", str(out)],
                 capture_output=True, text=True, env=package_env(),
             )
             assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
@@ -424,7 +520,7 @@ class TestReaggregationVerbs:
         assert run_cli("describe", "--out", str(tmp_path)) == EXIT_OK
         header, *rows = csv_rows(tmp_path / "describe_summary.csv")
         assert {row[0] for row in rows} == {"S1", "S2", "S3", "S4"}
-        assert run_cli("describe", "--scenario", "S1", *args) == EXIT_OK
+        assert run_cli("describe", "--scenario", "S1", "--out", str(tmp_path)) == EXIT_OK
         assert csv_rows(tmp_path / "describe_summary.csv") == [
             header, *(row for row in rows if row[0] == "S1")
         ]
@@ -435,7 +531,7 @@ class TestReaggregationVerbs:
         figures = {name: csv_rows(tmp_path / name) for name in ("figure3.csv", "figureS3.csv")}
         for _header, *rows in figures.values():
             assert {row[0] for row in rows} == {"S1", "S2", "S3", "S4"}
-        assert run_cli("plot-data", "--scenario", "S1", *args) == EXIT_OK
+        assert run_cli("plot-data", "--scenario", "S1", "--out", str(tmp_path)) == EXIT_OK
         for name, (header, *rows) in figures.items():
             assert csv_rows(tmp_path / name) == [header, *(row for row in rows if row[0] == "S1")]
 
@@ -525,6 +621,13 @@ class TestEnvironmentDefaults:
         assert list(tmp_path.iterdir()) == []
         # an explicit --threads does not read the variable
         assert run_cli(*simulate_args(tmp_path / "out"), "--threads", "1") == EXIT_OK
+
+    def test_only_simulate_reads_the_threads_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SNT_LAB_THREADS", raising=False)
+        assert run_cli(*simulate_args(tmp_path)) == EXIT_OK
+        monkeypatch.setenv("SNT_LAB_THREADS", "abc")
+        for verb in ("solve", "truth", "summarize", "describe", "plot-data"):
+            assert run_cli(verb, "--out", str(tmp_path)) == EXIT_OK, verb
 
     def test_threads_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNT_LAB_THREADS", "2")

@@ -123,6 +123,7 @@ def test_s2_infeasible_at_pi78():
     with pytest.raises(SolverInfeasible) as err:
         solve(spec)
     assert err.value.equation == "low_treated"
+    assert str(err.value).startswith("S2 low_treated: ")
     # the violated bound: pi * p11 = 0.0933... > 0.075
     assert "0.0933" in str(err.value)
     assert "0.075" in str(err.value)
