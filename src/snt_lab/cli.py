@@ -54,7 +54,7 @@ EXIT_INFEASIBLE = 3
 THREADS_ENV_VAR = "SNT_LAB_THREADS"
 
 #: The engine's entry points that simulate calls.
-_ENGINE_NAMES = ("estimate_cells", "run_scenario")
+_ENGINE_NAMES = ("estimate_cells", "run_scenario", "worker_pool")
 
 
 def _load_engine() -> None:
@@ -286,15 +286,17 @@ def _cmd_simulate(specs, run, tracker) -> None:
     reports, truths = _solve_with_truths(specs)
 
     blocks = []
-    for spec in specs:
-        start = time.perf_counter()
-        blocks.append(run_scenario(spec, run, reports[spec.scenario_id][1].hazards))
-        elapsed = time.perf_counter() - start
-        print(
-            f"{spec.scenario_id}: {run.n_replicates} replicates x "
-            f"n={run.n_individuals} done in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
+    # one pool, if any, serves every scenario: its workers start once
+    with worker_pool(run) as pool:
+        for spec in specs:
+            start = time.perf_counter()
+            blocks.append(run_scenario(spec, run, reports[spec.scenario_id][1].hazards, pool))
+            elapsed = time.perf_counter() - start
+            print(
+                f"{spec.scenario_id}: {run.n_replicates} replicates x "
+                f"n={run.n_individuals} done in {elapsed:.1f}s",
+                file=sys.stderr,
+            )
 
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
     tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))

@@ -20,8 +20,10 @@ truth (hazards) run on the standard library.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +50,9 @@ from .designs import (
 )
 from .estimators import analyze_replicate
 from .population import draw_cohort
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Substream namespace for the optional finite superpopulation pool; real
 #: replicates are numbered from 1.
@@ -167,37 +172,55 @@ def _concat(parts: list):
     return type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
+@contextmanager
+def worker_pool(run: RunConfig) -> Iterator[ProcessPoolExecutor | None]:
+    """The worker processes that run_scenario maps its chunks over, for
+    every scenario of a run; None when the run has fewer than two workers or
+    two replicates, so a serial run forks nothing. A worker loads
+    numpy.random with its first chunk, once for the life of the pool, and
+    the parent never does unless it draws a --superpop pool."""
+    workers = min(run.parallelism, run.n_replicates)
+    if workers < 2:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
 def run_scenario(
-    spec: ScenarioSpec, run: RunConfig, hazards: HazardSet | None = None
+    spec: ScenarioSpec,
+    run: RunConfig,
+    hazards: HazardSet | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> ScenarioBlock:
     """Run all replicates of one scenario, in chunks of replicates that run
-    serially or across worker processes. The class law is computed once,
-    here; a chunk only draws and returns integer class counts. The counts
-    are merged in replicate order and every float is computed here, on the
-    merged block, so the result does not depend on scheduling."""
+    serially or over the pool's workers (worker_pool). The class law is
+    computed once, here; a chunk only draws and returns integer class
+    counts. The counts are merged in replicate order and every float is
+    computed here, on the merged block, so the result does not depend on
+    scheduling."""
     replicate_ids = list(range(1, run.n_replicates + 1))
-    if not replicate_ids:  # builds no map, no law and no pool
+    if not replicate_ids:  # builds no map and no law
         return scenario_block(spec, run, replicate_ids, np.empty((0, 0), dtype=np.int64))
     if hazards is None:
         hazards = solve(spec).hazards
-    pool = None if run.superpop is None else draw_superpopulation(spec, hazards, run)
-    p_class = class_probabilities(spec, hazards, run.cal_weight_mode, pool)
+    superpop = None if run.superpop is None else draw_superpopulation(spec, hazards, run)
+    p_class = class_probabilities(spec, hazards, run.cal_weight_mode, superpop)
 
-    workers = min(run.parallelism, len(replicate_ids))
     # four chunks per worker balance the load; a serial run is one chunk,
     # so its counts are never copied into a merged matrix
-    chunk_size = math.ceil(len(replicate_ids) / (4 * workers if workers > 1 else 1))
+    parts = 1 if pool is None else 4 * min(run.parallelism, len(replicate_ids))
+    chunk_size = math.ceil(len(replicate_ids) / parts)
     chunks = [
         (p_class, run, spec.scenario_id, replicate_ids[i : i + chunk_size])
         for i in range(0, len(replicate_ids), chunk_size)
     ]
-    if workers == 1:
+    if pool is None:
         (counts,) = map(_run_chunk, chunks)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
-
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            counts = np.concatenate(list(executor.map(_run_chunk, chunks)))
+        counts = np.concatenate(list(pool.map(_run_chunk, chunks)))
     return scenario_block(spec, run, replicate_ids, counts)
 
 

@@ -49,11 +49,18 @@ EQUATION_NAMES = (
 
 
 class SolverInfeasible(ValueError):
-    """No per-visit probability in [0, 1] satisfies one of the equations."""
+    """No per-visit probability in [0, 1] satisfies one of the equations.
+    Its args are its constructor's, so it survives a pickle round trip (as
+    across a worker pool); str() leads with the scenario id when one is set."""
 
-    def __init__(self, equation: str, message: str):
+    def __init__(self, equation: str, message: str, scenario_id: str = ""):
+        super().__init__(equation, message, scenario_id)
         self.equation = equation
-        super().__init__(f"{equation}: {message}")
+        self.scenario_id = scenario_id
+
+    def __str__(self) -> str:
+        equation, message, scenario_id = self.args
+        return f"{scenario_id} {equation}: {message}".lstrip()
 
 
 @dataclass(frozen=True)
@@ -178,8 +185,8 @@ def solve(spec: ScenarioSpec) -> SolveReport:
         p00 = _solve_low(t[2], p01, pi, EQUATION_NAMES[2])
         p10 = _solve_low(t[3], p11, pi, EQUATION_NAMES[3])
     except SolverInfeasible as exc:
-        exc.args = (f"{spec.scenario_id} {exc}",)
-        raise
+        equation, message, _ = exc.args
+        raise SolverInfeasible(equation, message, spec.scenario_id) from None
     h = HazardSet(p00=p00, p01=p01, p10=p10, p11=p11)
     res = residuals(h, spec)
     return SolveReport(hazards=h, residuals=res, feasible=max(abs(r) for r in res) < RESIDUAL_TOL)
@@ -220,8 +227,8 @@ def enumerate_truth(spec: ScenarioSpec, hazards: HazardSet) -> TruthEntry:
     risk_untreated, risk_treated = risks
     if risk_untreated == 0.0:
         raise SolverInfeasible(
-            f"{spec.scenario_id} truth",
-            "untreated two-year risk is 0; the risk ratio is undefined",
+            "truth", "untreated two-year risk is 0; the risk ratio is undefined",
+            spec.scenario_id,
         )
     rr = risk_treated / risk_untreated
     return TruthEntry(

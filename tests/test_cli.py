@@ -661,6 +661,21 @@ class TestEnvironmentDefaults:
         )
         assert proc.stdout.split() == ["False", "False"]
 
+    @pytest.mark.parametrize("threads, loaded", [("1", True), ("2", False)])
+    def test_a_pool_parent_never_loads_numpy_random(self, tmp_path, threads, loaded):
+        # only the workers draw; the serial run shows the check can fail
+        script = (
+            "import sys, snt_lab.cli\n"
+            "assert snt_lab.cli.main(['simulate', '--n', '200', '--reps', '6',\n"
+            "                         '--threads', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out"), threads],
+            capture_output=True, text=True, check=True, env=package_env(),
+        )
+        assert proc.stdout.split() == [str(loaded)]
+
     def test_only_the_engine_verbs_load_numpy(self, tmp_path):
         out = str(tmp_path / "out")
         script = (
@@ -691,6 +706,40 @@ class TestEnvironmentDefaults:
         assert numpy_loaded(*stdlib) == [False] * 6
         assert numpy_loaded(*stdlib, simulate) == [False] * 6 + [True]
         assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [True]
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pools_built(self, monkeypatch):
+        """The max_workers of every ProcessPoolExecutor built from now on."""
+        import concurrent.futures
+
+        built = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        return built
+
+    def test_one_pool_serves_every_scenario(self, tmp_path, pools_built):
+        argv = ["simulate", "--scenario", "all", "--n", "200", "--reps", "6"]
+        assert run_cli(*argv, "--threads", "2", "--out", str(tmp_path / "two")) == EXIT_OK
+        assert pools_built == [2]
+        assert run_cli(*argv, "--threads", "1", "--out", str(tmp_path / "one")) == EXIT_OK
+        assert pools_built == [2]
+        for name in SIMULATE_FILES:
+            assert (tmp_path / "two" / name).read_bytes() == (
+                tmp_path / "one" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize("threads, reps", [("1", "6"), ("2", "0"), ("2", "1")])
+    def test_a_serial_run_builds_no_pool(self, tmp_path, pools_built, threads, reps):
+        argv = ["simulate", "--n", "200", "--reps", reps, "--threads", threads]
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+        assert pools_built == []
 
 
 def test_trace_script_patches_names_that_exist(tmp_path):

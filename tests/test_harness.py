@@ -20,6 +20,7 @@ from snt_lab.harness import (
     run_replicate,
     run_scenario,
     scenario_block,
+    worker_pool,
 )
 from snt_lab.hazards import enumerate_truth, solve, truth_tables
 
@@ -98,20 +99,27 @@ class TestRunScenario:
         assert replicate_rows(run_scenario(spec, small_run(n_replicates=0))) == []
 
     def test_parallel_matches_serial(self):
-        spec = scenario("S2")
-        h = solve(spec).hazards
-        serial_block = run_scenario(spec, small_run(parallelism=1), h)
-        parallel_block = run_scenario(spec, small_run(parallelism=3), h)
-        for name in ("analyses", "descriptives"):
-            a, b = getattr(serial_block, name), getattr(parallel_block, name)
-            for field, x, y in zip(a._fields, a, b):
-                assert x.dtype == y.dtype, (name, field)
-                assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, field)
-        serial, parallel = replicate_rows(serial_block), replicate_rows(parallel_block)
-        assert [r.replicate for r in parallel] == [r.replicate for r in serial]
-        for a, b in zip(serial, parallel):
-            assert a.analyses == b.analyses
-            assert a.descriptives == b.descriptives
+        # one pool serves two scenarios in a row, as in a simulate run
+        run = small_run(parallelism=3)
+        with worker_pool(run) as pool:
+            assert pool is not None
+            parallel_blocks = [
+                run_scenario(spec, run, solve(spec).hazards, pool)
+                for spec in (scenario("S2"), scenario("S4"))
+            ]
+        for parallel_block in parallel_blocks:
+            spec = scenario(parallel_block.scenario_id)
+            serial_block = run_scenario(spec, small_run(parallelism=1), solve(spec).hazards)
+            for name in ("analyses", "descriptives"):
+                a, b = getattr(serial_block, name), getattr(parallel_block, name)
+                for field, x, y in zip(a._fields, a, b):
+                    assert x.dtype == y.dtype, (name, field)
+                    assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, field)
+            serial, parallel = replicate_rows(serial_block), replicate_rows(parallel_block)
+            assert [r.replicate for r in parallel] == [r.replicate for r in serial]
+            for a, b in zip(serial, parallel):
+                assert a.analyses == b.analyses
+                assert a.descriptives == b.descriptives
 
     def test_superpop_mode_resamples_deterministically(self):
         spec = scenario()

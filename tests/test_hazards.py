@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -127,6 +128,18 @@ def test_s2_infeasible_at_pi78():
     # the violated bound: pi * p11 = 0.0933... > 0.075
     assert "0.0933" in str(err.value)
     assert "0.075" in str(err.value)
+
+
+def test_infeasible_survives_a_pickle_round_trip():
+    # it may be raised in a worker process and re-raised in the parent
+    with pytest.raises(SolverInfeasible) as err:
+        solve(by_scenario(0.78)["S2"])
+    for exc in (SolverInfeasible("low_treated", "x"), err.value):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is SolverInfeasible
+        assert back.equation == exc.equation == "low_treated"
+        assert str(back) == str(exc)
+    assert str(back).startswith("S2 low_treated: ")
 
 
 def test_s4_infeasible_at_pi78():
