@@ -15,8 +15,10 @@ writes no summary and exits 2.
 
 Only simulate loads the engine (harness, and with it numpy): its entry
 points are bound into this module when simulate starts, or when they are
-first read as attributes of the module. solve, truth, summarize, describe,
-plot-data and --help run on the standard library.
+first read as attributes of the module. Loading it sets OpenBLAS to one
+thread before numpy loads, unless OPENBLAS_NUM_THREADS is already set: the
+engine calls no BLAS routine. solve, truth, summarize, describe, plot-data
+and --help run on the standard library.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ def _load_engine() -> None:
     """Bind the engine's entry points into this module. A name already bound
     is kept, so a wrapper installed as this module's attribute (as
     perfbench/trace.py installs them) is the one the verbs call."""
+    # The engine calls no BLAS routine, so OpenBLAS's thread pool is only
+    # start-up cost and a thread the pool workers would be forked from. The
+    # variable is read when numpy loads; a value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import harness
 
     for name in _ENGINE_NAMES:

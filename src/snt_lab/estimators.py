@@ -80,12 +80,17 @@ class AnalysisResult:
 CERTAIN_CENSORING = "certain censoring: Pr(uncensored) = 0 for some severity level"
 
 
-def _uncensored_prob(indexes: IndexSet, spec: ScenarioSpec, mode: str) -> np.ndarray:
+def _uncensored_prob(
+    indexes: IndexSet,
+    decision_prob: tuple[float, float],
+    treat_prob: tuple[float, float],
+    mode: str,
+) -> np.ndarray:
     """Pr(uncensored) of each index under censoring_weights' rule."""
     if mode not in (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER):
         raise ValueError(f"unknown weight mode {mode!r}")
-    tp = np.asarray(spec.treat_prob)
-    dp = np.asarray(spec.decision_prob)
+    tp = np.asarray(treat_prob)
+    dp = np.asarray(decision_prob)
     hazard = tp if mode == WEIGHT_MODE_PAPER else dp * tp
     p_uncensored = 1.0 - hazard
 
@@ -104,7 +109,7 @@ def censoring_weights(
     Pr(decision point) * Pr(initiate | decision point) under the default
     'initiation' mode and just Pr(initiate) under 'paper_simplified'.
     """
-    p = _uncensored_prob(indexes, spec, mode)
+    p = _uncensored_prob(indexes, spec.decision_prob, spec.treat_prob, mode)
     if np.any(p <= 0.0):
         raise DegenerateWeightError(CERTAIN_CENSORING)
     w = np.ones((len(indexes), 2))
@@ -410,17 +415,25 @@ class PersonTypeMap:
         )
 
 
-@functools.lru_cache(maxsize=8)
 def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
     """Run the design builders and the censoring-weight rule once over one
-    person of each type (designs.type_cohort). The map is cached per
-    process and shared by its callers, which only read it."""
+    person of each type (designs.type_cohort). The map reads only the
+    spec's decision and treatment probabilities, so it is cached per process
+    on those and the mode: scenarios that differ in nothing else share one
+    map. Its callers only read it."""
+    return _type_map(spec.decision_prob, spec.treat_prob, cal_weight_mode)
+
+
+@functools.lru_cache(maxsize=8)
+def _type_map(
+    decision_prob: tuple[float, float], treat_prob: tuple[float, float], cal_weight_mode: str
+) -> PersonTypeMap:
     cohort, assignment = type_cohort()
     maps = [table_map(build_spt(cohort, assignment))]
     blocked = np.zeros(len(cohort), dtype=bool)
     for build, mode in zip((build_esnt_cal, build_esnt_td), _weight_modes(cal_weight_mode)):
         idx = build(cohort, assignment)
-        p = _uncensored_prob(idx, spec, mode)
+        p = _uncensored_prob(idx, decision_prob, treat_prob, mode)
         certain = p <= 0.0
         blocked[idx.person_id[certain]] = True
         w = np.ones((len(idx), 2))
@@ -429,10 +442,16 @@ def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
     return PersonTypeMap(tuple(maps), blocked, pattern_events(cohort))
 
 
-@functools.lru_cache(maxsize=8)
 def person_class_map(
     spec: ScenarioSpec, cal_weight_mode: str
 ) -> tuple[np.ndarray, PersonTypeMap]:
     """The class of each person type and the map over classes
     (PersonTypeMap.partition of person_type_map), cached the same way."""
-    return person_type_map(spec, cal_weight_mode).partition()
+    return _class_map(spec.decision_prob, spec.treat_prob, cal_weight_mode)
+
+
+@functools.lru_cache(maxsize=8)
+def _class_map(
+    decision_prob: tuple[float, float], treat_prob: tuple[float, float], cal_weight_mode: str
+) -> tuple[np.ndarray, PersonTypeMap]:
+    return _type_map(decision_prob, treat_prob, cal_weight_mode).partition()

@@ -661,6 +661,30 @@ class TestEnvironmentDefaults:
         )
         assert proc.stdout.split() == ["False", "False"]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_simulate_loads_numpy_with_one_blas_thread(self, tmp_path, preset):
+        # the engine calls no BLAS routine, so OpenBLAS starts no thread
+        # pool; a value the user set is kept
+        script = (
+            "import os, sys, snt_lab.cli\n"
+            "assert snt_lab.cli.main(['simulate', '--scenario', 'S1', '--n', '200',\n"
+            "                         '--reps', '2', '--threads', '1', '--out', sys.argv[1]]) == 0\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
+        )
+        env = package_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)  # in-process simulate tests set it here
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        value, threads = proc.stdout.split()
+        if preset is None:
+            assert threads == "1"
+        assert value == (preset or "1")
+
     @pytest.mark.parametrize("threads, loaded", [("1", True), ("2", False)])
     def test_a_pool_parent_never_loads_numpy_random(self, tmp_path, threads, loaded):
         # only the workers draw; the serial run shows the check can fail

@@ -8,7 +8,8 @@ treatment law given the base type (designs.treatment_probabilities). These
 tests check the factors against the product of the Bernoulli probabilities
 of each type's draws (type_probabilities); the pooled class counts of many
 replicates against the class law, with and without a finite pool; that the
-types of a class have identical map columns; that a cohort drawn by the
+types of a class have identical map columns; that specs which differ only
+in what the map does not read share one map; that a cohort drawn by the
 plain-array oracle and tabulated into class counts gives, through the
 scenario block, the rows of the person-level path; that a scenario block
 equals the one-row blocks of its replicates' counts; and that exact type
@@ -322,6 +323,25 @@ def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
             assert abs(got.n_people[0] - expected.n_people[0]) <= 1e-12
             assert abs(got.n_initiators[0] - expected.n_initiators[0]) <= 1e-12
         assert np.allclose(got_events, events, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_maps_are_shared_by_specs_that_differ_only_in_what_they_do_not_read(mode):
+    # the map reads only the decision and treatment probabilities and the mode
+    spec = SPECS["S3"]
+    for name, value in (("scenario_id", "S9"), ("delta", (0.5, 0.9)), ("risk_untreated", (0.1, 0.3)),
+                        ("progression_prob", 0.5), ("baseline_high_prob", 0.4),
+                        ("spt_treat_prob", 0.5)):
+        other = dataclasses.replace(spec, **{name: value})
+        assert person_type_map(other, mode) is person_type_map(spec, mode)
+        assert person_class_map(other, mode) is person_class_map(spec, mode)
+    assert person_class_map(SPECS["S4"], mode) is person_class_map(spec, mode)
+    for other in (dataclasses.replace(spec, decision_prob=(0.3, 0.8)),
+                  dataclasses.replace(spec, treat_prob=(0.25, 0.8))):
+        assert person_type_map(other, mode) is not person_type_map(spec, mode)
+        assert person_class_map(other, mode) is not person_class_map(spec, mode)
+    other_mode = MODES[1 - MODES.index(mode)]
+    assert person_class_map(spec, other_mode) is not person_class_map(spec, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
