@@ -18,7 +18,9 @@ points are bound into this module when simulate starts, or when they are
 first read as attributes of the module. Loading it sets OpenBLAS to one
 thread before numpy loads, unless OPENBLAS_NUM_THREADS is already set: the
 engine calls no BLAS routine. solve, truth, summarize, describe, plot-data
-and --help run on the standard library.
+and --help run on the standard library. simulate draws every replicate in
+its own process: --threads and SNT_LAB_THREADS are still validated, into
+RunConfig.parallelism, and change no output.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ EXIT_INFEASIBLE = 3
 THREADS_ENV_VAR = "SNT_LAB_THREADS"
 
 #: The engine's entry points that simulate calls.
-_ENGINE_NAMES = ("estimate_cells", "run_scenario", "worker_pool")
+_ENGINE_NAMES = ("estimate_cells", "run_scenario")
 
 
 def _load_engine() -> None:
@@ -64,8 +66,8 @@ def _load_engine() -> None:
     is kept, so a wrapper installed as this module's attribute (as
     perfbench/trace.py installs them) is the one the verbs call."""
     # The engine calls no BLAS routine, so OpenBLAS's thread pool is only
-    # start-up cost and a thread the pool workers would be forked from. The
-    # variable is read when numpy loads; a value the user set is kept.
+    # start-up cost. The variable is read when numpy loads; a value the user
+    # set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import harness
 
@@ -133,7 +135,8 @@ _FLAGS = {
                 help="individuals per cohort"),
     "--seed": dict(dest="master_seed", type=_seed, metavar="SEED", help="master seed"),
     "--threads": dict(dest="parallelism", type=_positive_int, metavar="THREADS",
-                      help=f"worker processes (default: ${THREADS_ENV_VAR} or 1)"),
+                      help=f"validated, but every replicate is drawn in one process "
+                           f"(default: ${THREADS_ENV_VAR} or 1)"),
     "--superpop": dict(type=_positive_int,
                        help="draw a finite pool of this size once per scenario "
                             "and sample cohorts from it with replacement"),
@@ -198,10 +201,13 @@ def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
 
 def _remove_orphans(parent: Path, prefix: str) -> None:
     """Remove the staging directories prefix<pid>.<random> in parent that
-    killed verbs left: those whose process no longer exists."""
+    killed verbs left: those whose process no longer exists. <random> has no
+    dot, so the staging directory prefix<k>.<pid>.<random> of a run into the
+    sibling <name>.<k> is never taken for one."""
     for path in parent.iterdir():
-        pid, dot, _ = path.name.removeprefix(prefix).partition(".")
-        if path.name.startswith(prefix) and dot and pid.isdecimal() and path.is_dir():
+        pid, _, suffix = path.name.removeprefix(prefix).partition(".")
+        if (path.name.startswith(prefix) and pid.isdecimal() and suffix
+                and "." not in suffix and path.is_dir()):
             try:
                 os.kill(int(pid), 0)
             except ProcessLookupError:
@@ -292,17 +298,15 @@ def _cmd_simulate(specs, run, tracker) -> None:
     reports, truths = _solve_with_truths(specs)
 
     blocks = []
-    # one pool, if any, serves every scenario: its workers start once
-    with worker_pool(run) as pool:
-        for spec in specs:
-            start = time.perf_counter()
-            blocks.append(run_scenario(spec, run, reports[spec.scenario_id][1].hazards, pool))
-            elapsed = time.perf_counter() - start
-            print(
-                f"{spec.scenario_id}: {run.n_replicates} replicates x "
-                f"n={run.n_individuals} done in {elapsed:.1f}s",
-                file=sys.stderr,
-            )
+    for spec in specs:
+        start = time.perf_counter()
+        blocks.append(run_scenario(spec, run, reports[spec.scenario_id][1].hazards))
+        elapsed = time.perf_counter() - start
+        print(
+            f"{spec.scenario_id}: {run.n_replicates} replicates x "
+            f"n={run.n_individuals} done in {elapsed:.1f}s",
+            file=sys.stderr,
+        )
 
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
     tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))
@@ -416,4 +420,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # numpy.random imports secrets, which imports hmac and so _hashlib:
+    # OpenSSL's libcrypto, 3.4 MB of resident memory and a few ms of start-up
+    # for hashes the engine never computes. Marked unavailable, hashlib and
+    # hmac use CPython's built-in hashes, as on a Python built without
+    # OpenSSL. Only the program's own process does without it: a library
+    # caller of main or of the engine keeps its OpenSSL hashes.
+    sys.modules.setdefault("_hashlib", None)
     sys.exit(main())

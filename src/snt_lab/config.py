@@ -57,6 +57,7 @@ class RunConfig:
     n_individuals: int = 5000
     n_replicates: int = 5000
     master_seed: int = 42
+    #: --threads: validated, but every replicate is drawn in one process
     parallelism: int = 1
     output_dir: Path = Path("runs")
     cal_weight_mode: str = WEIGHT_MODE_INITIATION

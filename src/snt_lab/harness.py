@@ -3,13 +3,18 @@
 Every replicate owns a random substream derived from (master seed, scenario
 ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
 PCG64 (period 2^128, documented cross-platform output) as the generator. A
-replicate is therefore reproducible in isolation and results never depend on
-worker count or scheduling: the class law is computed once per scenario, a
-replicate only draws its cohort's count of each class of person types from
-it, in one multinomial call, the counts are merged by index, and one block
-computation per scenario checks the merged counts for blocked classes and
-reads every analysis and descriptive row off them. estimate_cells hands
-the blocks' estimates to cells.summarize as lists.
+replicate is therefore reproducible in isolation. The class law is computed
+once per scenario, a replicate only draws its cohort's count of each class
+of person types from it, in one multinomial call, and one block computation
+per scenario checks the counts for blocked classes and reads every analysis
+and descriptive row off them. estimate_cells hands the blocks' estimates to
+cells.summarize as lists.
+
+Every replicate is drawn in the calling process, in replicate order, at any
+RunConfig.parallelism. multinomial holds the interpreter lock, so threads
+cannot share the draws, and at about 50 us a draw, worker processes cost
+more to start than they save on runs of tens of replicates per scenario;
+at 5,000 per scenario two of them saved under 10% of the run.
 
 This module is the engine, with population, designs and estimators: it
 needs numpy, and the CLI imports it only for simulate. The labels, the
@@ -19,11 +24,8 @@ truth (hazards) run on the standard library.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,9 +52,6 @@ from .designs import (
 )
 from .estimators import analyze_replicate
 from .population import draw_cohort
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 #: Substream namespace for the optional finite superpopulation pool; real
 #: replicates are numbered from 1.
@@ -126,15 +125,6 @@ def run_replicate(
     return rng.multinomial(run.n_individuals, p_class)
 
 
-def _run_chunk(args) -> np.ndarray:
-    """The class counts of a run of replicates, one row each."""
-    p_class, run, scenario_id, replicate_ids = args
-    out = np.empty((len(replicate_ids), len(p_class)), dtype=np.int64)
-    for row, rid in enumerate(replicate_ids):
-        out[row] = run_replicate(p_class, run, scenario_id, rid)
-    return out
-
-
 def scenario_block(
     spec: ScenarioSpec, run: RunConfig, replicate_ids: list[int], counts: np.ndarray
 ) -> ScenarioBlock:
@@ -172,35 +162,13 @@ def _concat(parts: list):
     return type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
-@contextmanager
-def worker_pool(run: RunConfig) -> Iterator[ProcessPoolExecutor | None]:
-    """The worker processes that run_scenario maps its chunks over, for
-    every scenario of a run; None when the run has fewer than two workers or
-    two replicates, so a serial run forks nothing. A worker loads
-    numpy.random with its first chunk, once for the life of the pool, and
-    the parent never does unless it draws a --superpop pool."""
-    workers = min(run.parallelism, run.n_replicates)
-    if workers < 2:
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor  # serial runs skip loading it
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
-
-
 def run_scenario(
-    spec: ScenarioSpec,
-    run: RunConfig,
-    hazards: HazardSet | None = None,
-    pool: ProcessPoolExecutor | None = None,
+    spec: ScenarioSpec, run: RunConfig, hazards: HazardSet | None = None
 ) -> ScenarioBlock:
-    """Run all replicates of one scenario, in chunks of replicates that run
-    serially or over the pool's workers (worker_pool). The class law is
-    computed once, here; a chunk only draws and returns integer class
-    counts. The counts are merged in replicate order and every float is
-    computed here, on the merged block, so the result does not depend on
-    scheduling."""
+    """Run all replicates of one scenario. The class law is computed once,
+    here; each replicate only draws its row of integer class counts
+    (run_replicate, looked up at each call), and every float is computed on
+    the whole block of counts."""
     replicate_ids = list(range(1, run.n_replicates + 1))
     if not replicate_ids:  # builds no map and no law
         return scenario_block(spec, run, replicate_ids, np.empty((0, 0), dtype=np.int64))
@@ -208,19 +176,9 @@ def run_scenario(
         hazards = solve(spec).hazards
     superpop = None if run.superpop is None else draw_superpopulation(spec, hazards, run)
     p_class = class_probabilities(spec, hazards, run.cal_weight_mode, superpop)
-
-    # four chunks per worker balance the load; a serial run is one chunk,
-    # so its counts are never copied into a merged matrix
-    parts = 1 if pool is None else 4 * min(run.parallelism, len(replicate_ids))
-    chunk_size = math.ceil(len(replicate_ids) / parts)
-    chunks = [
-        (p_class, run, spec.scenario_id, replicate_ids[i : i + chunk_size])
-        for i in range(0, len(replicate_ids), chunk_size)
-    ]
-    if pool is None:
-        (counts,) = map(_run_chunk, chunks)
-    else:
-        counts = np.concatenate(list(pool.map(_run_chunk, chunks)))
+    counts = np.empty((len(replicate_ids), len(p_class)), dtype=np.int64)
+    for row, rid in enumerate(replicate_ids):
+        counts[row] = run_replicate(p_class, run, spec.scenario_id, rid)
     return scenario_block(spec, run, replicate_ids, counts)
 
 

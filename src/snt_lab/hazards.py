@@ -50,8 +50,8 @@ EQUATION_NAMES = (
 
 class SolverInfeasible(ValueError):
     """No per-visit probability in [0, 1] satisfies one of the equations.
-    Its args are its constructor's, so it survives a pickle round trip (as
-    across a worker pool); str() leads with the scenario id when one is set."""
+    Its args are its constructor's, so it survives a pickle round trip;
+    str() leads with the scenario id when one is set."""
 
     def __init__(self, equation: str, message: str, scenario_id: str = ""):
         super().__init__(equation, message, scenario_id)

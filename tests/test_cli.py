@@ -451,7 +451,9 @@ class TestSimulateVerb:
         child.wait()  # reaped, so no process has its pid
         dead = tmp_path / f".runs.{child.pid}.abc123"
         live = tmp_path / f".runs.{os.getpid()}.xyz789"
-        for staging in (dead, live):
+        # a live run into runs.<dead pid> stages here; its first field is no pid
+        sibling = tmp_path / f".runs.{child.pid}.{os.getpid()}.def456"
+        for staging in (dead, live, sibling):
             staging.mkdir()
             (staging / "estimates.csv").write_text("partial")
         staged = []
@@ -465,8 +467,9 @@ class TestSimulateVerb:
         out = tmp_path / "runs"
         assert run_cli("solve", "--scenario", "S1", "--out", str(out)) == EXIT_OK
         assert not dead.exists()
-        assert (live / "estimates.csv").read_text() == "partial"
-        assert staging_dirs(out) == [live]
+        for kept in (live, sibling):
+            assert (kept / "estimates.csv").read_text() == "partial"
+        assert sorted(staging_dirs(out)) == sorted([live, sibling])
         # this run staged in .runs.<pid>.<random>, which .gitignore's .runs.*/ ignores
         assert len(staged) == 1 and staged[0].startswith(f".runs.{os.getpid()}.")
         gitignore = (Path(__file__).parents[1] / ".gitignore").read_text().split()
@@ -647,16 +650,18 @@ class TestEnvironmentDefaults:
         assert proc.returncode == 0
         assert (tmp_path / "hazards.csv").exists()
 
-    def test_import_leaves_the_process_pool_unloaded(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_import_leaves_the_process_pool_unloaded(self, tmp_path, threads):
         script = (
             "import sys, snt_lab.cli\n"
-            "print('concurrent.futures.process' in sys.modules)\n"
+            "print('concurrent.futures' in sys.modules)\n"
             "assert snt_lab.cli.main(['simulate', '--scenario', 'S1', '--n', '1000',\n"
-            "                         '--reps', '2', '--threads', '1', '--out', sys.argv[1]]) == 0\n"
-            "print('concurrent.futures.process' in sys.modules)\n"
+            "                         '--reps', '2', '--threads', sys.argv[2],\n"
+            "                         '--out', sys.argv[1]]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "out")],
+            [sys.executable, "-c", script, str(tmp_path / "out"), threads],
             capture_output=True, text=True, check=True, env=package_env(),
         )
         assert proc.stdout.split() == ["False", "False"]
@@ -685,20 +690,52 @@ class TestEnvironmentDefaults:
             assert threads == "1"
         assert value == (preset or "1")
 
-    @pytest.mark.parametrize("threads, loaded", [("1", True), ("2", False)])
-    def test_a_pool_parent_never_loads_numpy_random(self, tmp_path, threads, loaded):
-        # only the workers draw; the serial run shows the check can fail
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_console_entry_point_runs_without_openssl(self, tmp_path, threads):
+        # numpy.random imports secrets, hmac and so _hashlib (OpenSSL's
+        # libcrypto); the program's own process uses the built-in hashes
         script = (
-            "import sys, snt_lab.cli\n"
-            "assert snt_lab.cli.main(['simulate', '--n', '200', '--reps', '6',\n"
-            "                         '--threads', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
-            "print('numpy.random' in sys.modules)\n"
+            "import json, sys, snt_lab.cli\n"
+            "try:\n"
+            "    snt_lab.cli.console_main()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "import hashlib, hmac\n"
+            "print(json.dumps([sys.modules.get('_hashlib') is None,\n"
+            "                  'numpy.random' in sys.modules,\n"
+            "                  hashlib.sha256(b'abc').hexdigest(),\n"
+            "                  hmac.new(b'Jefe', b'what do ya want for nothing?',\n"
+            "                           'sha256').hexdigest()]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "out"), threads],
+            [sys.executable, "-c", script, "simulate", "--n", "200", "--reps", "6",
+             "--threads", threads, "--out", str(tmp_path / "out")],
             capture_output=True, text=True, check=True, env=package_env(),
         )
-        assert proc.stdout.split() == [str(loaded)]
+        # FIPS 180-2 and RFC 4231 (test case 2) known answers
+        assert json.loads(proc.stdout) == [
+            True, True,
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+        ]
+        # hashlib logs nothing about a missing hash: stderr holds only the
+        # per-scenario lines
+        assert [re.sub(r"\d+\.\ds$", "", line) for line in proc.stderr.splitlines()] == [
+            f"{sid}: 6 replicates x n=200 done in " for sid in SCENARIO_IDS
+        ]
+
+    def test_a_library_caller_keeps_openssl(self, tmp_path):
+        pytest.importorskip("_hashlib")  # a Python built with OpenSSL
+        script = (
+            "import sys, snt_lab.cli\n"
+            "assert snt_lab.cli.main(['simulate', '--scenario', 'S1', '--n', '200',\n"
+            "                         '--reps', '2', '--out', sys.argv[1]]) == 0\n"
+            "import _hashlib\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            capture_output=True, text=True, check=True, env=package_env(),
+        )
 
     def test_only_the_engine_verbs_load_numpy(self, tmp_path):
         out = str(tmp_path / "out")
@@ -732,7 +769,7 @@ class TestEnvironmentDefaults:
         assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [True]
 
 
-class TestWorkerPool:
+class TestInProcessDraws:
     @pytest.fixture
     def pools_built(self, monkeypatch):
         """The max_workers of every ProcessPoolExecutor built from now on."""
@@ -748,19 +785,18 @@ class TestWorkerPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         return built
 
-    def test_one_pool_serves_every_scenario(self, tmp_path, pools_built):
+    def test_two_threads_write_the_files_of_one(self, tmp_path, pools_built):
         argv = ["simulate", "--scenario", "all", "--n", "200", "--reps", "6"]
         assert run_cli(*argv, "--threads", "2", "--out", str(tmp_path / "two")) == EXIT_OK
-        assert pools_built == [2]
         assert run_cli(*argv, "--threads", "1", "--out", str(tmp_path / "one")) == EXIT_OK
-        assert pools_built == [2]
+        assert pools_built == []
         for name in SIMULATE_FILES:
             assert (tmp_path / "two" / name).read_bytes() == (
                 tmp_path / "one" / name
             ).read_bytes()
 
-    @pytest.mark.parametrize("threads, reps", [("1", "6"), ("2", "0"), ("2", "1")])
-    def test_a_serial_run_builds_no_pool(self, tmp_path, pools_built, threads, reps):
+    @pytest.mark.parametrize("threads, reps", [("1", "6"), ("4", "6"), ("2", "0"), ("2", "1")])
+    def test_no_run_builds_a_pool(self, tmp_path, pools_built, threads, reps):
         argv = ["simulate", "--n", "200", "--reps", reps, "--threads", threads]
         assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
         assert pools_built == []

@@ -20,7 +20,6 @@ from snt_lab.harness import (
     run_replicate,
     run_scenario,
     scenario_block,
-    worker_pool,
 )
 from snt_lab.hazards import enumerate_truth, solve, truth_tables
 
@@ -99,14 +98,11 @@ class TestRunScenario:
         assert replicate_rows(run_scenario(spec, small_run(n_replicates=0))) == []
 
     def test_parallel_matches_serial(self):
-        # one pool serves two scenarios in a row, as in a simulate run
         run = small_run(parallelism=3)
-        with worker_pool(run) as pool:
-            assert pool is not None
-            parallel_blocks = [
-                run_scenario(spec, run, solve(spec).hazards, pool)
-                for spec in (scenario("S2"), scenario("S4"))
-            ]
+        parallel_blocks = [
+            run_scenario(spec, run, solve(spec).hazards)
+            for spec in (scenario("S2"), scenario("S4"))
+        ]
         for parallel_block in parallel_blocks:
             spec = scenario(parallel_block.scenario_id)
             serial_block = run_scenario(spec, small_run(parallelism=1), solve(spec).hazards)

@@ -54,7 +54,6 @@ from snt_lab.harness import (
     run_replicate,
     run_scenario,
     scenario_block,
-    worker_pool,
 )
 from snt_lab.hazards import enumerate_truth, solve
 from snt_lab.population import (
@@ -433,10 +432,8 @@ def test_a_degenerate_replicate_is_named(threads):
     _, blocked = blocked_draws(run)
     assert blocked.any()
     first = 1 + int(np.argmax(blocked))
-    with worker_pool(run) as pool:
-        assert (pool is None) == (threads == 1)
-        with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
-            run_scenario(BLOCKING, run, HAZARDS["S3"], pool)
+    with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
+        run_scenario(BLOCKING, run, HAZARDS["S3"])
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
