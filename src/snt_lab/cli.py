@@ -26,7 +26,6 @@ RunConfig.parallelism, and change no output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import shutil
 import sys
@@ -181,14 +180,13 @@ def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
 
     given = vars(args)
     if given.get("progression_prob") is not None:
-        specs = [dataclasses.replace(s, progression_prob=args.progression_prob) for s in specs]
+        specs = [s._replace(progression_prob=args.progression_prob) for s in specs]
     if args.scenario != "all":
         specs = [s for s in specs if s.scenario_id == args.scenario]
     if "parallelism" in given and given["parallelism"] is None:
         given = {**given, "parallelism": _default_threads()}
-    run = dataclasses.replace(run, **{
-        field.name: given[field.name] for field in dataclasses.fields(run)
-        if given.get(field.name) is not None
+    run = run._replace(**{
+        name: given[name] for name in run._fields if given.get(name) is not None
     })
 
     violations = [

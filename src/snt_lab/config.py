@@ -5,11 +5,9 @@ All probability pairs are ordered (low severity, high severity).
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4")
 
@@ -36,8 +34,7 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid configuration documents."""
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     """Generative parameters of one simulation scenario."""
 
     scenario_id: str
@@ -50,8 +47,7 @@ class ScenarioSpec:
     delta: tuple[float, float] = (0.7, 0.7)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Run-level settings shared by every scenario in a run."""
 
     n_individuals: int = 5000
@@ -154,8 +150,8 @@ def validate_run(run: RunConfig) -> list[str]:
 
 
 _PAIR_FIELDS = {"decision_prob", "treat_prob", "risk_untreated", "delta"}
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioSpec)}
-_RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_SCENARIO_FIELDS = set(ScenarioSpec._fields)
+_RUN_FIELDS = set(RunConfig._fields)
 
 
 def _coerce_scenario_value(key: str, value):
@@ -174,6 +170,8 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
     by ``scenario_id``). An empty file yields the built-in scenarios and the
     default RunConfig. Unknown keys are an error.
     """
+    import json  # only a --config run parses JSON
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -202,7 +200,7 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
         if not isinstance(run_doc["output_dir"], str):
             raise ConfigError("run field 'output_dir' must be a path string")
         run_doc = dict(run_doc, output_dir=Path(run_doc["output_dir"]))
-    run = dataclasses.replace(RunConfig(), **run_doc)
+    run = RunConfig()._replace(**run_doc)
 
     specs = {s.scenario_id: s for s in builtin_scenarios()}
     scen_doc = doc.get("scenarios", [])
@@ -220,7 +218,7 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
         overrides = {
             k: _coerce_scenario_value(k, v) for k, v in entry.items() if k != "scenario_id"
         }
-        specs[sid] = dataclasses.replace(specs[sid], **overrides)
+        specs[sid] = specs[sid]._replace(**overrides)
 
     ordered = [specs[sid] for sid in SCENARIO_IDS]
     violations = [

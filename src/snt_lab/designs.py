@@ -17,7 +17,6 @@ and 3) and can never be censored because no later initiation exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +47,7 @@ from .population import (
 N_TYPES = N_BASE_TYPES * 8
 
 
-@dataclass
-class TreatmentAssignment:
+class TreatmentAssignment(NamedTuple):
     """Observed treatment draws for one cohort.
 
     a2 can be true only for persons untreated at Visit 1, event-free in year
@@ -61,8 +59,7 @@ class TreatmentAssignment:
     a2: np.ndarray  # bool, initiation at Visit 2
 
 
-@dataclass(frozen=True)
-class IndexRecord:
+class IndexRecord(NamedTuple):
     """One analyzed time origin, unpacked into plain Python values."""
 
     person_id: int
@@ -75,19 +72,29 @@ class IndexRecord:
     severity_next: int
 
 
-@dataclass
 class IndexSet:
-    """Column-oriented index-level dataset for one design."""
+    """Column-oriented index-level dataset for one design; len() counts its
+    indexes."""
 
-    design: str
-    person_id: np.ndarray
-    index_visit: np.ndarray
-    severity_at_index: np.ndarray
-    treated: np.ndarray
-    futime: np.ndarray
-    event: np.ndarray
-    censored: np.ndarray
-    severity_next: np.ndarray
+    __slots__ = (
+        "design", "person_id", "index_visit", "severity_at_index", "treated",
+        "futime", "event", "censored", "severity_next",
+    )
+
+    def __init__(
+        self, design: str, person_id: np.ndarray, index_visit: np.ndarray,
+        severity_at_index: np.ndarray, treated: np.ndarray, futime: np.ndarray,
+        event: np.ndarray, censored: np.ndarray, severity_next: np.ndarray,
+    ):
+        self.design = design
+        self.person_id = person_id
+        self.index_visit = index_visit
+        self.severity_at_index = severity_at_index
+        self.treated = treated
+        self.futime = futime
+        self.event = event
+        self.censored = censored
+        self.severity_next = severity_next
 
     def __len__(self) -> int:
         return self.person_id.shape[0]
@@ -270,8 +277,7 @@ def build_esnt_td(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
     return _build_esnt(cohort, assignment, DESIGN_TD)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Index counts and weight sums of one design, cell by cell, for each
     cohort of a block (TableMap.block); one cohort is a block of one.
 
@@ -291,8 +297,7 @@ class CountTable:
     n_initiators: np.ndarray  # (R,): persons with a treated index
 
 
-@dataclass(frozen=True)
-class TableMap:
+class TableMap(NamedTuple):
     """Where the indexes of each person of one design fall in its count
     table, so that the table of any cohort of such persons is a weighted
     tabulation of the person counts.
@@ -413,8 +418,7 @@ def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
     return tmap.block(np.ones((1, len(tmap.indexed)), dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class DescribeRow:
+class DescribeRow(NamedTuple):
     design: str
     group: str
     severity: str

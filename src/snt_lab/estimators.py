@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +60,7 @@ class DegenerateWeightError(ValueError):
     """A censoring probability of 1 makes the weight infinite."""
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """One estimator's risks and risk ratio for one replicate dataset."""
 
     design: str
@@ -363,8 +361,7 @@ def analyze_replicate(
     return battery_block(tables, events, len(cohort)).results(0)
 
 
-@dataclass(frozen=True)
-class PersonTypeMap:
+class PersonTypeMap(NamedTuple):
     """The fixed map from a replicate's count of each person type
     (designs.N_TYPES), or of each class of types (partition), to its three
     count tables and its true-RR counts, for one scenario and

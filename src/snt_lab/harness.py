@@ -24,8 +24,9 @@ truth (hazards) run on the standard library.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,8 @@ _POOL_STREAM_ID = 0
 #: once; bounds the temporaries of a paper-scale scenario to a few MB.
 BLOCK_ROWS = 1024
 
-@dataclass(frozen=True)
-class ScenarioBlock:
+
+class ScenarioBlock(NamedTuple):
     """Every replicate of one scenario as columns: row r of the analyses and
     of the descriptive rows belongs to replicate replicates[r]."""
 
@@ -76,13 +77,33 @@ def scenario_ordinal(scenario_id: str) -> int:
     return SCENARIO_IDS.index(scenario_id) + 1
 
 
+def _seed_words(value: int) -> list[int]:
+    """The uint32 words that numpy's SeedSequence makes of a non-negative
+    int: little-endian, with no trailing zero word, and one word for 0."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _scenario_words(master_seed: int, scenario_id: str) -> tuple[int, ...]:
+    """The words of the master seed and the scenario ordinal, computed once
+    per scenario."""
+    return (*_seed_words(master_seed), *_seed_words(scenario_ordinal(scenario_id)))
+
+
 def replicate_stream(
     master_seed: int, scenario_id: str, replicate_id: int
 ) -> np.random.Generator:
-    """The dedicated random stream of one (scenario, replicate) cell."""
-    seq = np.random.SeedSequence(
-        [master_seed, scenario_ordinal(scenario_id), replicate_id]
-    )
+    """The dedicated random stream of one (scenario, replicate) cell: the
+    stream of SeedSequence([master_seed, ordinal, replicate_id]), seeded
+    with the uint32 array numpy would make of that list, which skips its
+    per-int coercion."""
+    words = [*_scenario_words(master_seed, scenario_id), *_seed_words(replicate_id)]
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -30,7 +30,7 @@ so the verbs that calibrate or enumerate the truth never load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import ScenarioSpec
 
@@ -63,8 +63,7 @@ class SolverInfeasible(ValueError):
         return f"{scenario_id} {equation}: {message}".lstrip()
 
 
-@dataclass(frozen=True)
-class HazardSet:
+class HazardSet(NamedTuple):
     """Per-visit outcome probabilities p<arm><severity>.
 
     The first digit is the treatment arm (0 untreated, 1 treated), the
@@ -81,8 +80,7 @@ class HazardSet:
         return (self.p00, self.p01) if arm == 0 else (self.p10, self.p11)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     hazards: HazardSet
     residuals: tuple[float, float, float, float]
     feasible: bool
@@ -192,8 +190,7 @@ def solve(spec: ScenarioSpec) -> SolveReport:
     return SolveReport(hazards=h, residuals=res, feasible=max(abs(r) for r in res) < RESIDUAL_TOL)
 
 
-@dataclass(frozen=True)
-class TruthEntry:
+class TruthEntry(NamedTuple):
     """Two-year risks under sustained initiation and under never initiating,
     and their ratio."""
 

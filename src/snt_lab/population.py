@@ -19,8 +19,6 @@ on the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import HORIZON_TAU, N_VISITS, ScenarioSpec
@@ -40,9 +38,8 @@ PATTERN_ARMS = np.array([[0, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=np.intp)
 NO_EVENT = 99
 
 
-@dataclass
 class Cohort:
-    """Column-oriented cohort; rows are individuals.
+    """Column-oriented cohort; rows are individuals, and len() counts them.
 
     severity:   (n, 3) int8, severity at Visits 1-3
     decision2:  (n,) bool, Visit 2 qualifies as a treatment decision point
@@ -50,10 +47,16 @@ class Cohort:
     event_time: (n, 3) int16, years from Visit 1 per pattern, NO_EVENT if none
     """
 
-    severity: np.ndarray
-    decision2: np.ndarray
-    po: np.ndarray
-    event_time: np.ndarray
+    __slots__ = ("severity", "decision2", "po", "event_time")
+
+    def __init__(
+        self, severity: np.ndarray, decision2: np.ndarray, po: np.ndarray,
+        event_time: np.ndarray,
+    ):
+        self.severity = severity
+        self.decision2 = decision2
+        self.po = po
+        self.event_time = event_time
 
     def __len__(self) -> int:
         return self.severity.shape[0]

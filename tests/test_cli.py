@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import fnmatch
 import json
@@ -767,6 +768,40 @@ class TestEnvironmentDefaults:
         assert numpy_loaded(*stdlib) == [False] * 6
         assert numpy_loaded(*stdlib, simulate) == [False] * 6 + [True]
         assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [True]
+
+    def test_no_verb_loads_dataclasses_or_an_unused_parser(self, tmp_path):
+        # the child reads its verbs with eval and prints a repr, so that
+        # nothing but the verbs themselves can load json
+        out = str(tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text('{"run": {"n_individuals": 50}}')
+        script = (
+            "import sys, snt_lab.cli\n"
+            "loaded = []\n"
+            "for argv in eval(sys.argv[1]):\n"
+            "    try:\n"
+            "        status = snt_lab.cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "    assert status == 0, argv\n"
+            "    loaded.append(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+            "print(repr(loaded))\n"
+        )
+        assert run_cli("simulate", "--scenario", "S1", "--n", "50", "--reps", "3",
+                       "--out", out) == EXIT_OK
+        stdlib = [["--help"], ["solve", "--out", out], ["truth", "--out", out],
+                  ["summarize", "--out", out], ["describe", "--out", out],
+                  ["plot-data", "--out", out]]
+        verbs = [*stdlib, ["solve", "--config", str(config), "--out", out],
+                 ["simulate", "--scenario", "S1", "--n", "50", "--reps", "3", "--out", out]]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, repr(verbs)],
+            capture_output=True, text=True, check=True, env=package_env(),
+        )
+        loaded = ast.literal_eval(proc.stdout.splitlines()[-1])  # after --help's text
+        assert loaded[:6] == [[]] * 6
+        assert loaded[6] == ["json"]
+        assert "dataclasses" not in loaded[7]
 
 
 class TestInProcessDraws:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -34,7 +33,7 @@ def test_builtin_grid():
         assert s.baseline_high_prob == 0.25
     # the horizon and the visit count are fixed by the design, not settings
     assert (HORIZON_TAU, N_VISITS) == (2, 3)
-    fields = {f.name for f in dataclasses.fields(ScenarioSpec)}
+    fields = set(ScenarioSpec._fields)
     assert fields.isdisjoint({"horizon_tau", "n_visits"})
 
 
@@ -58,19 +57,17 @@ def test_validate_accepts_builtins():
 
 
 def test_validate_flags_bad_progression():
-    s = dataclasses.replace(builtin_scenarios()[0], progression_prob=-0.1)
+    s = builtin_scenarios()[0]._replace(progression_prob=-0.1)
     assert validate(s) == ["progression_prob out of [0,1]"]
 
 
 def test_validate_flags_nonpositive_delta():
-    s = dataclasses.replace(builtin_scenarios()[1], delta=(0.0, 0.9))
+    s = builtin_scenarios()[1]._replace(delta=(0.0, 0.9))
     assert validate(s) == ["delta must be finite and > 0"]
 
 
 def test_validate_collects_multiple_violations():
-    s = dataclasses.replace(
-        builtin_scenarios()[0], treat_prob=(1.3, 0.5), risk_untreated=(0.4, 0.2)
-    )
+    s = builtin_scenarios()[0]._replace(treat_prob=(1.3, 0.5), risk_untreated=(0.4, 0.2))
     bad = validate(s)
     assert "treat_prob out of [0,1]" in bad
     assert any("risk_untreated" in v for v in bad)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -90,14 +89,14 @@ def describe_rows(idx, n_persons):
 class TestAssignTreatments:
     def test_never_treated_when_probabilities_zero(self):
         spec, h = spec_and_hazards()
-        spec = dataclasses.replace(spec, treat_prob=(0.0, 0.0))
+        spec = spec._replace(treat_prob=(0.0, 0.0))
         cohort = draw_cohort(rng(), spec, h, 2000)
         a = assign_treatments(rng(1), cohort, spec)
         assert not a.a1.any() and not a.a2.any()
 
     def test_no_visit2_initiation_without_decision_points(self):
         spec, h = spec_and_hazards()
-        spec = dataclasses.replace(spec, decision_prob=(0.0, 0.0))
+        spec = spec._replace(decision_prob=(0.0, 0.0))
         cohort = draw_cohort(rng(), spec, h, 2000)
         a = assign_treatments(rng(1), cohort, spec)
         assert not a.a2.any()
@@ -241,7 +240,7 @@ class TestBuildEsnt:
 
     def test_td_equals_cal_when_decision_certain(self):
         spec, h = spec_and_hazards()
-        spec = dataclasses.replace(spec, decision_prob=(1.0, 1.0))
+        spec = spec._replace(decision_prob=(1.0, 1.0))
         cohort = draw_cohort(rng(14), spec, h, 10000)
         a = assign_treatments(rng(15), cohort, spec)
         cal = build_esnt_cal(cohort, a)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -86,13 +85,13 @@ class TestCensoringWeights:
 
     def test_certain_censoring_is_degenerate(self):
         spec, _ = spec_and_hazards("S1")
-        spec = dataclasses.replace(spec, decision_prob=(1.0, 1.0), treat_prob=(0.5, 1.0))
+        spec = spec._replace(decision_prob=(1.0, 1.0), treat_prob=(0.5, 1.0))
         with pytest.raises(DegenerateWeightError):
             censoring_weights(dataset([record(severity_next=1)]), spec)
 
     def test_certain_censoring_of_uncensorable_indexes_is_harmless(self):
         spec, _ = spec_and_hazards("S1")
-        spec = dataclasses.replace(spec, decision_prob=(1.0, 1.0), treat_prob=(0.5, 1.0))
+        spec = spec._replace(decision_prob=(1.0, 1.0), treat_prob=(0.5, 1.0))
         idx = dataset([
             record(treated=True, severity_next=1),
             record(index_visit=2, severity_next=1),
@@ -133,7 +132,7 @@ class TestIpcwKmRisk:
                 for i in range(n)
             ]
             recs = [
-                r if r.event or r.futime == 2 else dataclasses.replace(r, futime=2)
+                r if r.event or r.futime == 2 else r._replace(futime=2)
                 for r in recs
             ]
             idx = dataset(recs)
@@ -354,8 +353,7 @@ class TestAnalyzeReplicate:
         # no severity imbalance can arise: equal treatment and decision
         # probabilities, no progression, one shared risk ratio
         spec, _ = spec_and_hazards("S1")
-        spec = dataclasses.replace(
-            spec,
+        spec = spec._replace(
             progression_prob=0.0,
             treat_prob=(0.4, 0.4),
             decision_prob=(0.5, 0.5),
@@ -383,7 +381,7 @@ class TestAnalyzeReplicate:
 
     def test_no_initiation_world_has_unit_weights(self):
         spec, h = spec_and_hazards("S1")
-        spec = dataclasses.replace(spec, decision_prob=(0.0, 0.0))
+        spec = spec._replace(decision_prob=(0.0, 0.0))
         rng = np.random.default_rng(13)
         cohort = draw_cohort(rng, spec, h, 20000)
         a = assign_treatments(rng, cohort, spec)

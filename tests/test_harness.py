@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +19,7 @@ from snt_lab.harness import (
     run_replicate,
     run_scenario,
     scenario_block,
+    scenario_ordinal,
 )
 from snt_lab.hazards import enumerate_truth, solve, truth_tables
 
@@ -59,6 +59,17 @@ class TestReplicateStream:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
         assert not np.array_equal(a, e)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 - 1])
+    def test_stream_is_the_seed_sequence_of_the_list(self, seed):
+        for scenario_id in ("S1", "S4"):
+            for replicate_id in (0, 1, 4999, 2**33):
+                listed = np.random.SeedSequence(
+                    [seed, scenario_ordinal(scenario_id), replicate_id]
+                )
+                expected = np.random.PCG64(listed).state
+                got = replicate_stream(seed, scenario_id, replicate_id).bit_generator.state
+                assert got == expected, (seed, scenario_id, replicate_id)
 
 
 class TestRunReplicate:
@@ -129,9 +140,7 @@ class TestRunScenario:
         # the mode's own error surfaces; every entry point validates first
         spec = scenario()
         h = solve(spec).hazards
-        bad = dataclasses.replace(
-            small_run(n_replicates=2), cal_weight_mode="not_a_mode"
-        )
+        bad = small_run(n_replicates=2)._replace(cal_weight_mode="not_a_mode")
         assert any("cal_weight_mode" in problem for problem in validate_run(bad))
         with pytest.raises(ValueError, match="unknown weight mode 'not_a_mode'"):
             run_scenario(spec, bad, h)

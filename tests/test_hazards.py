@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import random
 
@@ -113,7 +112,7 @@ def test_forward_evaluation_reproduces_targets():
 
 
 def test_null_treatment_effect_gives_identical_arms():
-    spec = dataclasses.replace(by_scenario()["S1"], delta=(1.0, 1.0))
+    spec = by_scenario()["S1"]._replace(delta=(1.0, 1.0))
     h = solve(spec).hazards
     assert h.p10 == h.p00
     assert h.p11 == h.p01
@@ -150,16 +149,16 @@ def test_s4_infeasible_at_pi78():
 def test_feasibility_boundary_for_s2():
     p11 = S2_PI06["p11"]
     pi_max = 0.075 / p11
-    spec = dataclasses.replace(by_scenario()["S2"], progression_prob=pi_max - 1e-9)
+    spec = by_scenario()["S2"]._replace(progression_prob=pi_max - 1e-9)
     h = solve(spec).hazards
     assert 0.0 <= h.p10 < 1e-6
-    spec = dataclasses.replace(spec, progression_prob=pi_max + 1e-6)
+    spec = spec._replace(progression_prob=pi_max + 1e-6)
     with pytest.raises(SolverInfeasible):
         solve(spec)
 
 
 def test_high_target_above_one_is_infeasible():
-    spec = dataclasses.replace(by_scenario()["S1"], delta=(0.7, 4.1))
+    spec = by_scenario()["S1"]._replace(delta=(0.7, 4.1))
     with pytest.raises(SolverInfeasible) as err:
         solve(spec)
     assert err.value.equation == "high_treated"
@@ -174,9 +173,7 @@ def test_solved_probability_increases_with_target():
         assert high > prev_high and low > prev_low
         prev_high, prev_low = high, low
         if f <= 0.4:  # larger targets break low-equation feasibility at pi=0.6
-            spec_f = dataclasses.replace(
-                spec, risk_untreated=(min(f, 0.2), f), delta=(0.7, 0.7)
-            )
+            spec_f = spec._replace(risk_untreated=(min(f, 0.2), f), delta=(0.7, 0.7))
             assert solve(spec_f).hazards.p01 == pytest.approx(high, abs=1e-12)
 
 
@@ -189,7 +186,7 @@ def test_residual_first_order_in_p01():
 
 
 def test_pi_one_degenerate_case():
-    spec = dataclasses.replace(by_scenario()["S1"], progression_prob=1.0)
+    spec = by_scenario()["S1"]._replace(progression_prob=1.0)
     report = solve(spec)
     assert report.max_abs_residual < RESIDUAL_TOL
 
@@ -197,8 +194,8 @@ def test_pi_one_degenerate_case():
 def test_certain_risk_with_zero_discriminant_solves():
     # at a low-severity target of 1 and q = 1 the discriminant is exactly 0,
     # and rounding once put it below 0 (math domain error)
-    spec = dataclasses.replace(
-        by_scenario()["S1"], risk_untreated=(1.0, 1.0),
+    spec = by_scenario()["S1"]._replace(
+        risk_untreated=(1.0, 1.0),
         delta=(0.5939101306738267, 1.0), progression_prob=0.10474628201641056,
     )
     report = solve(spec)
@@ -210,8 +207,8 @@ def test_certain_risk_sweep_raises_only_infeasibility():
     rng = random.Random(20261018)
     base = by_scenario()["S1"]
     for _ in range(20_000):
-        spec = dataclasses.replace(
-            base, risk_untreated=(1.0, 1.0), delta=(rng.random(), 1.0),
+        spec = base._replace(
+            risk_untreated=(1.0, 1.0), delta=(rng.random(), 1.0),
             progression_prob=rng.random(),
         )
         try:

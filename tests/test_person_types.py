@@ -16,7 +16,6 @@ equals the one-row blocks of its replicates' counts; and that exact type
 probabilities through the map give the enumerated truth.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +67,7 @@ HAZARDS = {sid: solve(spec).hazards for sid, spec in SPECS.items()}
 MODES = (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER)
 #: A high-severity decision point that always initiates: an untreated Visit 1
 #: index with high severity at Visit 2 is censored for certain.
-BLOCKING = dataclasses.replace(SPECS["S3"], decision_prob=(0.2, 1.0), treat_prob=(0.25, 1.0))
+BLOCKING = SPECS["S3"]._replace(decision_prob=(0.2, 1.0), treat_prob=(0.25, 1.0))
 
 
 def type_probabilities(spec, hazards):
@@ -202,7 +201,7 @@ def test_person_level_draws_follow_the_oracle_and_pack_into_type_codes(scenario_
     from_oracle = cohort_arrays(oracle, oracle_assignment)
     types, type_assignment = type_cohort()
     from_codes = cohort_arrays(types.take(code), TreatmentAssignment(
-        *(getattr(type_assignment, f.name)[code] for f in dataclasses.fields(type_assignment))
+        *(getattr(type_assignment, name)[code] for name in type_assignment._fields)
     ))
     for got, oracle_array, expected in zip(person_level, from_oracle, from_codes):
         assert got.dtype == expected.dtype
@@ -234,12 +233,12 @@ def assert_same_rows(got, expected, tol=1e-12):
     """Floats to tol, everything else exactly."""
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        for field in dataclasses.fields(g):
-            gv, ev = getattr(g, field.name), getattr(e, field.name)
+        for field in g._fields:
+            gv, ev = getattr(g, field), getattr(e, field)
             if isinstance(ev, float):
-                assert same_float(gv, ev, tol), (field.name, g, e)
+                assert same_float(gv, ev, tol), (field, g, e)
             else:
-                assert type(gv) is type(ev) and gv == ev, (field.name, g, e)
+                assert type(gv) is type(ev) and gv == ev, (field, g, e)
 
 
 def check_oracle_cohort(scenario_id, n, seed, mode):
@@ -331,12 +330,12 @@ def test_the_maps_are_shared_by_specs_that_differ_only_in_what_they_do_not_read(
     for name, value in (("scenario_id", "S9"), ("delta", (0.5, 0.9)), ("risk_untreated", (0.1, 0.3)),
                         ("progression_prob", 0.5), ("baseline_high_prob", 0.4),
                         ("spt_treat_prob", 0.5)):
-        other = dataclasses.replace(spec, **{name: value})
+        other = spec._replace(**{name: value})
         assert person_type_map(other, mode) is person_type_map(spec, mode)
         assert person_class_map(other, mode) is person_class_map(spec, mode)
     assert person_class_map(SPECS["S4"], mode) is person_class_map(spec, mode)
-    for other in (dataclasses.replace(spec, decision_prob=(0.3, 0.8)),
-                  dataclasses.replace(spec, treat_prob=(0.25, 0.8))):
+    for other in (spec._replace(decision_prob=(0.3, 0.8)),
+                  spec._replace(treat_prob=(0.25, 0.8))):
         assert person_type_map(other, mode) is not person_type_map(spec, mode)
         assert person_class_map(other, mode) is not person_class_map(spec, mode)
     other_mode = MODES[1 - MODES.index(mode)]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -123,14 +122,14 @@ class TestDrawCohort:
 
     def test_no_progression_when_pi_zero(self):
         spec, h = spec_and_hazards()
-        spec = dataclasses.replace(spec, progression_prob=0.0)
+        spec = spec._replace(progression_prob=0.0)
         sev = draw_cohort(rng(), spec, h, 20000).severity
         assert (sev[:, 0] == sev[:, 1]).all()
         assert (sev[:, 1] == sev[:, 2]).all()
 
     def test_decision_probability_one(self):
         spec, h = spec_and_hazards()
-        spec = dataclasses.replace(spec, decision_prob=(1.0, 1.0))
+        spec = spec._replace(decision_prob=(1.0, 1.0))
         assert draw_cohort(rng(), spec, h, 5000).decision2.all()
 
     def test_visit2_high_severity_share(self):
@@ -168,7 +167,7 @@ class TestEnumerateTruth:
     def test_homogeneous_delta_recovers_delta_marginally(self):
         for d in (0.5, 0.7, 1.0):
             spec, _ = spec_and_hazards("S1")
-            spec = dataclasses.replace(spec, delta=(d, d))
+            spec = spec._replace(delta=(d, d))
             t = enumerate_truth(spec, solve(spec).hazards)
             assert t.rr == pytest.approx(d, abs=1e-12)
 
@@ -218,14 +217,14 @@ class TestEnumerateTruth:
 
     def test_zero_untreated_risk_is_infeasible(self):
         spec, _ = spec_and_hazards("S1")
-        spec = dataclasses.replace(spec, risk_untreated=(0.0, 0.0))
+        spec = spec._replace(risk_untreated=(0.0, 0.0))
         with pytest.raises(SolverInfeasible, match="untreated two-year risk is 0"):
             enumerate_truth(spec, solve(spec).hazards)
 
     def test_zero_treated_risk_gives_minus_infinity(self):
         # a subnormal delta rounds the treated targets, and risk, to 0
         spec, _ = spec_and_hazards("S1")
-        spec = dataclasses.replace(spec, delta=(5e-324, 5e-324))
+        spec = spec._replace(delta=(5e-324, 5e-324))
         entry = enumerate_truth(spec, solve(spec).hazards)
         assert entry.rr == 0.0
         assert entry.log_rr == -math.inf
