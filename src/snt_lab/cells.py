@@ -98,12 +98,14 @@ ANALYSIS_LABELS = (
 )
 
 #: summarize's input: per (scenario, design, analysis, target
-#: population) cell, the log RR and the degenerate flag of each of its
-#: replicates.
+#: population) cell, a float sequence of the log RR of each of its
+#: replicates (an array('d') from the engine or a file) and their degenerate
+#: flags.
 Cells = dict[tuple[str, str, str, str], tuple[Sequence[float], Sequence[str]]]
 
 #: summarize_descriptives' input: per (scenario, design, group, severity)
-#: cell, the values of each DESCRIBE_STATISTICS entry, one per replicate.
+#: cell, a float sequence of each DESCRIBE_STATISTICS entry, one value per
+#: replicate.
 DescribeCells = dict[tuple[str, str, str, str], Sequence[Sequence[float]]]
 
 

@@ -8,7 +8,7 @@ once per scenario, a replicate only draws its cohort's count of each class
 of person types from it, in one multinomial call, and one block computation
 per scenario checks the counts for blocked classes and reads every analysis
 and descriptive row off them. estimate_cells hands the blocks' estimates to
-cells.summarize as lists.
+cells.summarize in the form output.read_estimates reads from a file.
 
 Every replicate is drawn in the calling process, in replicate order, at any
 RunConfig.parallelism. multinomial holds the interpreter lock, so threads
@@ -25,6 +25,7 @@ truth (hazards) run on the standard library.
 from __future__ import annotations
 
 import functools
+from array import array
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -204,13 +205,14 @@ def run_scenario(
 
 
 def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
-    """The cells of scenario blocks: columns of their analysis blocks, as
-    lists (the form output.read_estimates gives)."""
+    """The cells of scenario blocks: columns of their analysis blocks, the
+    log RRs as an array('d') and the flags as a list (the form
+    output.read_estimates gives)."""
     cells = {}
     for block in blocks:
         a = block.analyses
         for j, label in enumerate(ANALYSIS_LABELS):
             cells[(block.scenario_id, *label)] = (
-                a.log_rr[:, j].tolist(), a.degenerate[:, j].tolist()
+                array("d", a.log_rr[:, j].tobytes()), a.degenerate[:, j].tolist()
             )
     return cells

@@ -4,16 +4,16 @@ Column order and names are fixed contracts. Floats are rendered with six
 significant digits, '.' decimal separator, '\\n' line endings; undefined
 values are written as 'nan' so every file parses back losslessly.
 
-The module runs on the standard library: the readers return Python lists,
-so the verbs that only re-read files never load numpy. Only the block line
-writers take the engine's scenario blocks.
+The module runs on the standard library: the readers return per-cell float
+sequences (array('d') columns), so the verbs that only re-read files never
+load numpy. Only the block line writers take the engine's scenario blocks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -157,136 +157,129 @@ class SchemaError(ValueError):
     """A CSV input does not match its declared schema."""
 
 
-#: The label columns of a summary cell in estimates.csv and summary.csv; the
-#: labels of the cells of these files, and of describe.csv, a reader accepts.
-_CELL_COLUMNS = ("scenario_id", "design", "analysis", "target_population")
+#: The cells of estimates.csv and summary.csv, and of describe.csv, that a
+#: reader accepts, and the label columns that name them in its errors.
 _ESTIMATE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in ANALYSIS_LABELS)
 _DESCRIBE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in DESCRIBE_LABELS)
+_ESTIMATE_CELL = "scenario_id/design/analysis/target_population"
+_DESCRIBE_CELL = "scenario_id/design/group/severity"
 
 
-def _read_columns(
-    path: Path, columns: tuple[str, ...], names: tuple[str, ...]
-) -> dict[str, tuple[str, ...]]:
-    """The fields of the named columns of a CSV file with the given header,
-    column by column. Each row is kept only as a tuple of those fields, which
-    the garbage collector stops scanning, and its field count is checked as
-    it is read. Errors name the file's line: row i of the body is line
-    i + 2."""
-    pick = operator.itemgetter(*map(columns.index, names))
+def _rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The body rows of a CSV file with the given header, each with its
+    line, as it is read: row i of the body is line i + 2. Each row's field
+    count is checked."""
     width = len(columns)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if header != columns:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        if tuple(header) != columns:
             raise SchemaError(
-                f"{path}: header {header} does not match expected {columns}"
+                f"{path}: header {tuple(header)} does not match expected {columns}"
             )
-        rows = []
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if len(row) != width:
-                raise SchemaError(
-                    f"{path}:{len(rows) + 2}: {len(row)} fields, expected {width}"
-                )
-            rows.append(pick(row))
-    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+                raise SchemaError(f"{path}:{line}: {len(row)} fields, expected {width}")
+            yield line, row
 
 
-def _numbers(path: Path, columns: dict, name: str, kind=float) -> list:
-    """Column name parsed by kind (float or int)."""
-    values = columns[name]
+def _unparsed(
+    path: Path, line: int, names: Iterable[str], fields: Iterable[str]
+) -> SchemaError:
+    """The error naming the first of the named fields that does not parse:
+    n_effective as an integer, the others as numbers."""
+    for name, value in zip(names, fields):
+        kind, what = (int, "an integer") if name == "n_effective" else (float, "a number")
+        try:
+            kind(value)
+        except ValueError:
+            return SchemaError(f"{path}:{line}: {name} {value!r} is not {what}")
+
+
+def _check_replicate(
+    path: Path, line: int, key: tuple, replicate: str, lines: dict[int, int]
+) -> None:
+    """The replicate of a row of cell key must be an integer >= 1 that the
+    cell has not had before; lines maps each of the cell's replicates to its
+    first line."""
     try:
-        return list(map(kind, values))
+        rid = int(replicate)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        for line, value in enumerate(values, start=2):
-            try:
-                kind(value)
-            except ValueError:
-                raise SchemaError(f"{path}:{line}: {name} {value!r} is not {what}") from None
-        raise
-
-
-def _rows_by_key(
-    path: Path, columns: dict, names: tuple[str, ...], known: frozenset
-) -> dict[tuple, list[int]]:
-    """The rows of each key, the labels in columns names, in file order.
-    Every key must be known."""
-    rows: dict[tuple, list[int]] = {}
-    for row, key in enumerate(zip(*(columns[name] for name in names))):
-        rows.setdefault(key, []).append(row)
-    for key, key_rows in rows.items():
-        if key not in known:
-            raise SchemaError(f"{path}:{key_rows[0] + 2}: unknown {'/'.join(names)} {key}")
-    return rows
-
-
-def _replicates(path: Path, columns: dict) -> list[int]:
-    """The replicate column, each an integer >= 1."""
-    replicates = _numbers(path, columns, "replicate", int)
-    if min(replicates, default=1) < 1:
-        row = next(row for row, rid in enumerate(replicates) if rid < 1)
-        raise SchemaError(f"{path}:{row + 2}: replicate {replicates[row]} is not >= 1")
-    return replicates
-
-
-def _reject_repeats(path: Path, what: str, keys: list[tuple]) -> None:
-    """Each row's key must be new; the error names the first line that
-    repeats one."""
-    if len(set(keys)) == len(keys):
-        return
-    first: dict[tuple, int] = {}
-    for row, key in enumerate(keys):
-        if key in first:
-            raise SchemaError(f"{path}:{row + 2}: {what} {key} repeats line {first[key] + 2}")
-        first[key] = row
+        raise SchemaError(f"{path}:{line}: replicate {replicate!r} is not an integer") from None
+    if rid < 1:
+        raise SchemaError(f"{path}:{line}: replicate {rid} is not >= 1")
+    first = lines.setdefault(rid, line)
+    if first != line:
+        raise SchemaError(f"{path}:{line}: cell/replicate {(*key, rid)} repeats line {first}")
 
 
 def read_estimates(path: Path) -> Cells:
     """summarize's cells of an estimates.csv, in the form
     harness.estimate_cells gives for blocks: per (scenario, design,
     analysis, target) key, the log RR and the flag of each of its rows, in
-    file order, as lists."""
-    columns = _read_columns(
-        path, ESTIMATES_COLUMNS, (*_CELL_COLUMNS, "replicate", "log_rr", "degenerate_flag")
-    )
-    cells = _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)
-    labels = [columns[name] for name in _CELL_COLUMNS]
-    _reject_repeats(path, "cell/replicate", list(zip(*labels, _replicates(path, columns))))
-    log_rr = _numbers(path, columns, "log_rr")
-    flags = columns["degenerate_flag"]
-    return {
-        key: ([log_rr[row] for row in rows], [flags[row] for row in rows])
-        for key, rows in cells.items()
-    }
+    file order. Each row is checked as it is read, so an error names the
+    first defect in line order."""
+    cells = {}  # key: (the line of each replicate, log RRs, flags)
+    rows = _rows(path, ESTIMATES_COLUMNS)
+    for line, (sid, replicate, design, analysis, target, _, _, _, log_rr, _, _, flag) in rows:
+        key = (sid, design, analysis, target)
+        cell = cells.get(key)
+        if cell is None:
+            if key not in _ESTIMATE_KEYS:
+                raise SchemaError(f"{path}:{line}: unknown {_ESTIMATE_CELL} {key}")
+            cell = cells[key] = ({}, array("d"), [])
+        lines, values, flags = cell
+        _check_replicate(path, line, key, replicate, lines)
+        try:
+            values.append(float(log_rr))
+        except ValueError:
+            raise SchemaError(f"{path}:{line}: log_rr {log_rr!r} is not a number") from None
+        flags.append(flag)
+    return {key: cell[1:] for key, cell in cells.items()}
 
 
 def read_describe(path: Path) -> DescribeCells:
     """summarize_descriptives' cells of a describe.csv: per (scenario,
-    design, group, severity) key, a list of each DESCRIBE_STATISTICS
-    column's values over its rows, in file order."""
-    columns = _read_columns(path, DESCRIBE_COLUMNS, DESCRIBE_COLUMNS)
-    names = ("scenario_id", "design", "group", "severity")
-    cells = _rows_by_key(path, columns, names, _DESCRIBE_KEYS)
-    labels = [columns[name] for name in names]
-    _reject_repeats(path, "cell/replicate", list(zip(*labels, _replicates(path, columns))))
-    stats = [_numbers(path, columns, name) for name in DESCRIBE_STATISTICS]
-    return {
-        key: [[values[row] for row in rows] for values in stats]
-        for key, rows in cells.items()
-    }
+    design, group, severity) key, the values of each DESCRIBE_STATISTICS
+    column over its rows, in file order. Each row is checked as it is
+    read, so an error names the first defect in line order."""
+    cells = {}  # key: (the line of each replicate, one column per statistic)
+    rows = _rows(path, DESCRIBE_COLUMNS)
+    for line, (sid, replicate, design, group, severity, people, indexes, high, avg) in rows:
+        key = (sid, design, group, severity)
+        cell = cells.get(key)
+        if cell is None:
+            if key not in _DESCRIBE_KEYS:
+                raise SchemaError(f"{path}:{line}: unknown {_DESCRIBE_CELL} {key}")
+            cell = cells[key] = ({}, array("d"), array("d"), array("d"), array("d"))
+        lines, n_people, n_indexes, pct_high, avg_indexes = cell
+        _check_replicate(path, line, key, replicate, lines)
+        try:
+            n_people.append(float(people))
+            n_indexes.append(float(indexes))
+            pct_high.append(float(high))
+            avg_indexes.append(float(avg))
+        except ValueError:
+            fields = (people, indexes, high, avg)
+            raise _unparsed(path, line, DESCRIBE_STATISTICS, fields) from None
+    return {key: cell[1:] for key, cell in cells.items()}
 
 
 def read_summary(path: Path) -> list[MetricsRow]:
     """The rows of a summary.csv, in file order; each cell on one row."""
-    columns = _read_columns(path, SUMMARY_COLUMNS, SUMMARY_COLUMNS)
-    _rows_by_key(path, columns, _CELL_COLUMNS, _ESTIMATE_KEYS)  # checks the labels
-    labels = [columns[name] for name in _CELL_COLUMNS]
-    _reject_repeats(path, "cell", list(zip(*labels)))
-    numbers = [
-        _numbers(path, columns, name, int if name == "n_effective" else float)
-        for name in SUMMARY_COLUMNS[len(_CELL_COLUMNS):]
-    ]
-    return list(map(MetricsRow, *labels, *numbers))
+    rows = []
+    lines = {}
+    for line, fields in _rows(path, SUMMARY_COLUMNS):
+        key = tuple(fields[:4])
+        if key not in _ESTIMATE_KEYS:
+            raise SchemaError(f"{path}:{line}: unknown {_ESTIMATE_CELL} {key}")
+        first = lines.setdefault(key, line)
+        if first != line:
+            raise SchemaError(f"{path}:{line}: cell {key} repeats line {first}")
+        try:
+            rows.append(MetricsRow(*key, *map(float, fields[4:9]), int(fields[9])))
+        except ValueError:
+            raise _unparsed(path, line, SUMMARY_COLUMNS[4:], fields[4:]) from None
+    return rows

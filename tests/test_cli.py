@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -597,6 +598,44 @@ class TestReaggregationVerbs:
         assert err.startswith("error: ") and f"{path}:3:" in err
         assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
         assert staging_dirs(sim_dir) == []
+
+    def test_the_first_defect_in_line_order_is_named(self, sim_dir, capsys):
+        # each row is checked as it is read, field count included
+        path = sim_dir / "estimates.csv"
+        header, *rows = csv_rows(path)
+        rows[1][header.index("log_rr")] = "abc"
+        del rows[3][-1]
+        path.write_text("".join(",".join(row) + "\n" for row in (header, *rows)))
+        assert run_cli("summarize", "--out", str(sim_dir)) == EXIT_IO
+        assert f"{path}:3: log_rr 'abc' is not a number" in capsys.readouterr().err
+
+    def test_a_replicate_id_of_any_size_reads_back(self, tmp_path):
+        path = tmp_path / "describe.csv"
+        path.write_text("".join(
+            ",".join(row) + "\n" for row in (
+                DESCRIBE_COLUMNS,
+                ("S1", "1", "SPT", "all", "low", "300", "40", "12.5", "0.5"),
+                ("S1", str(10**12), "SPT", "all", "low", "310", "41", "13.5", "0.25"),
+            )
+        ))
+        cells = output.read_describe(path)
+        assert {key: list(map(list, columns)) for key, columns in cells.items()} == {
+            ("S1", "SPT", "all", "low"): [[300.0, 310.0], [40.0, 41.0], [12.5, 13.5], [0.5, 0.25]]
+        }
+
+    def test_readers_hold_only_the_cells_columns(self, tmp_path):
+        args = ("--scenario", "all", "--n", "200", "--reps", "150", "--superpop", "1000000")
+        assert run_cli("simulate", *args, "--out", str(tmp_path)) == EXIT_OK
+        for read, name, rows, limit_mb in ((output.read_describe, "describe.csv", 14_400, 5),
+                                           (output.read_estimates, "estimates.csv", 8_400, 2)):
+            tracemalloc.start()
+            try:
+                cells = read(tmp_path / name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(len(columns[0]) for columns in cells.values()) == rows
+            assert peak < limit_mb * 1e6, (name, peak)
 
     def test_summarize_scenario_filter_empty_selection(self, sim_dir):
         # narrowing to a scenario absent from the file leaves nothing to

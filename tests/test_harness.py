@@ -1,4 +1,7 @@
 import math
+import warnings
+from array import array
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,11 +37,20 @@ def small_run(**overrides):
     return RunConfig(**base)
 
 
-def crude_cells(sid, log_rr, degenerate=None):
-    """summarize's cells: one SPT crude cell with these replicates' log RR
-    and flags (none flagged by default)."""
+def crude_cells(sid, log_rr, degenerate=None, form=list):
+    """summarize's cells: one SPT crude cell with these replicates' log RR,
+    in the given form, and flags (none flagged by default)."""
     flags = [""] * len(log_rr) if degenerate is None else list(degenerate)
-    return {(sid, "SPT", "crude", "none"): (list(map(float, log_rr)), flags)}
+    return {(sid, "SPT", "crude", "none"): (form(map(float, log_rr)), flags)}
+
+
+#: The float sequences the Python reductions take: lists, and the
+#: array('d') columns that output's readers and estimate_cells hand over.
+FORMS = pytest.mark.parametrize("form", [list, partial(array, "d")], ids=["list", "array"])
+
+#: Lengths at and around the branches of numpy's pairwise summation, and
+#: the paper's 1,000 and 5,000 replicates.
+EDGE_LENGTHS = (0, 1, 7, 8, 9, 127, 128, 129, 1000, 5000)
 
 
 def replicate_result(spec, hazards, replicate_id, run):
@@ -234,8 +246,8 @@ class TestPairwiseSum:
     and RMSE, bit for bit, across the three branches of numpy's pairwise
     summation (under 8 values, up to 128, split above)."""
 
-    BOUNDARIES = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137,
-                  255, 256, 257, 1023, 1024, 1025, 4999, 5000)
+    BOUNDARIES = (*EDGE_LENGTHS, 2, 15, 16, 17, 135, 136, 137,
+                  255, 256, 257, 1023, 1024, 1025, 4999)
 
     def arrays(self, largest_exponent):
         """Seeded arrays: normal values, magnitudes over many orders up to
@@ -258,18 +270,20 @@ class TestPairwiseSum:
             values[special] = rng.choice(specials, size=special.sum())
             yield values
 
-    def test_sum_matches_numpy(self):
+    @FORMS
+    def test_sum_matches_numpy(self, form):
         for values in self.arrays(300):
             with np.errstate(all="ignore"):
-                expected = np.sum(values)
-            assert same_bits(pairwise_sum(values.tolist()), expected), values
+                expected = np.add.reduce(values)
+            assert same_bits(pairwise_sum(form(values.tolist())), expected), values
 
-    def test_summary_matches_numpy(self):
+    @FORMS
+    def test_summary_matches_numpy(self, form):
         theta = math.log(0.7)
         for values in self.arrays(2):
             if values.size < 2:
                 continue
-            row = summarize(crude_cells("S1", values), {}, truth_override=0.7)[0]
+            row = summarize(crude_cells("S1", values, form=form), {}, truth_override=0.7)[0]
             with np.errstate(all="ignore"):
                 expected = (values.mean() - theta, values.std(ddof=1),
                             np.sqrt(np.mean((values - theta) ** 2)))
@@ -311,11 +325,12 @@ class TestSummarizeDescriptives:
         cell = {r.statistic: r for r in out}["pct_high"]
         assert all(math.isnan(v) for v in (cell.median, cell.q25, cell.q75))
 
-    def test_percentiles_match_numpy_bit_for_bit(self):
+    @FORMS
+    def test_percentiles_match_numpy_bit_for_bit(self, form):
         rng = np.random.default_rng(20261018)
         specials = np.array([np.nan, np.inf, -np.inf])
-        for trial in range(4000):
-            n = int(rng.integers(1, 401))
+        lengths = [*EDGE_LENGTHS, *rng.integers(1, 401, size=4000).tolist()]
+        for trial, n in enumerate(lengths):
             kind = trial % 4
             if kind == 0:
                 values = rng.normal(size=n)
@@ -327,11 +342,11 @@ class TestSummarizeDescriptives:
                 values = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, size=n)
             special = rng.random(n) < rng.choice([0.0, 0.05, 0.3])
             values[special] = rng.choice(specials, size=special.sum())
-            if np.isnan(values).all():
-                continue
-            with np.errstate(invalid="ignore"):  # inf - inf inside numpy's lerp
-                expected = np.nanpercentile(values, [25, 50, 75])
-            got = np.array(percentiles(values.tolist(), (0.25, 0.5, 0.75)))
+            # inf - inf inside numpy's lerp; NaN, with a warning, for no values
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = np.broadcast_to(np.nanpercentile(values, [25, 50, 75]), 3)
+            got = np.array(percentiles(form(values.tolist()), (0.25, 0.5, 0.75)))
             same = (got.view(np.uint64) == expected.view(np.uint64)) | (
                 np.isnan(got) & np.isnan(expected))
             assert same.all(), (values, got, expected)
