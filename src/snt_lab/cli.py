@@ -9,7 +9,8 @@ temporary sibling of the output directory and moves them in only when it
 succeeds, so a failed, interrupted or killed run never leaves a truncated
 file there; the next run removes the siblings that killed runs left.
 simulate also removes the derived files of an earlier run in the same
-directory that it did not rewrite. A simulate whose summary has a cell with
+directory that it did not rewrite, and summarize the figure files made from
+the summary.csv it replaces. A simulate whose summary has a cell with
 fewer than two usable replicates moves in its complete per-replicate files,
 writes no summary and exits 2.
 
@@ -226,16 +227,14 @@ class _OutputTracker:
         self.staging: Path | None = None
         self.written: list[str] = []
 
-    def write(self, name: str, header: tuple[str, ...], rows) -> Path:
+    def write(self, name: str, header: tuple[str, ...], lines) -> None:
         if self.staging is None:
             parent, prefix = self.out_dir.parent, f".{self.out_dir.name}."
             parent.mkdir(parents=True, exist_ok=True)
             _remove_orphans(parent, prefix)
             self.staging = Path(tempfile.mkdtemp(prefix=f"{prefix}{os.getpid()}.", dir=parent))
-        path = self.staging / name
         self.written.append(name)
-        output.write_csv(path, header, rows)
-        return path
+        output.write_csv(self.staging / name, header, lines)
 
     def publish(self) -> None:
         """Move the staged files into the output directory, each replacing
@@ -257,37 +256,30 @@ class _OutputTracker:
         self.written = []
 
 
-def _solve_all(specs: list[ScenarioSpec]):
-    return {s.scenario_id: (s.progression_prob, solve(s)) for s in specs}
-
-
 def _solve_with_truths(specs: list[ScenarioSpec]):
     """Calibrate every scenario, failing on the first infeasible one, and
     enumerate the truths: the solve reports and the truth of each scenario."""
-    reports = _solve_all(specs)
-    return reports, truth_tables(specs, {sid: rep.hazards for sid, (_, rep) in reports.items()})
-
-
-def _truth_rows(specs, truths) -> list[tuple]:
-    return output.truth_rows(
-        {s.scenario_id: (s.progression_prob, truths[s.scenario_id]) for s in specs}
-    )
+    reports = {s.scenario_id: solve(s) for s in specs}
+    return reports, truth_tables(specs, {sid: rep.hazards for sid, rep in reports.items()})
 
 
 def _cmd_solve(specs, run, tracker) -> None:
-    reports = _solve_all(specs)
-    tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
+    reports = {s.scenario_id: solve(s) for s in specs}
+    tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
 
 
 def _cmd_truth(specs, run, tracker) -> None:
     _, truths = _solve_with_truths(specs)
-    tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))
+    tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
 
 
+#: The figure files, made from a summary.csv (and so deleted by summarize,
+#: which rewrites it), and the summary analyses each holds.
+_FIGURES = {"figure3.csv": output.FIGURE_ATE_TARGETS, "figureS3.csv": output.FIGURE_ATT_TARGETS}
 #: Files derived from simulate's per-replicate outputs, which simulate
 #: deletes unless it rewrites them; describe_summary.csv always derives from
 #: an earlier describe.csv.
-_DERIVED_FILES = ("summary.csv", "figure3.csv", "figureS3.csv", "describe_summary.csv")
+_DERIVED_FILES = ("summary.csv", *_FIGURES, "describe_summary.csv")
 
 
 def _cmd_simulate(specs, run, tracker) -> None:
@@ -298,7 +290,7 @@ def _cmd_simulate(specs, run, tracker) -> None:
     blocks = []
     for spec in specs:
         start = time.perf_counter()
-        blocks.append(run_scenario(spec, run, reports[spec.scenario_id][1].hazards))
+        blocks.append(run_scenario(spec, run, reports[spec.scenario_id].hazards))
         elapsed = time.perf_counter() - start
         print(
             f"{spec.scenario_id}: {run.n_replicates} replicates x "
@@ -306,8 +298,8 @@ def _cmd_simulate(specs, run, tracker) -> None:
             file=sys.stderr,
         )
 
-    tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_rows(reports))
-    tracker.write("truth.csv", output.TRUTH_COLUMNS, _truth_rows(specs, truths))
+    tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
+    tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
     # the lines are made as they are written; no file's text is held at once
     tracker.write(
         "estimates.csv",
@@ -329,41 +321,37 @@ def _cmd_simulate(specs, run, tracker) -> None:
                 f"{exc}; kept hazards.csv, truth.csv, estimates.csv and describe.csv, "
                 "wrote no summary or figure files"
             ) from exc
-        tracker.write("summary.csv", output.SUMMARY_COLUMNS, summary)
+        tracker.write("summary.csv", output.SUMMARY_COLUMNS, output.summary_lines(summary))
         _write_figures(tracker, summary)
 
 
 def _write_figures(tracker, summary) -> None:
     """figure3.csv and figureS3.csv: the ATE and the ATT cells of a summary."""
-    for name, targets in (("figure3.csv", output.FIGURE_ATE_TARGETS),
-                          ("figureS3.csv", output.FIGURE_ATT_TARGETS)):
-        tracker.write(name, output.FIGURE_COLUMNS, output.figure_rows(summary, targets))
+    for name, targets in _FIGURES.items():
+        tracker.write(name, output.FIGURE_COLUMNS, output.figure_lines(summary, targets))
 
 
-def _selected(specs, cells: dict) -> dict:
-    """The cells of the selected scenarios (a cell's key starts with one)."""
-    selected = {s.scenario_id for s in specs}
-    return {key: cell for key, cell in cells.items() if key[0] in selected}
+def _ids(specs: list[ScenarioSpec]) -> set[str]:
+    return {s.scenario_id for s in specs}
 
 
 def _cmd_summarize(specs, run, tracker) -> None:
-    cells = _selected(specs, output.read_estimates(run.output_dir / "estimates.csv"))
-    _, truths = _solve_with_truths(specs)
+    tracker.stale = tuple(_FIGURES)
+    cells = output.read_estimates(run.output_dir / "estimates.csv", _ids(specs))
+    present = {key[0] for key in cells}  # a scenario without rows needs no truth
+    _, truths = _solve_with_truths([s for s in specs if s.scenario_id in present])
     summary = summarize(cells, truths, run.truth_override)
-    tracker.write("summary.csv", output.SUMMARY_COLUMNS, summary)
+    tracker.write("summary.csv", output.SUMMARY_COLUMNS, output.summary_lines(summary))
 
 
 def _cmd_describe(specs, run, tracker) -> None:
-    cells = _selected(specs, output.read_describe(run.output_dir / "describe.csv"))
-    tracker.write(
-        "describe_summary.csv", output.DESCRIBE_SUMMARY_COLUMNS, summarize_descriptives(cells)
-    )
+    cells = output.read_describe(run.output_dir / "describe.csv", _ids(specs))
+    lines = output.describe_summary_lines(summarize_descriptives(cells))
+    tracker.write("describe_summary.csv", output.DESCRIBE_SUMMARY_COLUMNS, lines)
 
 
 def _cmd_plot_data(specs, run, tracker) -> None:
-    rows = output.read_summary(run.output_dir / "summary.csv")
-    # read_summary holds each cell on one row, so keying the rows by cell drops none
-    _write_figures(tracker, _selected(specs, {row[:4]: row for row in rows}).values())
+    _write_figures(tracker, output.read_summary(run.output_dir / "summary.csv", _ids(specs)))
 
 
 _SCENARIO_FLAGS = ("--scenario", "--pi", "--config", "--out")

@@ -1,8 +1,12 @@
 """Schema-stable CSV emission and ingestion.
 
-Column order and names are fixed contracts. Floats are rendered with six
-significant digits, '.' decimal separator, '\\n' line endings; undefined
-values are written as 'nan' so every file parses back losslessly.
+Column order and names are fixed contracts, and each file's line template
+sits beside its columns: '%.6g' for floats (six significant digits, 'nan'
+when undefined), '%d' for counts and flags, '\\n' line endings, and no
+quoting, since no label or flag holds ',', '"' or a line break. A verb that
+re-reads a file reads these rounded values: summarize re-aggregates
+six-digit log RRs, so it matches simulate's own summary.csv only to about
+five digits.
 
 The module runs on the standard library: the readers return per-cell float
 sequences (array('d') columns), so the verbs that only re-read files never
@@ -12,10 +16,9 @@ load numpy. Only the block line writers take the engine's scenario blocks.
 from __future__ import annotations
 
 import csv
-import math
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
 from .cells import (
     ANALYSIS_LABELS,
@@ -26,7 +29,7 @@ from .cells import (
     DescriptiveSummaryRow,
     MetricsRow,
 )
-from .config import SCENARIO_IDS
+from .config import SCENARIO_IDS, ScenarioSpec
 from .hazards import SolveReport, TruthEntry
 
 if TYPE_CHECKING:
@@ -35,28 +38,34 @@ if TYPE_CHECKING:
 HAZARDS_COLUMNS = (
     "scenario_id", "pi", "p00", "p01", "p10", "p11", "max_abs_residual", "feasible",
 )
+HAZARDS_LINE = "%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%d\n"
 TRUTH_COLUMNS = (
     "scenario_id", "pi", "estimand", "risk_treated", "risk_untreated",
     "rr_true", "log_rr_true",
 )
+TRUTH_LINE = "%s,%.6g,%s,%.6g,%.6g,%.6g,%.6g\n"
 ESTIMATES_COLUMNS = (
     "scenario_id", "replicate", "design", "analysis", "target_population",
     "risk_treated", "risk_untreated", "rr", "log_rr",
     "n_indexes_treated", "n_indexes_untreated", "degenerate_flag",
 )
+ESTIMATES_LINE = "%s%s%.6g,%.6g,%.6g,%.6g,%d,%d,%s\n"
 DESCRIBE_COLUMNS = (
     "scenario_id", "replicate", "design", "group", "severity",
     "n_people", "n_indexes", "pct_high", "avg_indexes_per_person",
 )
-#: summary.csv and describe_summary.csv are their row types' fields, which
-#: write_csv writes in order
+DESCRIBE_LINE = "%s%s%d,%d,%.6g,%.6g\n"
+#: summary.csv and describe_summary.csv are their row types' fields, in order
 SUMMARY_COLUMNS = MetricsRow._fields
+SUMMARY_LINE = "%s,%s,%s,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%d\n"
 DESCRIBE_SUMMARY_COLUMNS = DescriptiveSummaryRow._fields
+DESCRIBE_SUMMARY_LINE = "%s,%s,%s,%s,%s,%.6g,%.6g,%.6g\n"
+FIGURE_COLUMNS = ("scenario", "design", "standardization_target", "bias", "mcse")
+FIGURE_LINE = "%s,%s,%s,%.6g,%.6g\n"
 #: truth.csv's estimands, each written with the one enumerated entry: in the
 #: single point trial treatment is randomized independently of severity, so
 #: the severity-standardized estimands equal the marginal contrast.
 TRUTH_ESTIMANDS = ("marginal", "std_spt_all", "std_spt_treated")
-FIGURE_COLUMNS = ("scenario", "design", "standardization_target", "bias", "mcse")
 
 #: summary analyses feeding each figure file, mapped to the standardization
 #: target labels used in the plots
@@ -64,38 +73,20 @@ FIGURE_ATE_TARGETS = {"crude": "crude", "ate_snt": "snt", "ate_spt": "spt"}
 FIGURE_ATT_TARGETS = {"crude": "crude", "att_snt": "snt", "att_spt": "spt"}
 
 
-def fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".6g")
-    return str(value)
-
-
-def write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple | str]) -> None:
-    """Write the header, then each row: a tuple of values formatted by fmt,
-    or a line already formatted the same way (estimate_lines,
-    describe_lines)."""
+def write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write the comma-joined header, then a line maker's finished lines."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if isinstance(row, str):
-                fh.write(row)
-            else:
-                writer.writerow([fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _block_lines(
     block: ScenarioBlock, labels: tuple[tuple[str, ...], ...], template: str, columns
 ) -> Iterator[str]:
     """The CSV lines of a scenario block, made as they are written,
-    BLOCK_ROWS replicates at a time: the scenario, the replicate and the
-    column's label, then that row's value of each (R, labels) column through
-    template. '%.6g' and '%d' format exactly as fmt does, and no field needs
-    csv quoting: labels and flags hold no ',', '"' or line break."""
+    BLOCK_ROWS replicates at a time: template's two leading '%s' take the
+    'scenario,replicate,' head and the column's 'label,' tail, each joined
+    once, and the rest that row's value of each (R, labels) column."""
     from .harness import BLOCK_ROWS  # loaded already: it made the block
 
     tails = [",".join(label) + "," for label in labels]
@@ -114,7 +105,7 @@ def estimate_lines(block: ScenarioBlock) -> Iterator[str]:
     """The estimates.csv lines of one scenario block."""
     a = block.analyses
     return _block_lines(
-        block, ANALYSIS_LABELS, "%s%s%.6g,%.6g,%.6g,%.6g,%d,%d,%s\n",
+        block, ANALYSIS_LABELS, ESTIMATES_LINE,
         (a.risk_treated, a.risk_untreated, a.rr, a.log_rr, a.n_treated, a.n_untreated,
          a.degenerate),
     )
@@ -124,30 +115,43 @@ def describe_lines(block: ScenarioBlock) -> Iterator[str]:
     """The describe.csv lines of one scenario block."""
     d = block.descriptives
     return _block_lines(
-        block, DESCRIBE_LABELS, "%s%s%d,%d,%.6g,%.6g\n",
+        block, DESCRIBE_LABELS, DESCRIBE_LINE,
         (d.n_people, d.n_indexes, d.pct_high, d.avg_indexes_per_person),
     )
 
 
-def hazards_rows(reports: dict[str, tuple[float, SolveReport]]) -> list[tuple]:
+def hazards_lines(specs: list[ScenarioSpec], reports: dict[str, SolveReport]) -> list[str]:
+    """The hazards.csv lines: each scenario's pi and its calibration."""
     return [
-        (sid, pi, r.hazards.p00, r.hazards.p01, r.hazards.p10, r.hazards.p11,
-         r.max_abs_residual, r.feasible)
-        for sid, (pi, r) in reports.items()
+        HAZARDS_LINE % (spec.scenario_id, spec.progression_prob, *report.hazards,
+                        report.max_abs_residual, report.feasible)
+        for spec in specs
+        for report in [reports[spec.scenario_id]]
     ]
 
 
-def truth_rows(truths: dict[str, tuple[float, TruthEntry]]) -> list[tuple]:
+def truth_lines(specs: list[ScenarioSpec], truths: dict[str, TruthEntry]) -> list[str]:
+    """The truth.csv lines: each scenario's pi and truth, once per estimand."""
     return [
-        (sid, pi, label, entry.risk_treated, entry.risk_untreated, entry.rr, entry.log_rr)
-        for sid, (pi, entry) in truths.items()
+        TRUTH_LINE % (spec.scenario_id, spec.progression_prob, label, *truths[spec.scenario_id])
+        for spec in specs
         for label in TRUTH_ESTIMANDS
     ]
 
 
-def figure_rows(summary: list[MetricsRow], targets: dict[str, str]) -> list[tuple]:
+def summary_lines(summary: list[MetricsRow]) -> list[str]:
+    return [SUMMARY_LINE % row for row in summary]
+
+
+def describe_summary_lines(rows: list[DescriptiveSummaryRow]) -> list[str]:
+    return [DESCRIBE_SUMMARY_LINE % row for row in rows]
+
+
+def figure_lines(summary: list[MetricsRow], targets: dict[str, str]) -> list[str]:
+    """The figure lines of the summary's cells whose analysis is in targets."""
     return [
-        (row.scenario_id, row.design, targets[row.analysis], row.bias, row.mcse_bias)
+        FIGURE_LINE % (row.scenario_id, row.design, targets[row.analysis], row.bias,
+                       row.mcse_bias)
         for row in summary
         if row.analysis in targets
     ]
@@ -215,12 +219,12 @@ def _check_replicate(
         raise SchemaError(f"{path}:{line}: cell/replicate {(*key, rid)} repeats line {first}")
 
 
-def read_estimates(path: Path) -> Cells:
-    """summarize's cells of an estimates.csv, in the form
-    harness.estimate_cells gives for blocks: per (scenario, design,
-    analysis, target) key, the log RR and the flag of each of its rows, in
-    file order. Each row is checked as it is read, so an error names the
-    first defect in line order."""
+def read_estimates(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> Cells:
+    """summarize's cells of an estimates.csv, in the form harness.estimate_cells
+    gives for blocks: per (scenario, design, analysis, target) key of the given
+    scenarios, the log RR and the flag of each of its rows, in file order. Each
+    row is checked as it is read, so an error names the first defect in line
+    order; a row of another scenario has only its field count and labels checked."""
     cells = {}  # key: (the line of each replicate, log RRs, flags)
     rows = _rows(path, ESTIMATES_COLUMNS)
     for line, (sid, replicate, design, analysis, target, _, _, _, log_rr, _, _, flag) in rows:
@@ -229,6 +233,8 @@ def read_estimates(path: Path) -> Cells:
         if cell is None:
             if key not in _ESTIMATE_KEYS:
                 raise SchemaError(f"{path}:{line}: unknown {_ESTIMATE_CELL} {key}")
+            if sid not in scenarios:
+                continue
             cell = cells[key] = ({}, array("d"), [])
         lines, values, flags = cell
         _check_replicate(path, line, key, replicate, lines)
@@ -240,11 +246,11 @@ def read_estimates(path: Path) -> Cells:
     return {key: cell[1:] for key, cell in cells.items()}
 
 
-def read_describe(path: Path) -> DescribeCells:
+def read_describe(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> DescribeCells:
     """summarize_descriptives' cells of a describe.csv: per (scenario,
-    design, group, severity) key, the values of each DESCRIBE_STATISTICS
-    column over its rows, in file order. Each row is checked as it is
-    read, so an error names the first defect in line order."""
+    design, group, severity) key of the given scenarios, the values of each
+    DESCRIBE_STATISTICS column over its rows, in file order. Rows are
+    checked and skipped as read_estimates does."""
     cells = {}  # key: (the line of each replicate, one column per statistic)
     rows = _rows(path, DESCRIBE_COLUMNS)
     for line, (sid, replicate, design, group, severity, people, indexes, high, avg) in rows:
@@ -253,6 +259,8 @@ def read_describe(path: Path) -> DescribeCells:
         if cell is None:
             if key not in _DESCRIBE_KEYS:
                 raise SchemaError(f"{path}:{line}: unknown {_DESCRIBE_CELL} {key}")
+            if sid not in scenarios:
+                continue
             cell = cells[key] = ({}, array("d"), array("d"), array("d"), array("d"))
         lines, n_people, n_indexes, pct_high, avg_indexes = cell
         _check_replicate(path, line, key, replicate, lines)
@@ -267,14 +275,17 @@ def read_describe(path: Path) -> DescribeCells:
     return {key: cell[1:] for key, cell in cells.items()}
 
 
-def read_summary(path: Path) -> list[MetricsRow]:
-    """The rows of a summary.csv, in file order; each cell on one row."""
+def read_summary(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> list[MetricsRow]:
+    """The rows of a summary.csv of the given scenarios, in file order, each
+    cell on one row; other rows are checked and skipped as in read_estimates."""
     rows = []
     lines = {}
     for line, fields in _rows(path, SUMMARY_COLUMNS):
         key = tuple(fields[:4])
         if key not in _ESTIMATE_KEYS:
             raise SchemaError(f"{path}:{line}: unknown {_ESTIMATE_CELL} {key}")
+        if key[0] not in scenarios:
+            continue
         first = lines.setdefault(key, line)
         if first != line:
             raise SchemaError(f"{path}:{line}: cell {key} repeats line {first}")

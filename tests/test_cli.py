@@ -637,6 +637,46 @@ class TestReaggregationVerbs:
             assert sum(len(columns[0]) for columns in cells.values()) == rows
             assert peak < limit_mb * 1e6, (name, peak)
 
+    def test_summarize_removes_the_figure_files_of_the_summary_it_replaces(self, sim_dir):
+        assert run_cli(
+            "summarize", "--scenario", "S1", "--truth-override", "0.5", "--out", str(sim_dir)
+        ) == EXIT_OK
+        assert not (sim_dir / "figure3.csv").exists()
+        assert not (sim_dir / "figureS3.csv").exists()
+        assert run_cli("plot-data", "--out", str(sim_dir)) == EXIT_OK
+        header, *rows = csv_rows(sim_dir / "figure3.csv")
+        summary = {tuple(row[:3]): row for row in csv_rows(sim_dir / "summary.csv")[1:]}
+        assert rows[0][:4] == ["S1", "SPT", "crude", summary["S1", "SPT", "crude"][5]]
+
+    def test_summarize_calibrates_only_the_scenarios_it_has_rows_for(self, tmp_path):
+        # S2 cannot be calibrated at pi = 0.78, but the file holds only S1
+        args = ("--pi", "0.78", "--out", str(tmp_path))
+        assert run_cli("simulate", "--scenario", "S1", "--reps", "8", "--n", "300",
+                       *args) == EXIT_OK
+        assert run_cli("summarize", "--scenario", "S1", *args) == EXIT_OK
+        selected = (tmp_path / "summary.csv").read_bytes()
+        assert run_cli("summarize", *args) == EXIT_OK
+        assert (tmp_path / "summary.csv").read_bytes() == selected
+
+    def test_rows_of_unselected_scenarios_are_skipped_after_their_label_check(
+        self, tmp_path, capsys
+    ):
+        args = ("--n", "100", "--reps", "3", "--seed", "4", "--out", str(tmp_path))
+        assert run_cli("simulate", "--scenario", "all", *args) == EXIT_OK
+        path = tmp_path / "estimates.csv"
+        header, *rows = csv_rows(path)
+        line = next(i for i, row in enumerate(rows) if row[0] == "S2")
+        rows[line][header.index("log_rr")] = "abc"
+        path.write_text("".join(",".join(row) + "\n" for row in (header, *rows)))
+        assert run_cli("summarize", "--out", str(tmp_path)) == EXIT_IO
+        assert f"{path}:{line + 2}: log_rr 'abc' is not a number" in capsys.readouterr().err
+        assert run_cli("summarize", "--scenario", "S1", "--out", str(tmp_path)) == EXIT_OK
+        # an unknown label is still an error in a row of another scenario
+        rows[line][header.index("analysis")] = "bogus"
+        path.write_text("".join(",".join(row) + "\n" for row in (header, *rows)))
+        assert run_cli("summarize", "--scenario", "S1", "--out", str(tmp_path)) == EXIT_IO
+        assert f"{path}:{line + 2}: unknown" in capsys.readouterr().err
+
     def test_summarize_scenario_filter_empty_selection(self, sim_dir):
         # narrowing to a scenario absent from the file leaves nothing to
         # summarize: an empty (header-only) summary, like a zero-rep run

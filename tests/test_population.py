@@ -10,7 +10,7 @@ from snt_lab.designs import assign_treatments, build_esnt_cal, build_esnt_td, bu
 from snt_lab.cells import ANALYSIS_TRUE
 from snt_lab.estimators import analyze_replicate
 from snt_lab.hazards import SolverInfeasible, enumerate_truth, solve
-from snt_lab.output import truth_rows
+from snt_lab.output import truth_lines
 from snt_lab.population import (
     Cohort,
     NO_EVENT,
@@ -174,9 +174,9 @@ class TestEnumerateTruth:
     def test_estimand_labels_coincide_for_randomized_assignment(self):
         spec, h = spec_and_hazards("S4")
         entry = enumerate_truth(spec, h)
-        rows = truth_rows({"S4": (spec.progression_prob, entry)})
+        rows = [line.rstrip("\n").split(",") for line in truth_lines([spec], {"S4": entry})]
         values = (entry.risk_treated, entry.risk_untreated, entry.rr, entry.log_rr)
-        assert all(row[3:] == values for row in rows)
+        assert all(row[3:] == ["%.6g" % v for v in values] for row in rows)
         assert [row[2] for row in rows] == [
             "marginal", "std_spt_all", "std_spt_treated",
         ]
