@@ -338,8 +338,10 @@ def _ids(specs: list[ScenarioSpec]) -> set[str]:
 def _cmd_summarize(specs, run, tracker) -> None:
     tracker.stale = tuple(_FIGURES)
     cells = output.read_estimates(run.output_dir / "estimates.csv", _ids(specs))
-    present = {key[0] for key in cells}  # a scenario without rows needs no truth
-    _, truths = _solve_with_truths([s for s in specs if s.scenario_id in present])
+    truths = {}
+    if run.truth_override is None:  # an override stands for every truth
+        present = {key[0] for key in cells}  # a scenario without rows needs no truth
+        _, truths = _solve_with_truths([s for s in specs if s.scenario_id in present])
     summary = summarize(cells, truths, run.truth_override)
     tracker.write("summary.csv", output.SUMMARY_COLUMNS, output.summary_lines(summary))
 

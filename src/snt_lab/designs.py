@@ -303,59 +303,35 @@ class TableMap(NamedTuple):
     tabulation of the person counts.
 
     The indexes are sorted into groups that share a cell and a weight
-    schedule; a table sums the person counts of each group, then the groups
-    of each cell.
+    schedule; a table sums the person counts of each group through the
+    membership matrix, then the groups of each cell.
     """
 
     design: str
-    person: np.ndarray  # the person of each index, grouped
-    starts: np.ndarray  # the first index of each group
+    members: np.ndarray  # (persons, groups) int8: each person's indexes in each group
     cell: np.ndarray  # the count-table cell of each group
     weights: np.ndarray | None  # (2, n_groups): years 1 and 2, or None for 1
-    indexed: np.ndarray  # bool per person: has an index
-    initiator: np.ndarray  # bool per person: has a treated index
 
-    def index_groups(self) -> np.ndarray:
-        """The group of each index, in map order."""
-        sizes = np.diff(self.starts, append=len(self.person))
-        return np.repeat(np.arange(len(self.starts)), sizes)
+    @property
+    def indexed(self) -> np.ndarray:
+        """bool per person: has an index."""
+        return self.members.any(axis=1)
 
-    def memberships(self) -> np.ndarray:
-        """(persons, groups) int8: how many indexes of each person fall in
-        each group."""
-        shape = (len(self.indexed), len(self.starts))
-        key = self.person * shape[1] + self.index_groups()
-        return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape).astype(np.int8)
-
-    def merge(self, person_class: np.ndarray, first: np.ndarray) -> "TableMap":
-        """The map over classes of persons with equal memberships and flags:
-        person_class gives each person's class and first[c] the person that
-        stands for class c. Tabulating class counts gives the table of the
-        persons' counts."""
-        stands = np.zeros(len(self.indexed), dtype=bool)
-        stands[first] = True
-        keep = stands[self.person]
-        group = self.index_groups()[keep]
-        starts = np.flatnonzero(np.diff(group, prepend=-1))
-        assert len(starts) == len(self.starts), "a class must keep every group"
-        return TableMap(
-            design=self.design,
-            person=person_class[self.person[keep]],
-            starts=starts,
-            cell=self.cell,
-            weights=self.weights,
-            indexed=self.indexed[first],
-            initiator=self.initiator[first],
-        )
+    @property
+    def initiator(self) -> np.ndarray:
+        """bool per person: has a treated index, so every index of the
+        person falls in a cell whose initiator digit (the top one) is 1."""
+        return self.members[:, self.cell >= 16].any(axis=1)
 
     def block(self, people: np.ndarray) -> CountTable:
         """The count tables of a block of cohorts, people[r, k] persons like
         person k in cohort r, as one CountTable with a leading cohort axis.
         Float people are frequency weights and give a table of the same.
-        Counts of integer people are exact. Each weight sum is group count x
-        weight, added group by group in map order, the order the golden
-        digests pin."""
-        per_group = np.add.reduceat(people[:, self.person], self.starts, axis=1)
+        Counts of integer people are exact, and their product with the
+        membership matrix calls no BLAS routine. Each weight sum is group
+        count x weight, added group by group in map order, the order the
+        golden digests pin."""
+        per_group = people @ self.members.astype(people.dtype)
         cells, first = np.unique(self.cell, return_index=True)
         sizes = np.diff(first, append=len(self.cell))
         counts = np.zeros((len(people), 32), dtype=people.dtype)
@@ -400,14 +376,13 @@ def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> TableMap:
     first = np.ones(len(pid), dtype=bool)
     first[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
     starts = np.flatnonzero(first)
+    members = np.zeros((n_slots, len(starts)), dtype=np.int8)
+    np.add.at(members, (pid[order], np.cumsum(first) - 1), 1)
     return TableMap(
         design=idx.design,
-        person=pid[order],
-        starts=starts,
+        members=members,
         cell=key[0, starts].astype(np.intp),
         weights=None if weights is None else key[1:, starts],
-        indexed=np.bincount(pid, minlength=n_slots) > 0,
-        initiator=initiator,
     )
 
 
@@ -415,7 +390,7 @@ def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
     """Tabulate one design, every person counted once (see table_map), as a
     block of one cohort."""
     tmap = table_map(idx, weights)
-    return tmap.block(np.ones((1, len(tmap.indexed)), dtype=np.int64))
+    return tmap.block(np.ones((1, len(tmap.members)), dtype=np.int64))
 
 
 class DescribeRow(NamedTuple):

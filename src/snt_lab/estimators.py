@@ -397,8 +397,10 @@ class PersonTypeMap(NamedTuple):
             self.blocked,
             *self.events,
             *(col for tmap in self.designs
-              for col in (tmap.indexed, tmap.initiator, tmap.memberships())),
+              for col in (tmap.indexed, tmap.initiator, tmap.members)),
         ]).astype(np.int8)
+        # The flags follow from members but keep their columns: the
+        # class numbering, and so every draw, follows the rows' byte order.
         # Classes in row order of the signature, the lowest type of each
         # standing for it. Each row is one bytes value, whose order is the
         # row order since no entry is negative; np.unique(axis=0) sorts the
@@ -406,7 +408,7 @@ class PersonTypeMap(NamedTuple):
         rows = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
         _, first, type_class = np.unique(rows, return_index=True, return_inverse=True)
         return type_class, PersonTypeMap(
-            tuple(tmap.merge(type_class, first) for tmap in self.designs),
+            tuple(tmap._replace(members=tmap.members[first]) for tmap in self.designs),
             self.blocked[first],
             tuple(e[first] for e in self.events),
         )

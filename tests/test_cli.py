@@ -658,6 +658,20 @@ class TestReaggregationVerbs:
         assert run_cli("summarize", *args) == EXIT_OK
         assert (tmp_path / "summary.csv").read_bytes() == selected
 
+    def test_summarize_with_a_truth_override_calibrates_nothing(self, tmp_path):
+        # the config's S1 truth is undefined, but the override replaces it
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(
+            {"scenarios": [{"scenario_id": "S1", "risk_untreated": [0, 0]}]}
+        ))
+        args = ("--scenario", "S1", "--out", str(tmp_path))
+        assert run_cli("simulate", "--n", "100", "--reps", "3", *args) == EXIT_OK
+        assert run_cli("summarize", "--truth-override", "0.7", *args) == EXIT_OK
+        plain = (tmp_path / "summary.csv").read_bytes()
+        assert run_cli("summarize", "--config", str(config), "--truth-override", "0.7",
+                       *args) == EXIT_OK
+        assert (tmp_path / "summary.csv").read_bytes() == plain
+
     def test_rows_of_unselected_scenarios_are_skipped_after_their_label_check(
         self, tmp_path, capsys
     ):

@@ -7,8 +7,10 @@ factored into a base-type law (population.base_type_probabilities) and a
 treatment law given the base type (designs.treatment_probabilities). These
 tests check the factors against the product of the Bernoulli probabilities
 of each type's draws (type_probabilities); the pooled class counts of many
-replicates against the class law, with and without a finite pool; that the
-types of a class have identical map columns; that specs which differ only
+replicates against the class law, with and without a finite pool; that a
+table map's membership matrix counts each person's indexes in the group of
+their cell and weights; that the types of a class have identical map
+columns; that specs which differ only
 in what the map does not read share one map; that a cohort drawn by the
 plain-array oracle and tabulated into class counts gives, through the
 scenario block, the rows of the person-level path; that a scenario block
@@ -38,12 +40,14 @@ from snt_lab.designs import (
     build_spt,
     describe_block,
     describe_replicate,
+    table_map,
     treatment_probabilities,
     type_cohort,
 )
 from snt_lab.estimators import (
     analyze_replicate,
     battery_block,
+    censoring_weights,
     person_class_map,
     person_type_map,
 )
@@ -286,6 +290,41 @@ def test_paper_size_oracle_cohorts_through_class_counts_match_the_person_level_p
     assert check_oracle_cohort(scenario_id, 5000, seed, mode) == {""}
 
 
+@pytest.mark.parametrize(
+    "build,mode",
+    [
+        (build_spt, None),
+        (build_esnt_cal, WEIGHT_MODE_PAPER),
+        (build_esnt_td, WEIGHT_MODE_INITIATION),
+    ],
+)
+def test_members_count_each_index_in_the_group_of_its_cell_and_weights(build, mode):
+    cohort, assignment = type_cohort()
+    idx = build(cohort, assignment)
+    weights = None if mode is None else censoring_weights(idx, SPECS["S4"], mode)
+    tmap = table_map(idx, weights)
+    pid = idx.person_id
+    assert tmap.members.shape[0] == len(cohort)
+    assert np.array_equal(tmap.members.sum(axis=1), np.bincount(pid))
+    # each index's cell, digit by digit: initiator person, arm, high severity
+    # at index, follow-up past year 1, no event
+    initiator = np.zeros(len(cohort), dtype=bool)
+    initiator[pid[idx.treated]] = True
+    cell = (
+        16 * initiator[pid] + 8 * idx.treated + 4 * (idx.severity_at_index == 1)
+        + 2 * (idx.futime == 2) + ~idx.event
+    )
+    assert np.array_equal(tmap.initiator, initiator)
+    assert np.array_equal(tmap.indexed, np.bincount(pid) > 0)
+    index_key = np.column_stack([cell, *([] if weights is None else weights.T)])
+    group_key = np.column_stack([tmap.cell, *([] if weights is None else tmap.weights)])
+    match = (index_key[:, None, :] == group_key[None, :, :]).all(axis=2)
+    assert np.array_equal(match.sum(axis=1), np.ones(len(idx)))  # one group per index
+    expected = np.zeros(tmap.members.shape, dtype=np.int64)
+    np.add.at(expected, (pid, match.argmax(axis=1)), 1)
+    assert np.array_equal(tmap.members, expected)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
 def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
@@ -298,7 +337,7 @@ def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
     assert np.array_equal(np.unique(type_class), np.arange(n_classes))
     columns = [types.blocked, *types.events]
     for tmap in types.designs:
-        columns += [tmap.indexed, tmap.initiator, tmap.memberships()]
+        columns += [tmap.indexed, tmap.initiator, tmap.members]
     signature = np.column_stack(columns).astype(np.int8)
     first = np.array([np.flatnonzero(type_class == c)[0] for c in range(n_classes)])
     assert np.array_equal(signature, signature[first[type_class]])
