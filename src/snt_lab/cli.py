@@ -3,11 +3,13 @@
 Verbs: solve, truth, simulate, summarize, describe, plot-data, each taking
 only the flags it reads (`_VERBS`); only simulate reads SNT_LAB_THREADS.
 Exit codes: 0 success, 1 I/O failure or malformed input file (named with
-its line), 2 usage error, 3 infeasible calibration or an undefined truth
-(an untreated two-year risk of 0). A verb writes its files into a
-temporary sibling of the output directory and moves them in only when it
-succeeds, so a failed, interrupted or killed run never leaves a truncated
-file there; the next run removes the siblings that killed runs left.
+its line), 2 usage error, 3 infeasible calibration, an undefined truth
+(an untreated two-year risk of 0) or an infinite censoring weight (a
+replicate that draws a person censored for certain). A verb writes its
+files into a temporary sibling of the output directory and moves them in
+only when it succeeds, so a failed, interrupted or killed run never leaves
+a truncated file there; the next run removes the siblings that killed runs
+left.
 simulate also removes the derived files of an earlier run in the same
 directory that it did not rewrite, and summarize the figure files made from
 the summary.csv it replaces. A simulate whose summary has a cell with
@@ -38,6 +40,7 @@ from . import output
 from .cells import InsufficientReplicatesError, summarize, summarize_descriptives
 from .config import (
     ConfigError,
+    DegenerateWeightError,
     RunConfig,
     SCENARIO_IDS,
     ScenarioSpec,
@@ -391,6 +394,9 @@ def execute(args: argparse.Namespace) -> int:
         tracker.publish()
     except SolverInfeasible as exc:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except DegenerateWeightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InsufficientReplicatesError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,9 +29,17 @@ WEIGHT_MODE_INITIATION = "initiation"
 WEIGHT_MODE_PAPER = "paper_simplified"
 WEIGHT_MODES = (WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER)
 
+CERTAIN_CENSORING = "certain censoring: Pr(uncensored) = 0 for some severity level"
+
 
 class ConfigError(ValueError):
     """Raised for unparseable or invalid configuration documents."""
+
+
+class DegenerateWeightError(RuntimeError):
+    """A censoring probability of 1 makes a year 2 weight infinite: raised
+    by estimators.censoring_weights for such an index, and by
+    harness.scenario_block for a replicate that counts a person with one."""
 
 
 class ScenarioSpec(NamedTuple):

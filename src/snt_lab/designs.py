@@ -278,88 +278,66 @@ def build_esnt_td(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
 
 
 class CountTable(NamedTuple):
-    """Index counts and weight sums of one design, cell by cell, for each
-    cohort of a block (TableMap.block); one cohort is a block of one.
+    """Index counts and year 2 weight sums of one design, cell by cell, for
+    each cohort of a block (TableMap.table); one cohort is a block of one.
 
     Cells are initiator-person (the index's person has a treated index in
     this design) x arm x severity at index x follow-up state. The four
     follow-up states are: event in year 1; exit at year 1 without an event
     (censored); event in year 2; event-free through year 2. So the year-t
     risk set is states 2(t-1) onward and its events are state 2(t-1).
-    Every risk, standardization target and descriptive row of the design is
-    a function of this table.
+    Every index weighs 1 in year 1, so the counts are the year 1 weight
+    sums. Every risk, standardization target and descriptive row of the
+    design is a function of this table.
     """
 
     design: str
     counts: np.ndarray  # (R, 2, 2, 2, 4): indexes per cell, float if frequency-weighted
-    weight_sums: np.ndarray  # (R, 2, 2, 2, 2, 4) float: [cohort][year 1 or 2][cell]
+    weight_sums: np.ndarray  # (R, 2, 2, 2, 4) float: year 2 weights per cell
     n_people: np.ndarray  # (R,): persons with at least one index
     n_initiators: np.ndarray  # (R,): persons with a treated index
 
 
 class TableMap(NamedTuple):
-    """Where the indexes of each person of one design fall in its count
-    table, so that the table of any cohort of such persons is a weighted
-    tabulation of the person counts.
-
-    The indexes are sorted into groups that share a cell and a weight
-    schedule; a table sums the person counts of each group through the
-    membership matrix, then the groups of each cell.
-    """
+    """Where the indexes of one design fall in its count table: they are
+    sorted into groups that share a cell and a year 2 weight, and each
+    person's row of the map's columns (table_map) counts its indexes in
+    each group. So the table of any cohort of such persons is read off the
+    column sums of its persons (table)."""
 
     design: str
-    members: np.ndarray  # (persons, groups) int8: each person's indexes in each group
-    cell: np.ndarray  # the count-table cell of each group
-    weights: np.ndarray | None  # (2, n_groups): years 1 and 2, or None for 1
+    cell: np.ndarray  # the count-table cell of each group, in ascending order
+    weights: np.ndarray  # the year 2 weight of each group
 
-    @property
-    def indexed(self) -> np.ndarray:
-        """bool per person: has an index."""
-        return self.members.any(axis=1)
-
-    @property
-    def initiator(self) -> np.ndarray:
-        """bool per person: has a treated index, so every index of the
-        person falls in a cell whose initiator digit (the top one) is 1."""
-        return self.members[:, self.cell >= 16].any(axis=1)
-
-    def block(self, people: np.ndarray) -> CountTable:
-        """The count tables of a block of cohorts, people[r, k] persons like
-        person k in cohort r, as one CountTable with a leading cohort axis.
-        Float people are frequency weights and give a table of the same.
-        Counts of integer people are exact, and their product with the
-        membership matrix calls no BLAS routine. Each weight sum is group
-        count x weight, added group by group in map order, the order the
+    def table(self, sums: np.ndarray) -> CountTable:
+        """The count tables of a block of cohorts from the column sums of
+        their persons, sums[r] = people[r] @ columns (table_map), as one
+        CountTable with a leading cohort axis. Float sums are frequency
+        weights and give a table of the same. Each cell adds its groups in
+        map order, the weight sums as group count x weight: the order the
         golden digests pin."""
-        per_group = people @ self.members.astype(people.dtype)
-        cells, first = np.unique(self.cell, return_index=True)
-        sizes = np.diff(first, append=len(self.cell))
-        counts = np.zeros((len(people), 32), dtype=people.dtype)
-        counts[:, cells] = np.add.reduceat(per_group, first, axis=1)
-        if self.weights is None:
-            sums = np.stack([counts, counts], axis=1).astype(float)
-        else:
-            sums = np.zeros((len(people), 2, 32))
-            for year, w in enumerate(self.weights):
-                weighted = per_group * w
-                total = weighted[:, first]
-                for k in range(1, sizes.max(initial=1)):
-                    more = sizes > k
-                    total[:, more] += weighted[:, first[more] + k]
-                sums[:, year, cells] = total
+        counts = np.zeros((len(sums), 32), dtype=sums.dtype)
+        weight_sums = np.zeros((len(sums), 32))
+        for group, (cell, weight) in enumerate(zip(self.cell.tolist(), self.weights.tolist())):
+            persons = sums[:, 2 + group]
+            counts[:, cell] += persons
+            weight_sums[:, cell] += persons * weight
         return CountTable(
             design=self.design,
             counts=counts.reshape(-1, 2, 2, 2, 4),
-            weight_sums=sums.reshape(-1, 2, 2, 2, 2, 4),
-            n_people=people[:, self.indexed].sum(axis=1),
-            n_initiators=people[:, self.initiator].sum(axis=1),
+            weight_sums=weight_sums.reshape(-1, 2, 2, 2, 4),
+            n_people=sums[:, 0],
+            n_initiators=sums[:, 1],
         )
 
 
-def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> TableMap:
-    """The table map of one design. weights is the (n, 2) per-index weight
-    schedule of follow-up years 1 and 2; without it every index weighs 1.
-    Follow-up times must be 1 or 2 years, as the designs build them."""
+def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> tuple[TableMap, np.ndarray]:
+    """The table map of one design and its columns: the (persons,
+    2 + groups) int8 matrix that holds, per person, whether it has an
+    index, whether it has a treated index, and its count of indexes in each
+    group. weights is the (n,) year 2 weight of each index; without it
+    every index weighs 1. Follow-up times must be 1 or 2 years, as the
+    designs build them."""
     pid = idx.person_id
     n_slots = int(pid.max(initial=-1)) + 1
     initiator = np.zeros(n_slots, dtype=bool)
@@ -369,28 +347,26 @@ def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> TableMap:
     for digit in (idx.treated, idx.severity_at_index == 1, idx.futime == 2, ~idx.event):
         code *= 2
         code |= digit
-    # sort by cell, then weights; a group starts wherever the sorted key changes
-    key = np.vstack([code.astype(float), *([] if weights is None else weights.T)])
-    order = np.lexsort(key[::-1])
-    key = key[:, order]
+    if weights is None:
+        weights = np.ones(len(pid))
+    # sort by cell, then weight; a group starts wherever the sorted key changes
+    order = np.lexsort((weights, code))
+    code, weights = code[order], weights[order]
     first = np.ones(len(pid), dtype=bool)
-    first[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    first[1:] = (code[1:] != code[:-1]) | (weights[1:] != weights[:-1])
     starts = np.flatnonzero(first)
-    members = np.zeros((n_slots, len(starts)), dtype=np.int8)
-    np.add.at(members, (pid[order], np.cumsum(first) - 1), 1)
-    return TableMap(
-        design=idx.design,
-        members=members,
-        cell=key[0, starts].astype(np.intp),
-        weights=None if weights is None else key[1:, starts],
-    )
+    columns = np.zeros((n_slots, 2 + len(starts)), dtype=np.int8)
+    columns[pid, 0] = 1
+    columns[:, 1] = initiator
+    np.add.at(columns, (pid[order], 1 + np.cumsum(first)), 1)
+    return TableMap(idx.design, code[starts].astype(np.intp), weights[starts]), columns
 
 
 def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
     """Tabulate one design, every person counted once (see table_map), as a
     block of one cohort."""
-    tmap = table_map(idx, weights)
-    return tmap.block(np.ones((1, len(tmap.members)), dtype=np.int64))
+    tmap, columns = table_map(idx, weights)
+    return tmap.table(columns.sum(axis=0, dtype=np.int64)[None])
 
 
 class DescribeRow(NamedTuple):
@@ -421,7 +397,7 @@ class DescribeBlock(NamedTuple):
 
 def describe_block(tables: list[CountTable], n_persons: int) -> DescribeBlock:
     """Descriptive rows of each design's count tables, over a block of
-    replicates (TableMap.block).
+    replicates (TableMap.table).
 
     Index-level groups ('all', 'treated') summarize indexes directly;
     person-level groups split persons by ever-initiator status and count the

@@ -8,18 +8,21 @@ the risk set after their censoring year.
 
 Artificial censoring can only strike untreated Visit 1 indexes, at year 1,
 and its probability is a known function of severity at the next visit, so
-the year 1 weight is always 1 and the year 2 weight is the inverse of the
-probability of remaining uncensored given that severity.
+the year 1 weight is always 1 and each index carries one weight, for year
+2: the inverse of the probability of remaining uncensored given that
+severity. So the year 1 weight sums are the index counts.
 
 Every analysis contrasts a treated and an untreated risk through the risk
 ratio; standardized analyses mix (arm x severity) stratum risks with the
 target population's severity shares first. Risks and shares are read off
 one count table per design, never off the indexes. A block of replicates'
 tables come from their counts of each class of person types through
-person_class_map (PersonTypeMap.blocks), and battery_block computes their
-batteries from tables with a leading replicate axis. The person-level views
-(analyze_replicate, ipcw_km_risk, crude_rr, standardized_rr) tabulate one
-cohort's index sets as a block of one and read its single row.
+person_class_map: one product of the counts with the map's int8 columns
+gives every count the tables need (PersonTypeMap.blocks), and
+battery_block computes their batteries from tables with a leading
+replicate axis. The person-level views (analyze_replicate, ipcw_km_risk,
+crude_rr, standardized_rr) tabulate one cohort's index sets as a block of
+one and read its single row.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .cells import ANALYSIS_CRUDE, ANALYSIS_LABELS, TARGET_NONE
-from .config import ScenarioSpec, WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER
+from .config import (
+    CERTAIN_CENSORING,
+    DegenerateWeightError,
+    ScenarioSpec,
+    WEIGHT_MODE_INITIATION,
+    WEIGHT_MODE_PAPER,
+)
 from .designs import (
     CountTable,
     IndexSet,
@@ -56,10 +65,6 @@ class EmptyRiskSetError(ValueError):
     """No indexes in the requested arm (and stratum) at year 1."""
 
 
-class DegenerateWeightError(ValueError):
-    """A censoring probability of 1 makes the weight infinite."""
-
-
 class AnalysisResult(NamedTuple):
     """One estimator's risks and risk ratio for one replicate dataset."""
 
@@ -73,9 +78,6 @@ class AnalysisResult(NamedTuple):
     n_treated: int
     n_untreated: int
     degenerate: str = ""
-
-
-CERTAIN_CENSORING = "certain censoring: Pr(uncensored) = 0 for some severity level"
 
 
 def _uncensored_prob(
@@ -99,10 +101,10 @@ def _uncensored_prob(
 def censoring_weights(
     indexes: IndexSet, spec: ScenarioSpec, mode: str = WEIGHT_MODE_INITIATION
 ) -> np.ndarray:
-    """Per-index weight schedule, shape (n, 2) for follow-up years 1 and 2.
+    """The (n,) year 2 weight of each index; every year 1 weight is 1.
 
     Treated indexes and Visit 2 indexes cannot be censored, so their weights
-    are 1. For untreated Visit 1 indexes the year 2 weight is
+    are 1. For untreated Visit 1 indexes the weight is
     1 / Pr(uncensored | severity at Visit 2), where the censoring hazard is
     Pr(decision point) * Pr(initiate | decision point) under the default
     'initiation' mode and just Pr(initiate) under 'paper_simplified'.
@@ -110,9 +112,7 @@ def censoring_weights(
     p = _uncensored_prob(indexes, spec.decision_prob, spec.treat_prob, mode)
     if np.any(p <= 0.0):
         raise DegenerateWeightError(CERTAIN_CENSORING)
-    w = np.ones((len(indexes), 2))
-    w[:, 1] = 1.0 / p
-    return w
+    return 1.0 / p
 
 
 class AnalysisBlock(NamedTuple):
@@ -146,8 +146,9 @@ def _join_flags(flags: list[tuple[np.ndarray, str]], size: int) -> np.ndarray:
 
 def _km_block(year1: np.ndarray, year2: np.ndarray) -> np.ndarray:
     """Product-limit two-year risks over arrays whose last axis holds the
-    per-state weight sums of year 1 and of year 2; the denominators are
-    left-to-right sums. An empty year 2 risk set leaves the curve flat."""
+    per-state weight sums of year 1 (the counts) and of year 2; the
+    denominators are left-to-right sums. An empty year 2 risk set leaves the
+    curve flat."""
     denom1 = ((year1[..., 0] + year1[..., 1]) + year1[..., 2]) + year1[..., 3]
     denom2 = year2[..., 2] + year2[..., 3]
     surv1 = 1.0 - year1[..., 0] / denom1
@@ -159,15 +160,13 @@ def _risks_block(table: CountTable):
     """The arm risks (R, arm) and the (arm x severity) stratum risks
     (R, arm, severity) of each replicate of a block, each with a mask of the
     non-empty ones."""
-    counts = table.counts.sum(axis=(1, 4))  # [replicate][arm][severity]
-    ws = table.weight_sums  # [replicate][year][initiator-person][arm][severity][state]
-    strata = ws[:, :, 0] + ws[:, :, 1]  # [replicate][year][arm][severity][state]
+    # per year, [replicate][initiator-person][arm][severity][state]
+    years = (table.counts, table.weight_sums)
+    strata = [t[:, 0] + t[:, 1] for t in years]  # [replicate][arm][severity][state]
     # the order in which numpy sums axes (1, 3) of one table
-    arms = ((ws[:, :, 0, :, 0] + ws[:, :, 0, :, 1]) + ws[:, :, 1, :, 0]) + ws[:, :, 1, :, 1]
-    return (
-        _km_block(arms[:, 0], arms[:, 1]), counts.sum(axis=2) > 0,
-        _km_block(strata[:, 0], strata[:, 1]), counts > 0,
-    )
+    arms = [((t[:, 0, :, 0] + t[:, 0, :, 1]) + t[:, 1, :, 0]) + t[:, 1, :, 1] for t in years]
+    counts = strata[0].sum(axis=3)  # [replicate][arm][severity]
+    return _km_block(*arms), counts.sum(axis=2) > 0, _km_block(*strata), counts > 0
 
 
 def _targets_block(table: CountTable) -> list[tuple[np.ndarray, np.ndarray, str]]:
@@ -365,53 +364,53 @@ class PersonTypeMap(NamedTuple):
     """The fixed map from a replicate's count of each person type
     (designs.N_TYPES), or of each class of types (partition), to its three
     count tables and its true-RR counts, for one scenario and
-    calendar-emulation weight mode."""
+    calendar-emulation weight mode.
 
+    columns holds one int8 row per type or class: whether it is blocked (an
+    index with Pr(uncensored) <= 0), whether it has an event by HORIZON_TAU
+    under sustained initiation and under never initiating (pattern_events),
+    then each design's table_map columns in design order."""
+
+    columns: np.ndarray  # (types or classes, 3 + design columns) int8
     designs: tuple[TableMap, TableMap, TableMap]
-    blocked: np.ndarray  # bool per type or class: an index with Pr(uncensored) <= 0
-    events: tuple[np.ndarray, np.ndarray]  # bool per type or class, see pattern_events
+
+    @property
+    def blocked(self) -> np.ndarray:
+        """bool per type or class: has an index with Pr(uncensored) <= 0."""
+        return self.columns[:, 0] > 0
 
     def blocks(
         self, counts: np.ndarray
     ) -> tuple[tuple[CountTable, CountTable, CountTable], tuple[np.ndarray, np.ndarray]]:
         """The three count tables and the true-event counts of a block of
         replicates, counts[r, k] persons of type (or class) k in replicate
-        r: the tables with a leading replicate axis (TableMap.block) and,
+        r: the tables with a leading replicate axis (TableMap.table) and,
         per replicate, the persons with an event by HORIZON_TAU under
         sustained initiation and under never initiating (battery_block's
-        input). No person counted may be blocked: a blocked type's year 2
-        weight is a placeholder (harness.scenario_block checks)."""
-        treated, untreated = self.events
-        return (
-            tuple(tmap.block(counts) for tmap in self.designs),
-            (counts[:, treated].sum(axis=1), counts[:, untreated].sum(axis=1)),
-        )
+        input). All of them are column sums of one product with columns;
+        for integer counts it is exact and calls no BLAS routine. No person
+        counted may be blocked: a blocked type's year 2 weight is a
+        placeholder (harness.scenario_block checks)."""
+        sums = counts @ self.columns.astype(counts.dtype)
+        tables, start = [], 3
+        for tmap in self.designs:
+            stop = start + 2 + len(tmap.cell)
+            tables.append(tmap.table(sums[:, start:stop]))
+            start = stop
+        return tuple(tables), (sums[:, 1], sums[:, 2])
 
     def partition(self) -> tuple[np.ndarray, "PersonTypeMap"]:
-        """Output-equivalence classes: types whose columns are all identical
-        (the same count of indexes in each table group of every design, the
-        same indexed, initiator, blocked and event flags). Returns each
-        type's class and the map over classes, whose tables of class counts
-        equal the tables of the type counts."""
-        signature = np.column_stack([
-            self.blocked,
-            *self.events,
-            *(col for tmap in self.designs
-              for col in (tmap.indexed, tmap.initiator, tmap.members)),
-        ]).astype(np.int8)
-        # The flags follow from members but keep their columns: the
-        # class numbering, and so every draw, follows the rows' byte order.
-        # Classes in row order of the signature, the lowest type of each
-        # standing for it. Each row is one bytes value, whose order is the
-        # row order since no entry is negative; np.unique(axis=0) sorts the
-        # rows field by field, about 50 times slower.
-        rows = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
+        """Output-equivalence classes: types whose rows of columns are
+        identical. Returns each type's class and the map over classes, the
+        lowest type of each class standing for it, whose tables of class
+        counts equal the tables of the type counts. Classes are numbered in
+        the order of their rows, and so every draw follows that order. Each
+        row is one bytes value, whose order is the row order since no entry
+        is negative; np.unique(axis=0) sorts the rows field by field, about
+        50 times slower."""
+        rows = self.columns.view(np.dtype((np.void, self.columns.shape[1]))).ravel()
         _, first, type_class = np.unique(rows, return_index=True, return_inverse=True)
-        return type_class, PersonTypeMap(
-            tuple(tmap._replace(members=tmap.members[first]) for tmap in self.designs),
-            self.blocked[first],
-            tuple(e[first] for e in self.events),
-        )
+        return type_class, self._replace(columns=self.columns[first])
 
 
 def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
@@ -435,10 +434,11 @@ def _type_map(
         p = _uncensored_prob(idx, decision_prob, treat_prob, mode)
         certain = p <= 0.0
         blocked[idx.person_id[certain]] = True
-        w = np.ones((len(idx), 2))
-        w[:, 1] = 1.0 / np.where(certain, np.inf, p)  # blocked types are never tabulated
-        maps.append(table_map(idx, w))
-    return PersonTypeMap(tuple(maps), blocked, pattern_events(cohort))
+        # blocked types are never tabulated
+        maps.append(table_map(idx, 1.0 / np.where(certain, np.inf, p)))
+    tmaps, columns = zip(*maps)
+    flags = np.stack([blocked, *pattern_events(cohort)], axis=1)
+    return PersonTypeMap(np.hstack([flags, *columns]), tmaps)
 
 
 def person_class_map(

@@ -32,14 +32,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .cells import ANALYSIS_LABELS, DESCRIBE_LABELS, Cells
-from .config import RunConfig, ScenarioSpec, SCENARIO_IDS
-from .designs import DescribeBlock, describe_block, treatment_probabilities
-from .estimators import (
+from .config import (
     CERTAIN_CENSORING,
-    AnalysisBlock,
-    battery_block,
-    person_class_map,
+    DegenerateWeightError,
+    RunConfig,
+    ScenarioSpec,
+    SCENARIO_IDS,
 )
+from .designs import DescribeBlock, describe_block, treatment_probabilities
+from .estimators import AnalysisBlock, battery_block, person_class_map
 from .hazards import HazardSet, solve
 from .population import base_type_probabilities
 
@@ -152,8 +153,8 @@ def scenario_block(
 ) -> ScenarioBlock:
     """The analyses and descriptive rows of the given replicates of one
     scenario, computed as column operations on their (R x classes) class
-    counts (run_replicate). Raises RuntimeError naming the first replicate
-    that counts a person of a blocked class."""
+    counts (run_replicate). Raises DegenerateWeightError naming the first
+    replicate that counts a person of a blocked class."""
     replicates = np.asarray(replicate_ids, dtype=np.int64)
     if len(counts) == 0:  # an empty run builds no map
         return ScenarioBlock(
@@ -166,7 +167,7 @@ def scenario_block(
     _, classes = person_class_map(spec, run.cal_weight_mode)
     blocked = counts[:, classes.blocked].any(axis=1)
     if blocked.any():
-        raise RuntimeError(
+        raise DegenerateWeightError(
             f"replicate {replicates[blocked.argmax()]} of {spec.scenario_id} failed: "
             f"{CERTAIN_CENSORING}"
         )

@@ -125,7 +125,8 @@ def test_criterion_3_estimator_oracle():
     ])
     w = censoring_weights(idx, spec)
     worst = max(worst, abs(
-        ipcw_km_risk(idx, w, treated=False) - km_risk_oracle(idx.records(), w)
+        ipcw_km_risk(idx, w, treated=False)
+        - km_risk_oracle(idx.records(), np.column_stack([np.ones(2), w]))
     ))
 
     # randomized hand-enumerable datasets, up to 12 indexes
@@ -150,15 +151,14 @@ def test_criterion_3_estimator_oracle():
             for j, (t, z) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)])
         ]
         idx = IndexSet.from_records("eSNT-CAL", records)
-        weights = np.column_stack(
-            [np.ones(len(records)), rng.uniform(0.8, 2.5, len(records))]
-        )
+        year2 = rng.uniform(0.8, 2.5, len(records))
+        weights = np.column_stack([np.ones(len(records)), year2])
         target = (0.6, 0.4)
-        res = standardized_rr(idx, weights, target, "ate_snt", "snt_all")
+        res = standardized_rr(idx, year2, target, "ate_snt", "snt_all")
         rt, ru, rr = standardized_rr_oracle(records, weights, target)
         worst = max(worst, abs(res.risk_treated - rt), abs(res.risk_untreated - ru),
                     abs(res.rr - rr))
-        crude = crude_rr(idx, weights)
+        crude = crude_rr(idx, year2)
         worst = max(worst, abs(
             crude.risk_untreated
             - km_risk_oracle([r for r in records if not r.treated],

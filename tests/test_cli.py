@@ -287,6 +287,26 @@ class TestSimulateVerb:
         assert not (tmp_path / "estimates.csv").exists()
         assert not (tmp_path / "hazards.csv").exists()
 
+    def test_a_blocked_class_draw_exits_three_with_one_error_line(self, tmp_path):
+        # every decision point initiates at high severity, so an untreated
+        # Visit 1 index with high severity at Visit 2 is censored for certain
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenarios": [
+            {"scenario_id": "S3", "decision_prob": [1.0, 1.0], "treat_prob": [0.5, 1.0]}
+        ]}))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "snt_lab", "simulate", "--scenario", "S3", "--config",
+             str(cfg), "--n", "3", "--reps", "40", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: replicate 1 of S3 failed: certain censoring: "
+            "Pr(uncensored) = 0 for some severity level"
+        ]
+        assert not out.exists() and staging_dirs(out) == []
+
     def test_zero_replicates_still_succeeds(self, tmp_path):
         code = run_cli(
             "simulate", "--scenario", "S1", "--reps", "0", "--n", "50",

@@ -290,19 +290,20 @@ class TestCountTable:
             rec(5, 1, 0, False, 2, True),
             rec(5, 2, 0, False, 2, True),
         ])
-        weights = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 2.5], [0.5, 4.0], [1.0, 3.0]])
+        # year 2 weights; every year 1 weight is 1, so the counts are the
+        # year 1 weight sums
+        weights = np.array([1.0, 1.0, 2.5, 4.0, 3.0])
         table = count_table(idx, weights)
         counts, weight_sums = table.counts[0], table.weight_sums[0]
         # [initiator-person, arm, severity, state]
-        assert [tuple(c) for c in np.argwhere(counts)] == [
-            (0, 0, 0, 2), (0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 3),
-        ]
-        assert counts[0, 0, 0, 2] == 2
-        assert weight_sums[:, 0, 0, 0, 2].tolist() == [1.5, 7.0]
-        assert weight_sums[:, 0, 0, 1, 1].tolist() == [1.0, 2.5]
+        cells = [(0, 0, 0, 2), (0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 1, 3)]
+        assert [tuple(c) for c in np.argwhere(counts)] == cells
+        assert [tuple(c) for c in np.argwhere(weight_sums)] == cells
+        assert [counts[c] for c in cells] == [2, 1, 1, 1]
+        assert [weight_sums[c] for c in cells] == [7.0, 2.5, 1.0, 1.0]
         assert (table.n_people[0], table.n_initiators[0]) == (3, 1)
         unit = count_table(idx)
-        assert np.array_equal(unit.weight_sums[0], np.stack([unit.counts[0], unit.counts[0]]))
+        assert np.array_equal(unit.weight_sums[0], unit.counts[0])
 
 
 class TestDescribe:

@@ -61,27 +61,27 @@ class TestCensoringWeights:
             record(index_visit=2, treated=True, severity_next=1),
         ])
         w = censoring_weights(idx, spec)
-        assert np.array_equal(w, np.ones((3, 2)))
+        assert np.array_equal(w, np.ones(3))
 
     def test_untreated_visit1_weights_s1(self):
         spec, _ = spec_and_hazards("S1")
         idx = dataset([record(severity_next=1), record(severity_next=0)])
         w = censoring_weights(idx, spec)
-        assert w[:, 0].tolist() == [1.0, 1.0]
+        assert w.shape == (2,)
         # 1 / (1 - 0.3 * 0.75) and 1 / (1 - 0.3 * 0.25)
-        assert w[0, 1] == pytest.approx(1.2903225806451613, abs=1e-12)
-        assert w[1, 1] == pytest.approx(1.0810810810810811, abs=1e-12)
+        assert w[0] == pytest.approx(1.2903225806451613, abs=1e-12)
+        assert w[1] == pytest.approx(1.0810810810810811, abs=1e-12)
 
     def test_untreated_visit1_weights_s3(self):
         spec, _ = spec_and_hazards("S3")
         w = censoring_weights(dataset([record(severity_next=1), record(severity_next=0)]), spec)
-        assert w[0, 1] == pytest.approx(2.5, abs=1e-12)
-        assert w[1, 1] == pytest.approx(1.0526315789473684, abs=1e-12)
+        assert w[0] == pytest.approx(2.5, abs=1e-12)
+        assert w[1] == pytest.approx(1.0526315789473684, abs=1e-12)
 
     def test_simplified_mode_drops_decision_term(self):
         spec, _ = spec_and_hazards("S3")
         w = censoring_weights(dataset([record(severity_next=1)]), spec, WEIGHT_MODE_PAPER)
-        assert w[0, 1] == pytest.approx(4.0, abs=1e-12)  # 1 / (1 - 0.75)
+        assert w[0] == pytest.approx(4.0, abs=1e-12)  # 1 / (1 - 0.75)
 
     def test_certain_censoring_is_degenerate(self):
         spec, _ = spec_and_hazards("S1")
@@ -98,7 +98,7 @@ class TestCensoringWeights:
             record(severity_next=0),
         ])
         w = censoring_weights(idx, spec)
-        assert w[:, 1].tolist() == [1.0, 1.0, 2.0]
+        assert w.tolist() == [1.0, 1.0, 2.0]
 
     def test_unknown_mode_rejected(self):
         spec, _ = spec_and_hazards("S1")
@@ -121,7 +121,8 @@ class TestIpcwKmRisk:
         wa, wb = 1.2903225806451613, 1.0810810810810811
         assert risk == pytest.approx(wa / (wa + wb), abs=1e-12)
         assert risk == pytest.approx(0.5441176470588236, abs=1e-10)
-        assert risk == pytest.approx(km_risk_oracle(idx.records(), w), abs=1e-15)
+        oracle = km_risk_oracle(idx.records(), np.column_stack([np.ones(2), w]))
+        assert risk == pytest.approx(oracle, abs=1e-15)
 
     def test_reduces_to_empirical_proportion_without_censoring(self):
         rng = np.random.default_rng(0)
@@ -136,7 +137,7 @@ class TestIpcwKmRisk:
                 for r in recs
             ]
             idx = dataset(recs)
-            unit = np.ones((n, 2))
+            unit = np.ones(n)
             expected = sum(r.event for r in recs) / n
             assert ipcw_km_risk(idx, unit, treated=False) == pytest.approx(expected, abs=1e-12)
 
@@ -160,14 +161,16 @@ class TestIpcwKmRisk:
                     )
                 )
             idx = dataset(recs)
-            w = np.column_stack([np.ones(n), rng.uniform(0.5, 3.0, n)])
+            w = rng.uniform(0.5, 3.0, n)
             for treated in (False, True):
                 picked = [r for r in recs if r.treated == treated]
                 if not picked:
                     with pytest.raises(EmptyRiskSetError):
                         ipcw_km_risk(idx, w, treated=treated)
                     continue
-                expected = stratified_km_oracle(recs, w, treated=treated)
+                expected = stratified_km_oracle(
+                    recs, np.column_stack([np.ones(n), w]), treated=treated
+                )
                 assert ipcw_km_risk(idx, w, treated=treated) == pytest.approx(
                     expected, abs=1e-12
                 )
@@ -186,7 +189,7 @@ class TestIpcwKmRisk:
 
     def test_empty_year2_risk_set_keeps_year1_value(self):
         idx = dataset([record(futime=1, event=True), record(futime=1, censored=True)])
-        unit = np.ones((2, 2))
+        unit = np.ones(2)
         assert ipcw_km_risk(idx, unit, treated=False) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -233,19 +236,21 @@ def proportions_dataset():
 class TestStandardizedRR:
     def test_hand_arithmetic_example(self):
         idx = proportions_dataset()
-        unit = np.ones((len(idx), 2))
+        unit = np.ones(len(idx))
         res = standardized_rr(idx, unit, (0.5, 0.5), "ate_snt", "snt_all")
         assert res.risk_treated == pytest.approx(0.20, abs=1e-12)
         assert res.risk_untreated == pytest.approx(0.30, abs=1e-12)
         assert res.rr == pytest.approx(2 / 3, abs=1e-12)
-        rt, ru, rr = standardized_rr_oracle(idx.records(), unit, (0.5, 0.5))
+        rt, ru, rr = standardized_rr_oracle(
+            idx.records(), np.column_stack([unit, unit]), (0.5, 0.5)
+        )
         assert (res.risk_treated, res.risk_untreated, res.rr) == pytest.approx(
             (rt, ru, rr), abs=1e-15
         )
 
     def test_point_mass_target_selects_stratum(self):
         idx = proportions_dataset()
-        unit = np.ones((len(idx), 2))
+        unit = np.ones(len(idx))
         res = standardized_rr(idx, unit, (1.0, 0.0), "ate_snt", "snt_all")
         assert res.rr == pytest.approx(0.5, abs=1e-12)
 
@@ -260,7 +265,7 @@ class TestStandardizedRR:
                                severity_at_index=sev, event=i < round(risk * 10))
                     )
         idx = dataset(recs)
-        unit = np.ones((len(idx), 2))
+        unit = np.ones(len(idx))
         crude = crude_rr(idx, unit)
         for target in ((0.5, 0.5), (0.9, 0.1), (0.0, 1.0)):
             res = standardized_rr(idx, unit, target, "ate_snt", "snt_all")
@@ -285,7 +290,7 @@ class TestStandardizedRR:
             record(treated=True, severity_at_index=0, event=True, futime=1),
             record(treated=False, severity_at_index=0),
         ])
-        unit = np.ones((2, 2))
+        unit = np.ones(2)
         res = standardized_rr(idx, unit, (0.5, 0.5), "ate_snt", "snt_all")
         assert "empty_stratum" in res.degenerate
         assert math.isnan(res.rr)
@@ -294,7 +299,7 @@ class TestStandardizedRR:
         idx = dataset([
             record(treated=True), record(treated=False),
         ])
-        unit = np.ones((2, 2))
+        unit = np.ones(2)
         res = crude_rr(idx, unit)
         assert "zero_risk_untreated" in res.degenerate
         idx = dataset([
@@ -342,7 +347,7 @@ class TestAnalyzeReplicate:
                 [(t, z) for t in (False, True) for z in (0, 1) for _ in range(10)]
             )
         ])
-        unit = np.ones((len(idx), 2))
+        unit = np.ones(len(idx))
         crude = crude_rr(idx, unit)
         for subset in ("all", "treated"):
             target = severity_shares_oracle(idx.records(), subset)
@@ -387,8 +392,8 @@ class TestAnalyzeReplicate:
         a = assign_treatments(rng, cohort, spec)
         cal = build_esnt_cal(cohort, a)
         w = censoring_weights(cal, spec)
-        assert np.array_equal(w, np.ones((len(cal), 2)))
-        unit_crude = crude_rr(cal, np.ones((len(cal), 2)))
+        assert np.array_equal(w, np.ones(len(cal)))
+        unit_crude = crude_rr(cal, np.ones(len(cal)))
         assert crude_rr(cal, w).rr == unit_crude.rr
 
     def test_replicate_never_dropped_on_degenerate_cohort(self):

@@ -8,9 +8,9 @@ treatment law given the base type (designs.treatment_probabilities). These
 tests check the factors against the product of the Bernoulli probabilities
 of each type's draws (type_probabilities); the pooled class counts of many
 replicates against the class law, with and without a finite pool; that a
-table map's membership matrix counts each person's indexes in the group of
-their cell and weights; that the types of a class have identical map
-columns; that specs which differ only
+table map's columns count each person's indexes in the group of their cell
+and weight; that the map's flag columns equal their definitions; that the
+types of a class have identical map columns; that specs which differ only
 in what the map does not read share one map; that a cohort drawn by the
 plain-array oracle and tabulated into class counts gives, through the
 scenario block, the rows of the person-level path; that a scenario block
@@ -60,10 +60,12 @@ from snt_lab.harness import (
 )
 from snt_lab.hazards import enumerate_truth, solve
 from snt_lab.population import (
+    HIGH,
     PATTERN_NEVER,
     Cohort,
     base_type_probabilities,
     draw_cohort,
+    pattern_events,
 )
 
 SPECS = {s.scenario_id: s for s in builtin_scenarios()}
@@ -302,10 +304,10 @@ def test_members_count_each_index_in_the_group_of_its_cell_and_weights(build, mo
     cohort, assignment = type_cohort()
     idx = build(cohort, assignment)
     weights = None if mode is None else censoring_weights(idx, SPECS["S4"], mode)
-    tmap = table_map(idx, weights)
+    tmap, columns = table_map(idx, weights)
     pid = idx.person_id
-    assert tmap.members.shape[0] == len(cohort)
-    assert np.array_equal(tmap.members.sum(axis=1), np.bincount(pid))
+    assert columns.dtype == np.int8
+    assert columns.shape == (len(cohort), 2 + len(tmap.cell))
     # each index's cell, digit by digit: initiator person, arm, high severity
     # at index, follow-up past year 1, no event
     initiator = np.zeros(len(cohort), dtype=bool)
@@ -314,15 +316,33 @@ def test_members_count_each_index_in_the_group_of_its_cell_and_weights(build, mo
         16 * initiator[pid] + 8 * idx.treated + 4 * (idx.severity_at_index == 1)
         + 2 * (idx.futime == 2) + ~idx.event
     )
-    assert np.array_equal(tmap.initiator, initiator)
-    assert np.array_equal(tmap.indexed, np.bincount(pid) > 0)
-    index_key = np.column_stack([cell, *([] if weights is None else weights.T)])
-    group_key = np.column_stack([tmap.cell, *([] if weights is None else tmap.weights)])
-    match = (index_key[:, None, :] == group_key[None, :, :]).all(axis=2)
+    assert np.array_equal(columns[:, 0], np.bincount(pid) > 0)
+    assert np.array_equal(columns[:, 1], initiator)
+    # one group per (cell, year 2 weight), in ascending order
+    groups = list(zip(tmap.cell.tolist(), tmap.weights.tolist()))
+    assert groups == sorted(set(groups))
+    year2 = np.ones(len(idx)) if weights is None else weights
+    match = (cell[:, None] == tmap.cell) & (year2[:, None] == tmap.weights)
     assert np.array_equal(match.sum(axis=1), np.ones(len(idx)))  # one group per index
-    expected = np.zeros(tmap.members.shape, dtype=np.int64)
+    expected = np.zeros((len(cohort), len(groups)), dtype=np.int64)
     np.add.at(expected, (pid, match.argmax(axis=1)), 1)
-    assert np.array_equal(tmap.members, expected)
+    assert np.array_equal(columns[:, 2:], expected)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_flag_columns_equal_their_definitions(mode):
+    cohort, assignment = type_cohort()
+    treated_events, untreated_events = pattern_events(cohort)
+    # BLOCKING initiates at every high-severity Visit 2, so an untreated
+    # Visit 1 index with high severity at Visit 2 is censored for certain
+    blocking = ~assignment.a1 & (cohort.severity[:, 1] == HIGH)
+    assert 0 < blocking.sum() < N_TYPES
+    nothing = np.zeros(N_TYPES, dtype=bool)
+    for spec, blocked in [(BLOCKING, blocking), *((spec, nothing) for spec in SPECS.values())]:
+        columns = person_type_map(spec, mode).columns
+        assert np.array_equal(columns[:, 0], blocked)
+        assert np.array_equal(columns[:, 1], treated_events)
+        assert np.array_equal(columns[:, 2], untreated_events)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -331,17 +351,15 @@ def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
     spec = SPECS[scenario_id]
     types = person_type_map(spec, mode)
     type_class, classes = person_class_map(spec, mode)
-    n_classes = len(classes.blocked)
+    n_classes = len(classes.columns)
     if (scenario_id, mode) == ("S4", WEIGHT_MODE_INITIATION):
-        assert n_classes == 201
+        assert classes.columns.shape == (201, 69)
     assert np.array_equal(np.unique(type_class), np.arange(n_classes))
-    columns = [types.blocked, *types.events]
-    for tmap in types.designs:
-        columns += [tmap.indexed, tmap.initiator, tmap.members]
-    signature = np.column_stack(columns).astype(np.int8)
+    assert classes.designs is types.designs
     first = np.array([np.flatnonzero(type_class == c)[0] for c in range(n_classes)])
-    assert np.array_equal(signature, signature[first[type_class]])
-    assert len(np.unique(signature[first], axis=0)) == n_classes
+    assert np.array_equal(classes.columns, types.columns[first])
+    assert np.array_equal(types.columns, classes.columns[type_class])
+    assert len(np.unique(classes.columns, axis=0)) == n_classes
 
     # class counts give the tables and event counts of the type counts
     rng = np.random.default_rng(len(scenario_id + mode))
