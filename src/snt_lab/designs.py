@@ -59,19 +59,6 @@ class TreatmentAssignment(NamedTuple):
     a2: np.ndarray  # bool, initiation at Visit 2
 
 
-class IndexRecord(NamedTuple):
-    """One analyzed time origin, unpacked into plain Python values."""
-
-    person_id: int
-    index_visit: int
-    severity_at_index: int
-    treated: bool
-    futime: int
-    event: bool
-    censored: bool
-    severity_next: int
-
-
 class IndexSet:
     """Column-oriented index-level dataset for one design; len() counts its
     indexes."""
@@ -98,38 +85,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return self.person_id.shape[0]
-
-    def record(self, i: int) -> IndexRecord:
-        return IndexRecord(
-            person_id=int(self.person_id[i]),
-            index_visit=int(self.index_visit[i]),
-            severity_at_index=int(self.severity_at_index[i]),
-            treated=bool(self.treated[i]),
-            futime=int(self.futime[i]),
-            event=bool(self.event[i]),
-            censored=bool(self.censored[i]),
-            severity_next=int(self.severity_next[i]),
-        )
-
-    def records(self) -> list[IndexRecord]:
-        return [self.record(i) for i in range(len(self))]
-
-    @classmethod
-    def from_records(cls, design: str, records: list[IndexRecord]) -> "IndexSet":
-        """Build a dataset from explicit records (hand-built test fixtures)."""
-        return cls(
-            design=design,
-            person_id=np.array([r.person_id for r in records], dtype=np.int64),
-            index_visit=np.array([r.index_visit for r in records], dtype=np.int8),
-            severity_at_index=np.array(
-                [r.severity_at_index for r in records], dtype=np.int8
-            ),
-            treated=np.array([r.treated for r in records], dtype=bool),
-            futime=np.array([r.futime for r in records], dtype=np.int16),
-            event=np.array([r.event for r in records], dtype=bool),
-            censored=np.array([r.censored for r in records], dtype=bool),
-            severity_next=np.array([r.severity_next for r in records], dtype=np.int8),
-        )
 
 
 def draw_treatment_bits(

@@ -20,9 +20,9 @@ tables come from their counts of each class of person types through
 person_class_map: one product of the counts with the map's int8 columns
 gives every count the tables need (PersonTypeMap.blocks), and
 battery_block computes their batteries from tables with a leading
-replicate axis. The person-level views (analyze_replicate, ipcw_km_risk,
-crude_rr, standardized_rr) tabulate one cohort's index sets as a block of
-one and read its single row.
+replicate axis. The person-level views (analyze_replicate and
+ipcw_km_risk) tabulate one cohort's index sets as a block of one and read
+its single row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cells import ANALYSIS_CRUDE, ANALYSIS_LABELS, TARGET_NONE
+from .cells import ANALYSIS_LABELS
 from .config import (
     CERTAIN_CENSORING,
     DegenerateWeightError,
@@ -305,33 +305,6 @@ def ipcw_km_risk(
             + ("" if severity is None else f", severity={severity}")
         )
     return risk.item()
-
-
-def _one_analysis(table: CountTable, analysis: str, target_population: str, target):
-    """The AnalysisResult of one target (_analyses_block) of a one-row table."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        column = _analyses_block(table, [target])[0]
-    return AnalysisResult(table.design, analysis, target_population, *(c.item() for c in column))
-
-
-def standardized_rr(
-    indexes: IndexSet,
-    weights: np.ndarray,
-    target: tuple[float, float],
-    analysis: str,
-    target_population: str,
-) -> AnalysisResult:
-    """Directly standardized risk ratio: per-arm stratum risks mixed with
-    the target severity distribution. An empty (arm x stratum) cell flags
-    the result as degenerate instead of raising."""
-    shares = (np.array([target], dtype=float), np.zeros(1, dtype=bool), "")
-    return _one_analysis(count_table(indexes, weights), analysis, target_population, shares)
-
-
-def crude_rr(indexes: IndexSet, weights: np.ndarray, analysis: str = ANALYSIS_CRUDE,
-             target_population: str = TARGET_NONE) -> AnalysisResult:
-    """Arm-level weighted risks with no standardization."""
-    return _one_analysis(count_table(indexes, weights), analysis, target_population, None)
 
 
 def _weight_modes(cal_weight_mode: str) -> tuple[str, str]:

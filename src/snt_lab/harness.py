@@ -41,7 +41,7 @@ from .config import (
 )
 from .designs import DescribeBlock, describe_block, treatment_probabilities
 from .estimators import AnalysisBlock, battery_block, person_class_map
-from .hazards import HazardSet, solve
+from .hazards import HazardSet
 from .population import base_type_probabilities
 
 # run_replicate no longer takes the person-level path. Its entry points stay
@@ -185,9 +185,7 @@ def _concat(parts: list):
     return type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
-def run_scenario(
-    spec: ScenarioSpec, run: RunConfig, hazards: HazardSet | None = None
-) -> ScenarioBlock:
+def run_scenario(spec: ScenarioSpec, run: RunConfig, hazards: HazardSet) -> ScenarioBlock:
     """Run all replicates of one scenario. The class law is computed once,
     here; each replicate only draws its row of integer class counts
     (run_replicate, looked up at each call), and every float is computed on
@@ -195,8 +193,6 @@ def run_scenario(
     replicate_ids = list(range(1, run.n_replicates + 1))
     if not replicate_ids:  # builds no map and no law
         return scenario_block(spec, run, replicate_ids, np.empty((0, 0), dtype=np.int64))
-    if hazards is None:
-        hazards = solve(spec).hazards
     superpop = None if run.superpop is None else draw_superpopulation(spec, hazards, run)
     p_class = class_probabilities(spec, hazards, run.cal_weight_mode, superpop)
     counts = np.empty((len(replicate_ids), len(p_class)), dtype=np.int64)

@@ -2,12 +2,33 @@
 event times and estimators.
 
 Everything here is deliberately written as plain Python loops over persons
-and records, with no shared code paths with the package.
+and index rows (IndexRow, read off an index set's columns), with no shared
+code paths with the package.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
+
+class IndexRow(NamedTuple):
+    """One index of a design, as plain Python values."""
+
+    person_id: int
+    index_visit: int
+    severity_at_index: int
+    treated: bool
+    futime: int
+    event: bool
+    censored: bool
+    severity_next: int
+
+
+def index_rows(idx):
+    """The indexes of an index set as IndexRows, read off its columns."""
+    columns = (getattr(idx, field).tolist() for field in IndexRow._fields)
+    return [IndexRow(*row) for row in zip(*columns)]
 
 
 def event_time_under_pattern(po, pattern):
@@ -177,13 +198,13 @@ def battery_oracle(cohort, spt, cal, td, spec, cal_weight_mode="initiation"):
         rows = [(treated / n, untreated / n, rr, math.log(rr) if rr > 0 else math.nan,
                  n, n, "" if rr > 0 else "zero_risk_treated")]
 
-    spt_records = spt.records()
+    spt_records = index_rows(spt)
     spt_targets = [(s, severity_shares_oracle(spt_records, s)) for s in ("all", "treated")]
     rows += _design_rows_oracle(
         spt_records, [(1.0, 1.0)] * len(spt_records), [(None, None)] + spt_targets
     )
     for idx, mode in ((cal, cal_weight_mode), (td, "initiation")):
-        records = idx.records()
+        records = index_rows(idx)
         weights = [censoring_weight_oracle(r, spec, mode) for r in records]
         own = [(s, severity_shares_oracle(records, s)) for s in ("all", "treated")]
         rows += _design_rows_oracle(records, weights, [(None, None)] + own + spt_targets)
@@ -193,7 +214,7 @@ def battery_oracle(cohort, spt, cal, td, spec, cal_weight_mode="initiation"):
 def describe_oracle(idx, n_persons):
     """(design, group, severity, n_people, n_indexes, pct_high,
     avg_indexes_per_person) rows of one design, by plain loops."""
-    records = idx.records()
+    records = index_rows(idx)
     initiators = {r.person_id for r in records if r.treated}
     groups = [
         ("all", len({r.person_id for r in records}), records),

@@ -20,19 +20,22 @@ import time
 import numpy as np
 import pytest
 
-from oracles import km_risk_oracle, standardized_rr_oracle
+from block_rows import cal_rows, index_set
+from oracles import (
+    IndexRow,
+    severity_shares_oracle,
+    standardized_rr_oracle,
+    stratified_km_oracle,
+)
 from snt_lab.cells import DESCRIBE_LABELS, summarize, summarize_descriptives
 from snt_lab.cli import main as cli_main
 from snt_lab.config import RunConfig, WEIGHT_MODE_INITIATION, builtin_scenarios
-from snt_lab.designs import IndexRecord, IndexSet
+from snt_lab.designs import count_table
 from snt_lab.estimators import (
     ANALYSIS_LABELS,
     battery_block,
     censoring_weights,
-    crude_rr,
-    ipcw_km_risk,
     person_class_map,
-    standardized_rr,
 )
 from snt_lab.harness import class_probabilities, estimate_cells, run_scenario
 from snt_lab.hazards import (
@@ -109,28 +112,36 @@ def test_criterion_2_homogeneous_truth():
 
 
 def test_criterion_3_estimator_oracle():
+    """The battery's eSNT-CAL rows of hand-enumerable count tables against
+    the plain-loop oracles: the crude risks, the standardizations to the
+    table's own all-index and treated-index populations, and ate_spt, whose
+    SPT table has the severity shares (0.6, 0.4)."""
     spec = builtin_scenarios(0.6)[0]
 
     def rec(**kw):
         base = dict(person_id=0, index_visit=1, severity_at_index=0, treated=False,
                     futime=2, event=False, censored=False, severity_next=0)
         base.update(kw)
-        return IndexRecord(**base)
+        return IndexRow(**base)
 
     worst = 0.0
-    # the two-record weighted product-limit example
-    idx = IndexSet.from_records("eSNT-CAL", [
+    # the two-record weighted product-limit example: its treated arm is
+    # empty, so the crude row is flagged, but the untreated risk is read
+    records = [
         rec(person_id=0, futime=2, event=True, severity_next=1),
         rec(person_id=1, futime=2, event=False, severity_next=0),
-    ])
+    ]
+    idx = index_set("eSNT-CAL", records)
     w = censoring_weights(idx, spec)
+    crude = cal_rows(count_table(idx, w))["crude"]
     worst = max(worst, abs(
-        ipcw_km_risk(idx, w, treated=False)
-        - km_risk_oracle(idx.records(), np.column_stack([np.ones(2), w]))
+        crude.risk_untreated
+        - stratified_km_oracle(records, np.column_stack([np.ones(2), w]), treated=False)
     ))
 
     # randomized hand-enumerable datasets, up to 12 indexes
     rng = np.random.default_rng(2024)
+    target = (0.6, 0.4)
     for _ in range(40):
         n = int(rng.integers(4, 13))
         records = []
@@ -150,20 +161,22 @@ def test_criterion_3_estimator_oracle():
             rec(person_id=n + j, treated=bool(t), severity_at_index=z, event=True, futime=1)
             for j, (t, z) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)])
         ]
-        idx = IndexSet.from_records("eSNT-CAL", records)
+        idx = index_set("eSNT-CAL", records)
         year2 = rng.uniform(0.8, 2.5, len(records))
         weights = np.column_stack([np.ones(len(records)), year2])
-        target = (0.6, 0.4)
-        res = standardized_rr(idx, year2, target, "ate_snt", "snt_all")
-        rt, ru, rr = standardized_rr_oracle(records, weights, target)
-        worst = max(worst, abs(res.risk_treated - rt), abs(res.risk_untreated - ru),
-                    abs(res.rr - rr))
-        crude = crude_rr(idx, year2)
-        worst = max(worst, abs(
-            crude.risk_untreated
-            - km_risk_oracle([r for r in records if not r.treated],
-                             [w for r, w in zip(records, weights) if not r.treated])
-        ))
+        rows = cal_rows(count_table(idx, year2), target)
+        crude = rows["crude"]
+        for treated, risk in ((True, crude.risk_treated), (False, crude.risk_untreated)):
+            worst = max(worst, abs(risk - stratified_km_oracle(records, weights, treated)))
+        for analysis, shares in (
+            ("ate_snt", severity_shares_oracle(records, "all")),
+            ("att_snt", severity_shares_oracle(records, "treated")),
+            ("ate_spt", target),
+        ):
+            res = rows[analysis]
+            rt, ru, rr = standardized_rr_oracle(records, weights, shares)
+            worst = max(worst, abs(res.risk_treated - rt), abs(res.risk_untreated - ru),
+                        abs(res.rr - rr))
     ok = worst < 1e-12
     assert report("criterion 3 (estimator oracle)", ok, f"max |diff| = {worst:.2e}")
 
@@ -274,7 +287,7 @@ def test_criterion_8_descriptive_calibration():
     run = RunConfig(
         n_individuals=5000, n_replicates=200, master_seed=42, parallelism=THREADS
     )
-    block = run_scenario(spec, run)
+    block = run_scenario(spec, run, solve(spec).hazards)
     # summarize_descriptives' cells: per label, the block's column of each statistic
     columns = block.descriptives
     cells = {

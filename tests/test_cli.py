@@ -323,9 +323,9 @@ class TestSimulateVerb:
         self, tmp_path, monkeypatch, pool
     ):
         # a scenario without replicates draws no pool and builds no map and
-        # no class law
+        # no class law; _class_map looks _type_map up at call time
         calls = []
-        for owner, name in ((estimators, "person_type_map"), (harness, "person_class_map"),
+        for owner, name in ((estimators, "_type_map"), (harness, "person_class_map"),
                             (harness, "class_probabilities"), (harness, "draw_superpopulation")):
             real = getattr(owner, name)
 

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from block_rows import index_set
+from oracles import IndexRow
 from snt_lab.config import builtin_scenarios
 from snt_lab.cells import GROUP_ALL, GROUP_INITIATOR, GROUP_NONINITIATOR, GROUP_TREATED
 from snt_lab.designs import (
     DESIGN_CAL,
     DESIGN_SPT,
     DESIGN_TD,
-    IndexRecord,
-    IndexSet,
     TreatmentAssignment,
     assign_treatments,
     build_esnt_cal,
@@ -266,24 +266,14 @@ class TestBuildEsnt:
             v2 = idx.index_visit == 2
             assert (cohort.event_time[idx.person_id[v2], PATTERN_NEVER] != 1).all()
 
-    def test_index_record_accessor(self):
-        cal = build_esnt_cal(hand_cohort(), hand_assignment())
-        rec = cal.record(6)
-        assert rec.person_id == 0 and rec.index_visit == 2
-        assert rec.treated and not rec.event and not rec.censored
-        rebuilt = IndexSet.from_records(DESIGN_CAL, cal.records())
-        for field in ("person_id", "index_visit", "severity_at_index", "treated",
-                      "futime", "event", "censored", "severity_next"):
-            assert np.array_equal(getattr(rebuilt, field), getattr(cal, field))
-
 
 class TestCountTable:
     def test_cells_and_weight_sums(self):
         def rec(pid, visit, sev, treated, futime, event):
-            return IndexRecord(pid, visit, sev, treated, futime, event,
-                               censored=futime == 1 and not event, severity_next=0)
+            return IndexRow(pid, visit, sev, treated, futime, event,
+                            censored=futime == 1 and not event, severity_next=0)
 
-        idx = IndexSet.from_records(DESIGN_CAL, [
+        idx = index_set(DESIGN_CAL, [
             rec(0, 1, 0, False, 1, True),  # person 0 initiates at Visit 2
             rec(0, 2, 1, True, 2, False),
             rec(1, 1, 1, False, 1, False),

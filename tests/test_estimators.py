@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from block_rows import cal_rows, index_set
 from oracles import (
+    IndexRow,
+    index_rows,
     km_risk_oracle,
     severity_shares_oracle,
     standardized_rr_oracle,
@@ -14,21 +17,18 @@ from snt_lab.config import WEIGHT_MODE_INITIATION, WEIGHT_MODE_PAPER, builtin_sc
 from snt_lab.designs import (
     DESIGN_CAL,
     DESIGN_SPT,
-    IndexRecord,
-    IndexSet,
     assign_treatments,
     build_esnt_cal,
     build_esnt_td,
     build_spt,
+    count_table,
 )
 from snt_lab.estimators import (
     DegenerateWeightError,
     EmptyRiskSetError,
     analyze_replicate,
     censoring_weights,
-    crude_rr,
     ipcw_km_risk,
-    standardized_rr,
 )
 from snt_lab.hazards import solve
 from snt_lab.population import draw_cohort
@@ -41,7 +41,7 @@ def spec_and_hazards(name="S1", pi=0.6):
 
 def record(person_id=0, index_visit=1, severity_at_index=0, treated=False,
            futime=2, event=False, censored=False, severity_next=0):
-    return IndexRecord(
+    return IndexRow(
         person_id=person_id, index_visit=index_visit,
         severity_at_index=severity_at_index, treated=treated, futime=futime,
         event=event, censored=censored, severity_next=severity_next,
@@ -49,7 +49,7 @@ def record(person_id=0, index_visit=1, severity_at_index=0, treated=False,
 
 
 def dataset(records, design=DESIGN_CAL):
-    return IndexSet.from_records(design, records)
+    return index_set(design, records)
 
 
 class TestCensoringWeights:
@@ -121,7 +121,7 @@ class TestIpcwKmRisk:
         wa, wb = 1.2903225806451613, 1.0810810810810811
         assert risk == pytest.approx(wa / (wa + wb), abs=1e-12)
         assert risk == pytest.approx(0.5441176470588236, abs=1e-10)
-        oracle = km_risk_oracle(idx.records(), np.column_stack([np.ones(2), w]))
+        oracle = km_risk_oracle(index_rows(idx), np.column_stack([np.ones(2), w]))
         assert risk == pytest.approx(oracle, abs=1e-15)
 
     def test_reduces_to_empirical_proportion_without_censoring(self):
@@ -210,7 +210,7 @@ class TestSeverityDistribution:
         cohort = draw_cohort(np.random.default_rng(5), spec, h, 10000)
         a = assign_treatments(np.random.default_rng(6), cohort, spec)
         for subset in ("all", "treated"):
-            low, high = severity_shares_oracle(build_esnt_td(cohort, a).records(), subset)
+            low, high = severity_shares_oracle(index_rows(build_esnt_td(cohort, a)), subset)
             assert low + high == pytest.approx(1.0, abs=1e-12)
 
 
@@ -237,21 +237,19 @@ class TestStandardizedRR:
     def test_hand_arithmetic_example(self):
         idx = proportions_dataset()
         unit = np.ones(len(idx))
-        res = standardized_rr(idx, unit, (0.5, 0.5), "ate_snt", "snt_all")
+        res = cal_rows(count_table(idx), (0.5, 0.5))["ate_spt"]
         assert res.risk_treated == pytest.approx(0.20, abs=1e-12)
         assert res.risk_untreated == pytest.approx(0.30, abs=1e-12)
         assert res.rr == pytest.approx(2 / 3, abs=1e-12)
         rt, ru, rr = standardized_rr_oracle(
-            idx.records(), np.column_stack([unit, unit]), (0.5, 0.5)
+            index_rows(idx), np.column_stack([unit, unit]), (0.5, 0.5)
         )
         assert (res.risk_treated, res.risk_untreated, res.rr) == pytest.approx(
             (rt, ru, rr), abs=1e-15
         )
 
     def test_point_mass_target_selects_stratum(self):
-        idx = proportions_dataset()
-        unit = np.ones(len(idx))
-        res = standardized_rr(idx, unit, (1.0, 0.0), "ate_snt", "snt_all")
+        res = cal_rows(count_table(proportions_dataset()), (1.0, 0.0))["ate_spt"]
         assert res.rr == pytest.approx(0.5, abs=1e-12)
 
     def test_idle_under_homogeneous_stratum_risks(self):
@@ -264,12 +262,10 @@ class TestStandardizedRR:
                         record(person_id=len(recs), treated=treated,
                                severity_at_index=sev, event=i < round(risk * 10))
                     )
-        idx = dataset(recs)
-        unit = np.ones(len(idx))
-        crude = crude_rr(idx, unit)
+        table = count_table(dataset(recs))
         for target in ((0.5, 0.5), (0.9, 0.1), (0.0, 1.0)):
-            res = standardized_rr(idx, unit, target, "ate_snt", "snt_all")
-            assert res.rr == pytest.approx(crude.rr, abs=1e-12)
+            rows = cal_rows(table, target)
+            assert rows["ate_spt"].rr == pytest.approx(rows["crude"].rr, abs=1e-12)
 
     def test_standardized_risk_within_stratum_range(self):
         rng = np.random.default_rng(9)
@@ -279,7 +275,7 @@ class TestStandardizedRR:
         cal = build_esnt_cal(cohort, a)
         w = censoring_weights(cal, spec)
         for target in ((0.3, 0.7), (0.75, 0.25)):
-            res = standardized_rr(cal, w, target, "ate_snt", "snt_all")
+            res = cal_rows(count_table(cal, w), target)["ate_spt"]
             for arm, std in ((1, res.risk_treated), (0, res.risk_untreated)):
                 lo = min(ipcw_km_risk(cal, w, bool(arm), severity=z) for z in (0, 1))
                 hi = max(ipcw_km_risk(cal, w, bool(arm), severity=z) for z in (0, 1))
@@ -290,8 +286,7 @@ class TestStandardizedRR:
             record(treated=True, severity_at_index=0, event=True, futime=1),
             record(treated=False, severity_at_index=0),
         ])
-        unit = np.ones(2)
-        res = standardized_rr(idx, unit, (0.5, 0.5), "ate_snt", "snt_all")
+        res = cal_rows(count_table(idx), (0.5, 0.5))["ate_spt"]
         assert "empty_stratum" in res.degenerate
         assert math.isnan(res.rr)
 
@@ -299,13 +294,12 @@ class TestStandardizedRR:
         idx = dataset([
             record(treated=True), record(treated=False),
         ])
-        unit = np.ones(2)
-        res = crude_rr(idx, unit)
+        res = cal_rows(count_table(idx))["crude"]
         assert "zero_risk_untreated" in res.degenerate
         idx = dataset([
             record(treated=True), record(treated=False, futime=1, event=True),
         ])
-        res = crude_rr(idx, unit)
+        res = cal_rows(count_table(idx))["crude"]
         assert res.rr == 0.0
         assert math.isnan(res.log_rr)
         assert "zero_risk_treated" in res.degenerate
@@ -341,18 +335,17 @@ class TestAnalyzeReplicate:
 
     def test_spt_standardization_consistent_under_homogeneous_risks(self):
         # with equal stratum risks, crude and both standardizations agree
-        idx = IndexSet.from_records(DESIGN_SPT, [
+        idx = dataset([
             record(person_id=i, treated=t, severity_at_index=z, event=(i % 5 == 0))
             for i, (t, z) in enumerate(
                 [(t, z) for t in (False, True) for z in (0, 1) for _ in range(10)]
             )
-        ])
-        unit = np.ones(len(idx))
-        crude = crude_rr(idx, unit)
-        for subset in ("all", "treated"):
-            target = severity_shares_oracle(idx.records(), subset)
-            res = standardized_rr(idx, unit, target, "x", "y")
-            assert res.rr == pytest.approx(crude.rr, abs=1e-12)
+        ], DESIGN_SPT)
+        # ate_snt and att_snt standardize to the table's own all-index and
+        # treated-index severity shares
+        rows = cal_rows(count_table(idx))
+        for analysis in ("ate_snt", "att_snt"):
+            assert rows[analysis].rr == pytest.approx(rows["crude"].rr, abs=1e-12)
 
     def test_homogeneous_world_estimates_delta(self):
         # no severity imbalance can arise: equal treatment and decision
@@ -393,8 +386,7 @@ class TestAnalyzeReplicate:
         cal = build_esnt_cal(cohort, a)
         w = censoring_weights(cal, spec)
         assert np.array_equal(w, np.ones(len(cal)))
-        unit_crude = crude_rr(cal, np.ones(len(cal)))
-        assert crude_rr(cal, w).rr == unit_crude.rr
+        assert cal_rows(count_table(cal, w))["crude"].rr == cal_rows(count_table(cal))["crude"].rr
 
     def test_replicate_never_dropped_on_degenerate_cohort(self):
         results = self.battery(n=1, seed=3)

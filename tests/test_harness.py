@@ -118,7 +118,8 @@ class TestRunReplicate:
 class TestRunScenario:
     def test_zero_replicates(self):
         spec = scenario()
-        assert replicate_rows(run_scenario(spec, small_run(n_replicates=0))) == []
+        block = run_scenario(spec, small_run(n_replicates=0), solve(spec).hazards)
+        assert replicate_rows(block) == []
 
     def test_parallel_matches_serial(self):
         run = small_run(parallelism=3)
@@ -143,8 +144,9 @@ class TestRunScenario:
     def test_superpop_mode_resamples_deterministically(self):
         spec = scenario()
         run = small_run(superpop=1000, n_replicates=3)
-        a = replicate_rows(run_scenario(spec, run))
-        b = replicate_rows(run_scenario(spec, run))
+        h = solve(spec).hazards
+        a = replicate_rows(run_scenario(spec, run, h))
+        b = replicate_rows(run_scenario(spec, run, h))
         assert a == b
 
     def test_an_invalid_mode_fails_in_the_class_law(self):
