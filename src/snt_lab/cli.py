@@ -293,7 +293,7 @@ def _cmd_simulate(specs, run, tracker) -> None:
     blocks = []
     for spec in specs:
         start = time.perf_counter()
-        blocks.append(run_scenario(spec, run, reports[spec.scenario_id].hazards))
+        blocks += run_scenario(spec, run, reports[spec.scenario_id].hazards)
         elapsed = time.perf_counter() - start
         print(
             f"{spec.scenario_id}: {run.n_replicates} replicates x "

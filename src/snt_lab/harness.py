@@ -5,10 +5,11 @@ ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
 PCG64 (period 2^128, documented cross-platform output) as the generator. A
 replicate is therefore reproducible in isolation. The class law is computed
 once per scenario, a replicate only draws its cohort's count of each class
-of person types from it, in one multinomial call, and one block computation
-per scenario checks the counts for blocked classes and reads every analysis
-and descriptive row off them. estimate_cells hands the blocks' estimates to
-cells.summarize in the form output.read_estimates reads from a file.
+of person types from it, in one multinomial call, and a scenario runs as
+blocks of up to BLOCK_ROWS replicates: each block's counts are drawn, checked
+for blocked classes and read off into every analysis and descriptive row
+before the next block is drawn. estimate_cells hands the blocks' estimates
+to cells.summarize in the form output.read_estimates reads from a file.
 
 Every replicate is drawn in the calling process, in replicate order, at any
 RunConfig.parallelism. multinomial holds the interpreter lock, so threads
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import functools
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .cells import ANALYSIS_LABELS, DESCRIBE_LABELS, Cells
+from .cells import ANALYSIS_LABELS, Cells
 from .config import (
     CERTAIN_CENSORING,
     DegenerateWeightError,
@@ -60,14 +61,14 @@ from .population import draw_cohort
 #: replicates are numbered from 1.
 _POOL_STREAM_ID = 0
 
-#: Replicates whose tables are computed, or whose lines are formatted, at
-#: once; bounds the temporaries of a paper-scale scenario to a few MB.
+#: Replicates drawn, computed and written as one block; bounds the count
+#: matrix and the temporaries of a paper-scale scenario to a few MB.
 BLOCK_ROWS = 1024
 
 
 class ScenarioBlock(NamedTuple):
-    """Every replicate of one scenario as columns: row r of the analyses and
-    of the descriptive rows belongs to replicate replicates[r]."""
+    """Consecutive replicates of one scenario as columns: row r of the
+    analyses and of the descriptive rows belongs to replicate replicates[r]."""
 
     scenario_id: str
     replicates: np.ndarray
@@ -149,21 +150,13 @@ def run_replicate(
 
 
 def scenario_block(
-    spec: ScenarioSpec, run: RunConfig, replicate_ids: list[int], counts: np.ndarray
+    spec: ScenarioSpec, run: RunConfig, replicate_ids: Sequence[int], counts: np.ndarray
 ) -> ScenarioBlock:
     """The analyses and descriptive rows of the given replicates of one
-    scenario, computed as column operations on their (R x classes) class
-    counts (run_replicate). Raises DegenerateWeightError naming the first
-    replicate that counts a person of a blocked class."""
+    scenario, computed as column operations on their (replicates x classes)
+    class counts (run_replicate). Raises DegenerateWeightError naming the
+    first replicate that counts a person of a blocked class."""
     replicates = np.asarray(replicate_ids, dtype=np.int64)
-    if len(counts) == 0:  # an empty run builds no map
-        return ScenarioBlock(
-            spec.scenario_id, replicates,
-            AnalysisBlock(*(np.empty((0, len(ANALYSIS_LABELS)), dtype=t)
-                            for t in (float, float, float, float, int, int, object))),
-            DescribeBlock(*(np.empty((0, len(DESCRIBE_LABELS)), dtype=t)
-                            for t in (int, int, float, float))),
-        )
     _, classes = person_class_map(spec, run.cal_weight_mode)
     blocked = counts[:, classes.blocked].any(axis=1)
     if blocked.any():
@@ -171,45 +164,40 @@ def scenario_block(
             f"replicate {replicates[blocked.argmax()]} of {spec.scenario_id} failed: "
             f"{CERTAIN_CENSORING}"
         )
+    tables, events = classes.blocks(counts)
     n = run.n_individuals
-    analyses, descriptives = [], []
-    for start in range(0, len(counts), BLOCK_ROWS):
-        tables, events = classes.blocks(counts[start : start + BLOCK_ROWS])
-        analyses.append(battery_block(tables, events, n))
-        descriptives.append(describe_block(tables, n))
-    return ScenarioBlock(spec.scenario_id, replicates, _concat(analyses), _concat(descriptives))
+    return ScenarioBlock(spec.scenario_id, replicates, battery_block(tables, events, n),
+                         describe_block(tables, n))
 
 
-def _concat(parts: list):
-    """One column block from blocks of consecutive rows."""
-    return type(parts[0])(*map(np.concatenate, zip(*parts)))
-
-
-def run_scenario(spec: ScenarioSpec, run: RunConfig, hazards: HazardSet) -> ScenarioBlock:
-    """Run all replicates of one scenario. The class law is computed once,
-    here; each replicate only draws its row of integer class counts
+def run_scenario(spec: ScenarioSpec, run: RunConfig, hazards: HazardSet) -> list[ScenarioBlock]:
+    """Run all replicates of one scenario, as one block per BLOCK_ROWS
+    replicates, in replicate order. The class law is computed once, here;
+    each replicate only draws its row of integer class counts
     (run_replicate, looked up at each call), and every float is computed on
-    the whole block of counts."""
-    replicate_ids = list(range(1, run.n_replicates + 1))
-    if not replicate_ids:  # builds no map and no law
-        return scenario_block(spec, run, replicate_ids, np.empty((0, 0), dtype=np.int64))
+    a block of counts."""
+    if not run.n_replicates:  # draws no pool and builds no map or law
+        return []
     superpop = None if run.superpop is None else draw_superpopulation(spec, hazards, run)
     p_class = class_probabilities(spec, hazards, run.cal_weight_mode, superpop)
-    counts = np.empty((len(replicate_ids), len(p_class)), dtype=np.int64)
-    for row, rid in enumerate(replicate_ids):
-        counts[row] = run_replicate(p_class, run, spec.scenario_id, rid)
-    return scenario_block(spec, run, replicate_ids, counts)
+    blocks = []
+    for start in range(1, run.n_replicates + 1, BLOCK_ROWS):
+        replicate_ids = range(start, min(start + BLOCK_ROWS, run.n_replicates + 1))
+        counts = np.array([run_replicate(p_class, run, spec.scenario_id, rid)
+                           for rid in replicate_ids])
+        blocks.append(scenario_block(spec, run, replicate_ids, counts))
+    return blocks
 
 
 def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
-    """The cells of scenario blocks: columns of their analysis blocks, the
-    log RRs as an array('d') and the flags as a list (the form
-    output.read_estimates gives)."""
+    """The cells of scenario blocks: each cell's column of their analysis
+    blocks, appended block by block, the log RRs as an array('d') and the
+    flags as a list (the form output.read_estimates gives)."""
     cells = {}
     for block in blocks:
         a = block.analyses
         for j, label in enumerate(ANALYSIS_LABELS):
-            cells[(block.scenario_id, *label)] = (
-                array("d", a.log_rr[:, j].tobytes()), a.degenerate[:, j].tolist()
-            )
+            log_rr, flags = cells.setdefault((block.scenario_id, *label), (array("d"), []))
+            log_rr.frombytes(a.log_rr[:, j].tobytes())
+            flags += a.degenerate[:, j].tolist()
     return cells

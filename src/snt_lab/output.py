@@ -10,7 +10,9 @@ five digits.
 
 The module runs on the standard library: the readers return per-cell float
 sequences (array('d') columns), so the verbs that only re-read files never
-load numpy. Only the block line writers take the engine's scenario blocks.
+load numpy. Only the block line writers take the engine's scenario blocks,
+each a run of consecutive replicates, whose lines they make as they are
+written.
 """
 
 from __future__ import annotations
@@ -83,22 +85,17 @@ def write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None
 def _block_lines(
     block: ScenarioBlock, labels: tuple[tuple[str, ...], ...], template: str, columns
 ) -> Iterator[str]:
-    """The CSV lines of a scenario block, made as they are written,
-    BLOCK_ROWS replicates at a time: template's two leading '%s' take the
-    'scenario,replicate,' head and the column's 'label,' tail, each joined
-    once, and the rest that row's value of each (R, labels) column."""
-    from .harness import BLOCK_ROWS  # loaded already: it made the block
-
+    """The CSV lines of a scenario block, made as they are written:
+    template's two leading '%s' take the 'scenario,replicate,' head and the
+    column's 'label,' tail, each joined once, and the rest that row's value
+    of each (replicates, labels) column."""
     tails = [",".join(label) + "," for label in labels]
-    line = template.__mod__
-    for start in range(0, len(block.replicates), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        heads = [f"{block.scenario_id},{r}," for r in block.replicates[rows].tolist()]
-        yield from map(line, zip(
-            [head for head in heads for _ in tails],
-            tails * len(heads),
-            *(column[rows].ravel().tolist() for column in columns),
-        ))
+    heads = [f"{block.scenario_id},{r}," for r in block.replicates.tolist()]
+    yield from map(template.__mod__, zip(
+        [head for head in heads for _ in tails],
+        tails * len(heads),
+        *(column.ravel().tolist() for column in columns),
+    ))
 
 
 def estimate_lines(block: ScenarioBlock) -> Iterator[str]:

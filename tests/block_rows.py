@@ -1,5 +1,5 @@
 """Per-row views of the lab's column records, for tests that read or build
-single rows: the replicates of a scenario block, index sets from their rows
+single rows: the replicates of scenario blocks, index sets from their rows
 (oracles.IndexRow), and the battery of one design's count table."""
 
 from dataclasses import dataclass
@@ -23,12 +23,14 @@ class ReplicateRows:
     descriptives: list[DescribeRow]
 
 
-def replicate_rows(block) -> list[ReplicateRows]:
-    """One ReplicateRows per row of the block, with plain Python values."""
+def replicate_rows(blocks) -> list[ReplicateRows]:
+    """One ReplicateRows per row of the blocks, in order, with plain Python
+    values."""
     return [
         ReplicateRows(
             block.scenario_id, replicate, block.analyses.results(r), block.descriptives.rows(r)
         )
+        for block in blocks
         for r, replicate in enumerate(block.replicates.tolist())
     ]
 

@@ -67,7 +67,7 @@ def desk():
     blocks, elapsed = [], {}
     for spec in specs:
         start = time.perf_counter()
-        blocks.append(run_scenario(spec, run, hazards[spec.scenario_id]))
+        blocks += run_scenario(spec, run, hazards[spec.scenario_id])
         elapsed[spec.scenario_id] = time.perf_counter() - start
     rows = summarize(estimate_cells(blocks), truths)
     cells = {(r.scenario_id, r.design, r.analysis): r for r in rows}
@@ -287,11 +287,11 @@ def test_criterion_8_descriptive_calibration():
     run = RunConfig(
         n_individuals=5000, n_replicates=200, master_seed=42, parallelism=THREADS
     )
-    block = run_scenario(spec, run, solve(spec).hazards)
-    # summarize_descriptives' cells: per label, the block's column of each statistic
-    columns = block.descriptives
+    blocks = run_scenario(spec, run, solve(spec).hazards)
+    # summarize_descriptives' cells: per label, the blocks' column of each statistic
+    columns = [np.concatenate(parts) for parts in zip(*(b.descriptives for b in blocks))]
     cells = {
-        (block.scenario_id, *label): [column[:, j].tolist() for column in columns]
+        (spec.scenario_id, *label): [column[:, j].tolist() for column in columns]
         for j, label in enumerate(DESCRIBE_LABELS)
     }
     medians = {
@@ -370,8 +370,8 @@ def test_criterion_10_full_scale_mcse_range():
     run = RunConfig(
         n_individuals=5000, n_replicates=5000, master_seed=42, parallelism=THREADS
     )
-    block = run_scenario(spec, run, hazards)
-    rows = summarize(estimate_cells([block]), truth_tables([spec], {"S1": hazards}))
+    blocks = run_scenario(spec, run, hazards)
+    rows = summarize(estimate_cells(blocks), truth_tables([spec], {"S1": hazards}))
     mcses = [r.mcse_bias for r in rows]
     lo, hi = min(mcses), max(mcses)
     ok = all(0.004 <= m <= 0.010 for m in mcses)

@@ -943,6 +943,18 @@ class TestInProcessDraws:
                 tmp_path / "one" / name
             ).read_bytes()
 
+    def test_blocks_of_seven_write_the_files_of_one_block(self, tmp_path, monkeypatch):
+        # 20 replicates per scenario are one block at the default size and
+        # blocks of 7, 7 and 6 here
+        argv = ["simulate", "--scenario", "all", "--n", "200", "--reps", "20"]
+        assert run_cli(*argv, "--out", str(tmp_path / "one")) == EXIT_OK
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+        assert run_cli(*argv, "--out", str(tmp_path / "sevens")) == EXIT_OK
+        for name in SIMULATE_FILES:
+            assert (tmp_path / "sevens" / name).read_bytes() == (
+                tmp_path / "one" / name
+            ).read_bytes(), name
+
     @pytest.mark.parametrize("threads, reps", [("1", "6"), ("4", "6"), ("2", "0"), ("2", "1")])
     def test_no_run_builds_a_pool(self, tmp_path, pools_built, threads, reps):
         argv = ["simulate", "--n", "200", "--reps", reps, "--threads", threads]

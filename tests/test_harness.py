@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from block_rows import replicate_rows
+from snt_lab import harness
 from snt_lab.cells import (
     InsufficientReplicatesError,
     pairwise_sum,
@@ -57,7 +58,7 @@ def replicate_result(spec, hazards, replicate_id, run):
     """One replicate's rows, counted by run_replicate and read off its block."""
     p_class = class_probabilities(spec, hazards, run.cal_weight_mode)
     counts = run_replicate(p_class, run, spec.scenario_id, replicate_id)
-    return replicate_rows(scenario_block(spec, run, [replicate_id], counts[None]))[0]
+    return replicate_rows([scenario_block(spec, run, [replicate_id], counts[None])])[0]
 
 
 class TestReplicateStream:
@@ -118,28 +119,42 @@ class TestRunReplicate:
 class TestRunScenario:
     def test_zero_replicates(self):
         spec = scenario()
-        block = run_scenario(spec, small_run(n_replicates=0), solve(spec).hazards)
-        assert replicate_rows(block) == []
+        assert run_scenario(spec, small_run(n_replicates=0), solve(spec).hazards) == []
 
     def test_parallel_matches_serial(self):
         run = small_run(parallelism=3)
-        parallel_blocks = [
-            run_scenario(spec, run, solve(spec).hazards)
-            for spec in (scenario("S2"), scenario("S4"))
-        ]
-        for parallel_block in parallel_blocks:
-            spec = scenario(parallel_block.scenario_id)
-            serial_block = run_scenario(spec, small_run(parallelism=1), solve(spec).hazards)
-            for name in ("analyses", "descriptives"):
-                a, b = getattr(serial_block, name), getattr(parallel_block, name)
-                for field, x, y in zip(a._fields, a, b):
-                    assert x.dtype == y.dtype, (name, field)
-                    assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, field)
-            serial, parallel = replicate_rows(serial_block), replicate_rows(parallel_block)
+        for spec in (scenario("S2"), scenario("S4")):
+            parallel_blocks = run_scenario(spec, run, solve(spec).hazards)
+            serial_blocks = run_scenario(spec, small_run(parallelism=1), solve(spec).hazards)
+            assert len(serial_blocks) == len(parallel_blocks)
+            for serial_block, parallel_block in zip(serial_blocks, parallel_blocks):
+                for name in ("analyses", "descriptives"):
+                    a, b = getattr(serial_block, name), getattr(parallel_block, name)
+                    for field, x, y in zip(a._fields, a, b):
+                        assert x.dtype == y.dtype, (name, field)
+                        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, field)
+            serial, parallel = replicate_rows(serial_blocks), replicate_rows(parallel_blocks)
             assert [r.replicate for r in parallel] == [r.replicate for r in serial]
             for a, b in zip(serial, parallel):
                 assert a.analyses == b.analyses
                 assert a.descriptives == b.descriptives
+
+    @pytest.mark.parametrize("reps", [1, 6, 7, 8, 20])
+    def test_a_scenario_is_blocks_of_block_rows_replicates_in_order(self, reps, monkeypatch):
+        spec = scenario("S3")
+        h = solve(spec).hazards
+        run = small_run(n_replicates=reps)
+        (whole,) = run_scenario(spec, run, h)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+        blocks = run_scenario(spec, run, h)
+        assert len(blocks) == math.ceil(reps / 7)
+        assert [len(b.replicates) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+        assert np.concatenate([b.replicates for b in blocks]).tolist() == list(range(1, reps + 1))
+        assert replicate_rows(blocks) == replicate_rows([whole])
+        cells, whole_cells = estimate_cells(blocks), estimate_cells([whole])
+        assert cells.keys() == whole_cells.keys()
+        for key, (log_rr, flags) in cells.items():
+            assert log_rr.tobytes() == whole_cells[key][0].tobytes() and flags == whole_cells[key][1]
 
     def test_superpop_mode_resamples_deterministically(self):
         spec = scenario()
@@ -228,8 +243,8 @@ class TestSummarize:
     def test_cells_sorted_and_complete(self):
         spec = scenario("S1")
         h = solve(spec).hazards
-        block = run_scenario(spec, small_run(n_replicates=4), h)
-        rows = summarize(estimate_cells([block]), self.truth())
+        blocks = run_scenario(spec, small_run(n_replicates=4), h)
+        rows = summarize(estimate_cells(blocks), self.truth())
         assert len(rows) == 14
         assert [(r.design, r.analysis) for r in rows[:4]] == [
             ("SPT", "true_rr"), ("SPT", "crude"), ("SPT", "ate_spt"), ("SPT", "att_spt"),

@@ -25,6 +25,7 @@ import pytest
 
 from block_rows import replicate_rows
 from oracles import draw_oracle
+from snt_lab import harness
 from snt_lab.config import (
     RunConfig,
     WEIGHT_MODE_INITIATION,
@@ -256,7 +257,7 @@ def check_oracle_cohort(scenario_id, n, seed, mode):
     type_class, classes = person_class_map(spec, mode)
     counts = np.bincount(type_class[code], minlength=len(classes.blocked))
     run = RunConfig(n_individuals=n, cal_weight_mode=mode)
-    result = replicate_rows(scenario_block(spec, run, [seed], counts[None]))[0]
+    result = replicate_rows([scenario_block(spec, run, [seed], counts[None])])[0]
     by_type = one_row(person_type_map(spec, mode), np.bincount(code, minlength=N_TYPES), n)
     assert_same_rows(result.analyses, by_type[0], tol=0.0)
     assert_same_rows(result.descriptives, by_type[1], tol=0.0)
@@ -432,7 +433,7 @@ def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
     tables, events = classes.blocks(counts)
     block = scenario_block(SPECS[scenario_id], RunConfig(n_individuals=n, cal_weight_mode=mode),
                            list(range(1, 61)), counts)
-    for r, row in enumerate(replicate_rows(block)):
+    for r, row in enumerate(replicate_rows([block])):
         expected, expected_events = classes.blocks(counts[r][None])
         for got, table in zip(tables, expected):
             assert np.array_equal(got.counts[r], table.counts[0])
@@ -488,6 +489,16 @@ def test_a_degenerate_replicate_is_named(threads):
     _, blocked = blocked_draws(run)
     assert blocked.any()
     first = 1 + int(np.argmax(blocked))
+    with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
+        run_scenario(BLOCKING, run, HAZARDS["S3"])
+
+
+def test_a_degenerate_replicate_in_a_later_block_is_named(monkeypatch):
+    run = RunConfig(n_individuals=1, n_replicates=20, master_seed=5)
+    _, blocked = blocked_draws(run)
+    first = 1 + int(np.argmax(blocked))
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+    assert blocked.any() and first > 7  # not in the first block
     with pytest.raises(RuntimeError, match=f"^replicate {first} of S3 failed: certain censoring"):
         run_scenario(BLOCKING, run, HAZARDS["S3"])
 

@@ -15,41 +15,97 @@ TEST_ONLY = {
 }
 
 
-def unreached_definitions() -> set[str]:
-    """Names of the functions and classes (dunder methods aside) of
-    src/snt_lab that no code of the package outside their own body names,
-    as a Name, an Attribute or an identifier string constant, and that
-    neither perfbench/trace.py, which patches functions by name, nor
-    pyproject.toml names."""
+def unreached(sources: dict[str, str], named: set[str]) -> set[str]:
+    """Names of the functions and classes (dunder methods aside) of the
+    given module sources that no reached code names, as a Name, an
+    Attribute or an identifier string constant, and that named does not
+    hold. Code is reached when it is outside every unreached definition:
+    a reference from a definition's own body, or from the body of another
+    unreached one, does not count, so a whole dead chain drops out, one
+    link per pass, until a pass drops nothing more."""
     definitions, references = [], []
-    for path in sorted((ROOT / "src" / "snt_lab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((node.name, path, node.lineno, node.end_lineno))
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    definitions.append((node.name, path, node.lineno, node.end_lineno))
             elif isinstance(node, ast.Name):
                 references.append((node.id, path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 references.append((node.attr, path, node.lineno))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 references.append((node.value, path, node.lineno))
+    dead = set()
+    while True:
+        spans = [(path, first, last) for name, path, first, last in definitions if name in dead]
+        live_refs = [
+            (ref, ref_path, line)
+            for ref, ref_path, line in references
+            if not any(ref_path == path and first <= line <= last for path, first, last in spans)
+        ]
+        now = {
+            name
+            for name, path, first, last in definitions
+            if name not in named
+            and not any(
+                ref == name and not (ref_path == path and first <= line <= last)
+                for ref, ref_path, line in live_refs
+            )
+        }
+        if now == dead:
+            return dead
+        dead = now
+
+
+def unreached_definitions() -> set[str]:
+    """The unreached definitions of src/snt_lab, counting the words of
+    perfbench/trace.py, which patches functions by name, and of
+    pyproject.toml as references."""
+    sources = {
+        path.name: path.read_text()
+        for path in sorted((ROOT / "src" / "snt_lab").glob("*.py"))
+    }
     named = {
         word
         for name in ("perfbench/trace.py", "pyproject.toml")
         for word in re.findall(r"\w+", (ROOT / name).read_text())
     }
-    return {
-        name
-        for name, path, first, last in definitions
-        if not (name.startswith("__") and name.endswith("__"))
-        and name not in named
-        and not any(
-            ref == name and not (ref_path == path and first <= line <= last)
-            for ref, ref_path, line in references
-        )
-    }
+    return unreached(sources, named)
 
 
 def test_every_definition_in_src_is_reached_from_src():
-    unreached = unreached_definitions()
-    assert unreached - TEST_ONLY == set(), "only tests reach these; remove them from src/"
-    assert TEST_ONLY <= unreached, "the package now reaches these; drop them from TEST_ONLY"
+    dead = unreached_definitions()
+    assert dead - TEST_ONLY == set(), "only tests reach these; remove them from src/"
+    assert TEST_ONLY <= dead, "the package now reaches these; drop them from TEST_ONLY"
+
+
+def test_a_dead_chain_drops_out_whole():
+    # from_records names IndexSet and records (its parameter's uses), and
+    # records calls record; only main is reached, from outside the sources
+    source = '''
+def main():
+    return helper()
+
+def helper():
+    return 1
+
+def from_records(records):
+    return IndexSet([r for r in records])
+
+class IndexSet:
+    def records(self):
+        return [self.record(i) for i in range(3)]
+
+    def record(self, i):
+        return IndexRecord(i)
+
+class IndexRecord:
+    pass
+
+def recursive(k):
+    return recursive(k - 1) if k else 0
+'''
+    assert unreached({"m.py": source}, {"main"}) == {
+        "from_records", "IndexSet", "records", "record", "IndexRecord", "recursive"
+    }
+    assert unreached({"m.py": source}, {"main", "from_records"}) == {"recursive"}
