@@ -15,10 +15,6 @@ SCENARIO_IDS = ("S1", "S2", "S3", "S4")
 #: 0.60 keeps the calibration solvable for every built-in scenario; see README.
 DEFAULT_PROGRESSION_PROB = 0.60
 
-#: Alternative value that best reproduces the reference descriptive severity
-#: mixes for S1/S3 but is infeasible for S2/S4.
-CALIBRATION_PROGRESSION_PROB = 0.78
-
 #: Annual visits per person, and the follow-up horizon in years: every
 #: truth, risk and design window ends HORIZON_TAU years after its index
 #: visit. The lab supports only this design, so neither is a setting.

@@ -159,11 +159,9 @@ class SchemaError(ValueError):
 
 
 #: The cells of estimates.csv and summary.csv, and of describe.csv, that a
-#: reader accepts, and the label columns that name them in its errors.
+#: reader accepts.
 _ESTIMATE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in ANALYSIS_LABELS)
 _DESCRIBE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in DESCRIBE_LABELS)
-_ESTIMATE_CELL = "scenario_id/design/analysis/target_population"
-_DESCRIBE_CELL = "scenario_id/design/group/severity"
 
 
 def _rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -177,18 +175,14 @@ def _rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]
         if header is None:
             raise SchemaError(f"{path}: empty file")
         if tuple(header) != columns:
-            raise SchemaError(
-                f"{path}: header {tuple(header)} does not match expected {columns}"
-            )
+            raise SchemaError(f"{path}: header {tuple(header)} does not match expected {columns}")
         for line, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise SchemaError(f"{path}:{line}: {len(row)} fields, expected {width}")
             yield line, row
 
 
-def _unparsed(
-    path: Path, line: int, names: Iterable[str], fields: Iterable[str]
-) -> SchemaError:
+def _unparsed(path: Path, line: int, names: Iterable[str], fields: Iterable[str]) -> SchemaError:
     """The error naming the first of the named fields that does not parse:
     n_effective as an integer, the others as numbers."""
     for name, value in zip(names, fields):
@@ -199,88 +193,79 @@ def _unparsed(
             return SchemaError(f"{path}:{line}: {name} {value!r} is not {what}")
 
 
-def _check_replicate(
-    path: Path, line: int, key: tuple, replicate: str, lines: dict[int, int]
-) -> None:
-    """The replicate of a row of cell key must be an integer >= 1 that the
-    cell has not had before; lines maps each of the cell's replicates to its
-    first line."""
-    try:
-        rid = int(replicate)
-    except ValueError:
-        raise SchemaError(f"{path}:{line}: replicate {replicate!r} is not an integer") from None
-    if rid < 1:
-        raise SchemaError(f"{path}:{line}: replicate {rid} is not >= 1")
-    first = lines.setdefault(rid, line)
-    if first != line:
-        raise SchemaError(f"{path}:{line}: cell/replicate {(*key, rid)} repeats line {first}")
+def _replicate_cells(
+    path: Path, columns: tuple[str, ...], keys: frozenset, scenarios: Container[str],
+    numbers: tuple[str, ...], texts: tuple[str, ...] = (),
+) -> dict[tuple, tuple]:
+    """The cells of a file whose columns are scenario_id, replicate, three
+    labels and values: per (scenario_id, *labels) key of the given
+    scenarios, the values over its rows, in file order, of each numbers
+    column as an array('d'), then of each texts column as a list. Each row
+    is checked as it is read, so an error names the first defect in line
+    order: its field count; its key, against keys; then, unless the row is
+    of another scenario and skipped, its replicate, an integer >= 1 that
+    its cell has not had before; and its numbers."""
+    cell_name = "/".join((columns[0], *columns[2:5]))
+    number_at = tuple(map(columns.index, numbers))
+    text_at = tuple(map(columns.index, texts))
+    cells = {}  # key: (the line of each replicate, its numbers and its texts, row after row)
+    for line, row in _rows(path, columns):
+        key = (row[0], row[2], row[3], row[4])
+        cell = cells.get(key)
+        if cell is None:
+            if key not in keys:
+                raise SchemaError(f"{path}:{line}: unknown {cell_name} {key}")
+            if key[0] not in scenarios:
+                continue
+            cell = cells[key] = ({}, array("d"), [])
+        lines, values, strings = cell
+        try:
+            rid = int(row[1])
+        except ValueError:
+            raise SchemaError(f"{path}:{line}: replicate {row[1]!r} is not an integer") from None
+        if rid < 1:
+            raise SchemaError(f"{path}:{line}: replicate {rid} is not >= 1")
+        first = lines.setdefault(rid, line)
+        if first != line:
+            raise SchemaError(f"{path}:{line}: cell/replicate {(*key, rid)} repeats line {first}")
+        try:
+            for i in number_at:
+                values.append(float(row[i]))
+        except ValueError:
+            raise _unparsed(path, line, numbers, [row[i] for i in number_at]) from None
+        for i in text_at:
+            strings.append(row[i])
+    k, m = len(number_at), len(text_at)
+    for key, (_, values, strings) in cells.items():  # split each cell's rows into columns
+        cells[key] = (*(values[j::k] for j in range(k)), *(strings[j::m] for j in range(m)))
+    return cells
 
 
 def read_estimates(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> Cells:
     """summarize's cells of an estimates.csv, in the form harness.estimate_cells
     gives for blocks: per (scenario, design, analysis, target) key of the given
-    scenarios, the log RR and the flag of each of its rows, in file order. Each
-    row is checked as it is read, so an error names the first defect in line
-    order; a row of another scenario has only its field count and labels checked."""
-    cells = {}  # key: (the line of each replicate, log RRs, flags)
-    rows = _rows(path, ESTIMATES_COLUMNS)
-    for line, (sid, replicate, design, analysis, target, _, _, _, log_rr, _, _, flag) in rows:
-        key = (sid, design, analysis, target)
-        cell = cells.get(key)
-        if cell is None:
-            if key not in _ESTIMATE_KEYS:
-                raise SchemaError(f"{path}:{line}: unknown {_ESTIMATE_CELL} {key}")
-            if sid not in scenarios:
-                continue
-            cell = cells[key] = ({}, array("d"), [])
-        lines, values, flags = cell
-        _check_replicate(path, line, key, replicate, lines)
-        try:
-            values.append(float(log_rr))
-        except ValueError:
-            raise SchemaError(f"{path}:{line}: log_rr {log_rr!r} is not a number") from None
-        flags.append(flag)
-    return {key: cell[1:] for key, cell in cells.items()}
+    scenarios, the log RR and the flag of each of its rows, in file order."""
+    return _replicate_cells(
+        path, ESTIMATES_COLUMNS, _ESTIMATE_KEYS, scenarios, ("log_rr",), ("degenerate_flag",)
+    )
 
 
 def read_describe(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> DescribeCells:
     """summarize_descriptives' cells of a describe.csv: per (scenario,
     design, group, severity) key of the given scenarios, the values of each
-    DESCRIBE_STATISTICS column over its rows, in file order. Rows are
-    checked and skipped as read_estimates does."""
-    cells = {}  # key: (the line of each replicate, one column per statistic)
-    rows = _rows(path, DESCRIBE_COLUMNS)
-    for line, (sid, replicate, design, group, severity, people, indexes, high, avg) in rows:
-        key = (sid, design, group, severity)
-        cell = cells.get(key)
-        if cell is None:
-            if key not in _DESCRIBE_KEYS:
-                raise SchemaError(f"{path}:{line}: unknown {_DESCRIBE_CELL} {key}")
-            if sid not in scenarios:
-                continue
-            cell = cells[key] = ({}, array("d"), array("d"), array("d"), array("d"))
-        lines, n_people, n_indexes, pct_high, avg_indexes = cell
-        _check_replicate(path, line, key, replicate, lines)
-        try:
-            n_people.append(float(people))
-            n_indexes.append(float(indexes))
-            pct_high.append(float(high))
-            avg_indexes.append(float(avg))
-        except ValueError:
-            fields = (people, indexes, high, avg)
-            raise _unparsed(path, line, DESCRIBE_STATISTICS, fields) from None
-    return {key: cell[1:] for key, cell in cells.items()}
+    DESCRIBE_STATISTICS column over its rows, in file order."""
+    return _replicate_cells(path, DESCRIBE_COLUMNS, _DESCRIBE_KEYS, scenarios, DESCRIBE_STATISTICS)
 
 
 def read_summary(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> list[MetricsRow]:
     """The rows of a summary.csv of the given scenarios, in file order, each
-    cell on one row; other rows are checked and skipped as in read_estimates."""
+    cell on one row; other rows have only their field count and cell checked."""
     rows = []
     lines = {}
     for line, fields in _rows(path, SUMMARY_COLUMNS):
         key = tuple(fields[:4])
         if key not in _ESTIMATE_KEYS:
-            raise SchemaError(f"{path}:{line}: unknown {_ESTIMATE_CELL} {key}")
+            raise SchemaError(f"{path}:{line}: unknown {'/'.join(SUMMARY_COLUMNS[:4])} {key}")
         if key[0] not in scenarios:
             continue
         first = lines.setdefault(key, line)

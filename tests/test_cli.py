@@ -575,35 +575,52 @@ class TestReaggregationVerbs:
         (tmp_path / "estimates.csv").write_text("wrong,header\n1,2\n")
         assert run_cli("summarize", "--out", str(tmp_path)) == EXIT_IO
 
-    @pytest.mark.parametrize("verb, name, column, value", [
-        # column set to value on the file's line 3; None drops that line's last field
-        ("summarize", "estimates.csv", None, None),
-        ("summarize", "estimates.csv", "log_rr", "abc"),
-        ("summarize", "estimates.csv", "scenario_id", "S9"),
-        ("summarize", "estimates.csv", "analysis", "bogus"),
-        ("summarize", "estimates.csv", "target_population", "all"),
-        ("summarize", "estimates.csv", "replicate", "abc"),
-        ("summarize", "estimates.csv", "replicate", "0"),
-        ("summarize", "estimates.csv", "replicate", "1.5"),
+    @pytest.mark.parametrize("verb, name, column, value, message", [
+        # column set to value on the file's line 3, None drops that line's
+        # last field; message is the error after "error: <path>:3: "
+        ("summarize", "estimates.csv", None, None, "11 fields, expected 12"),
+        ("summarize", "estimates.csv", "log_rr", "abc", "log_rr 'abc' is not a number"),
+        ("summarize", "estimates.csv", "scenario_id", "S9",
+         "unknown scenario_id/design/analysis/target_population ('S9', 'SPT', 'crude', 'none')"),
+        ("summarize", "estimates.csv", "analysis", "bogus",
+         "unknown scenario_id/design/analysis/target_population ('S1', 'SPT', 'bogus', 'none')"),
+        ("summarize", "estimates.csv", "target_population", "all",
+         "unknown scenario_id/design/analysis/target_population ('S1', 'SPT', 'crude', 'all')"),
+        ("summarize", "estimates.csv", "replicate", "abc", "replicate 'abc' is not an integer"),
+        ("summarize", "estimates.csv", "replicate", "0", "replicate 0 is not >= 1"),
+        ("summarize", "estimates.csv", "replicate", "1.5", "replicate '1.5' is not an integer"),
         # line 2 holds replicate 1's true_rr row, so line 3 repeats its key
-        ("summarize", "estimates.csv", "analysis", "true_rr"),
-        ("describe", "describe.csv", None, None),
-        ("describe", "describe.csv", "design", "XX"),
-        ("describe", "describe.csv", "group", "bogus"),
-        ("describe", "describe.csv", "severity", "medium"),
-        ("describe", "describe.csv", "pct_high", "1.2.3"),
-        ("describe", "describe.csv", "replicate", "abc"),
-        ("describe", "describe.csv", "replicate", "-1"),
+        ("summarize", "estimates.csv", "analysis", "true_rr",
+         "cell/replicate ('S1', 'SPT', 'true_rr', 'none', 1) repeats line 2"),
+        ("describe", "describe.csv", None, None, "8 fields, expected 9"),
+        ("describe", "describe.csv", "design", "XX",
+         "unknown scenario_id/design/group/severity ('S1', 'XX', 'all', 'high')"),
+        ("describe", "describe.csv", "group", "bogus",
+         "unknown scenario_id/design/group/severity ('S1', 'SPT', 'bogus', 'high')"),
+        ("describe", "describe.csv", "severity", "medium",
+         "unknown scenario_id/design/group/severity ('S1', 'SPT', 'all', 'medium')"),
+        ("describe", "describe.csv", "n_people", "x", "n_people 'x' is not a number"),
+        ("describe", "describe.csv", "n_indexes", "", "n_indexes '' is not a number"),
+        ("describe", "describe.csv", "pct_high", "1.2.3", "pct_high '1.2.3' is not a number"),
+        ("describe", "describe.csv", "avg_indexes_per_person", "0.5x",
+         "avg_indexes_per_person '0.5x' is not a number"),
+        ("describe", "describe.csv", "replicate", "abc", "replicate 'abc' is not an integer"),
+        ("describe", "describe.csv", "replicate", "-1", "replicate -1 is not >= 1"),
+        ("describe", "describe.csv", "replicate", "0", "replicate 0 is not >= 1"),
+        ("describe", "describe.csv", "replicate", "1.5", "replicate '1.5' is not an integer"),
         # line 2 holds replicate 1's (SPT, all, low) row
-        ("describe", "describe.csv", "severity", "low"),
-        ("plot-data", "summary.csv", None, None),
-        ("plot-data", "summary.csv", "bias", "x"),
-        ("plot-data", "summary.csv", "design", "XX"),
+        ("describe", "describe.csv", "severity", "low",
+         "cell/replicate ('S1', 'SPT', 'all', 'low', 1) repeats line 2"),
+        ("plot-data", "summary.csv", None, None, "9 fields, expected 10"),
+        ("plot-data", "summary.csv", "bias", "x", "bias 'x' is not a number"),
+        ("plot-data", "summary.csv", "design", "XX",
+         "unknown scenario_id/design/analysis/target_population ('S1', 'XX', 'crude', 'none')"),
         # line 2 holds the (S1, SPT, true_rr, none) cell
-        ("plot-data", "summary.csv", "analysis", "true_rr"),
+        ("plot-data", "summary.csv", "analysis", "true_rr",
+         "cell ('S1', 'SPT', 'true_rr', 'none') repeats line 2"),
     ])
     def test_malformed_input_is_io_error_naming_the_line(
-        self, sim_dir, capsys, verb, name, column, value
+        self, sim_dir, capsys, verb, name, column, value, message
     ):
         path = sim_dir / name
         header, *rows = csv_rows(path)
@@ -614,8 +631,7 @@ class TestReaggregationVerbs:
         path.write_text("".join(",".join(row) + "\n" for row in (header, *rows)))
         before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
         assert run_cli(verb, "--out", str(sim_dir)) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{path}:3:" in err
+        assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
         assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
         assert staging_dirs(sim_dir) == []
 

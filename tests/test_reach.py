@@ -1,5 +1,6 @@
-"""Every function and class defined in src/snt_lab is reached from the
-program: code that only tests call has no place in the package."""
+"""Every function, class and module-level constant defined in src/snt_lab
+is reached from the program: code that only tests name has no place in the
+package."""
 
 import ast
 import re
@@ -15,19 +16,29 @@ TEST_ONLY = {
 }
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreached(sources: dict[str, str], named: set[str]) -> set[str]:
-    """Names of the functions and classes (dunder methods aside) of the
-    given module sources that no reached code names, as a Name, an
-    Attribute or an identifier string constant, and that named does not
-    hold. Code is reached when it is outside every unreached definition:
-    a reference from a definition's own body, or from the body of another
-    unreached one, does not count, so a whole dead chain drops out, one
-    link per pass, until a pass drops nothing more."""
+    """Names of the functions, classes and module-level constants (dunder
+    names aside) of the given module sources that no reached code names, as
+    a Name, an Attribute or an identifier string constant, and that named
+    does not hold. Code is reached when it is outside every unreached
+    definition: a reference from a definition's own body or assignment, or
+    from that of another unreached one, does not count, so a whole dead
+    chain drops out, one link per pass, until a pass drops nothing more."""
     definitions, references = [], []
     for path, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name) and not is_dunder(target.id):
+                        definitions.append((target.id, path, node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                if not is_dunder(node.name):
                     definitions.append((node.name, path, node.lineno, node.end_lineno))
             elif isinstance(node, ast.Name):
                 references.append((node.id, path, node.lineno))
@@ -81,10 +92,15 @@ def test_every_definition_in_src_is_reached_from_src():
 
 def test_a_dead_chain_drops_out_whole():
     # from_records names IndexSet and records (its parameter's uses), and
-    # records calls record; only main is reached, from outside the sources
+    # records calls record and names ROWS; only main is reached, from
+    # outside the sources
     source = '''
+SCALE = 2
+ROWS = 3
+UNUSED: int = 4
+
 def main():
-    return helper()
+    return helper() * SCALE
 
 def helper():
     return 1
@@ -94,7 +110,7 @@ def from_records(records):
 
 class IndexSet:
     def records(self):
-        return [self.record(i) for i in range(3)]
+        return [self.record(i) for i in range(ROWS)]
 
     def record(self, i):
         return IndexRecord(i)
@@ -106,6 +122,7 @@ def recursive(k):
     return recursive(k - 1) if k else 0
 '''
     assert unreached({"m.py": source}, {"main"}) == {
-        "from_records", "IndexSet", "records", "record", "IndexRecord", "recursive"
+        "from_records", "IndexSet", "records", "record", "IndexRecord", "recursive", "ROWS",
+        "UNUSED",
     }
-    assert unreached({"m.py": source}, {"main", "from_records"}) == {"recursive"}
+    assert unreached({"m.py": source}, {"main", "from_records"}) == {"recursive", "UNUSED"}
