@@ -21,14 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cells import (
-    DESCRIBE_GROUPS,
-    DESIGN_CAL,
-    DESIGN_SPT,
-    DESIGN_TD,
-    DESIGNS,
-    SEVERITY_LABELS,
-)
+from .cells import DESCRIBE_LABELS, DESIGN_CAL, DESIGN_SPT, DESIGN_TD
 from .config import HORIZON_TAU, ScenarioSpec
 from .population import (
     Cohort,
@@ -246,7 +239,6 @@ class CountTable(NamedTuple):
     design is a function of this table.
     """
 
-    design: str
     counts: np.ndarray  # (R, 2, 2, 2, 4): indexes per cell, float if frequency-weighted
     weight_sums: np.ndarray  # (R, 2, 2, 2, 4) float: year 2 weights per cell
     n_people: np.ndarray  # (R,): persons with at least one index
@@ -260,7 +252,6 @@ class TableMap(NamedTuple):
     each group. So the table of any cohort of such persons is read off the
     column sums of its persons (table)."""
 
-    design: str
     cell: np.ndarray  # the count-table cell of each group, in ascending order
     weights: np.ndarray  # the year 2 weight of each group
 
@@ -278,7 +269,6 @@ class TableMap(NamedTuple):
             counts[:, cell] += persons
             weight_sums[:, cell] += persons * weight
         return CountTable(
-            design=self.design,
             counts=counts.reshape(-1, 2, 2, 2, 4),
             weight_sums=weight_sums.reshape(-1, 2, 2, 2, 4),
             n_people=sums[:, 0],
@@ -314,7 +304,7 @@ def table_map(idx: IndexSet, weights: np.ndarray | None = None) -> tuple[TableMa
     columns[pid, 0] = 1
     columns[:, 1] = initiator
     np.add.at(columns, (pid[order], 1 + np.cumsum(first)), 1)
-    return TableMap(idx.design, code[starts].astype(np.intp), weights[starts]), columns
+    return TableMap(code[starts].astype(np.intp), weights[starts]), columns
 
 
 def count_table(idx: IndexSet, weights: np.ndarray | None = None) -> CountTable:
@@ -343,16 +333,15 @@ class DescribeBlock(NamedTuple):
     pct_high: np.ndarray  # (R, 24)
     avg_indexes_per_person: np.ndarray  # (R, 24)
 
-    def rows(self, r: int, designs: tuple[str, ...] = DESIGNS) -> list[DescribeRow]:
-        """Row r as DescribeRows, the block's tables being those of designs."""
-        labels = [(d, g, s) for d in designs for g in DESCRIBE_GROUPS for s in SEVERITY_LABELS]
+    def rows(self, r: int) -> list[DescribeRow]:
+        """Row r as DescribeRows, in DESCRIBE_LABELS order."""
         values = zip(*(column[r].tolist() for column in self))
-        return [DescribeRow(*label, *row) for label, row in zip(labels, values)]
+        return [DescribeRow(*label, *row) for label, row in zip(DESCRIBE_LABELS, values)]
 
 
 def describe_block(tables: list[CountTable], n_persons: int) -> DescribeBlock:
-    """Descriptive rows of each design's count tables, over a block of
-    replicates (TableMap.table).
+    """Descriptive rows of each design's count tables, in cells.DESIGNS
+    order, over a block of replicates (TableMap.table).
 
     Index-level groups ('all', 'treated') summarize indexes directly;
     person-level groups split persons by ever-initiator status and count the
@@ -386,5 +375,4 @@ def describe_replicate(
     spt: IndexSet, cal: IndexSet, td: IndexSet, n_persons: int
 ) -> list[DescribeRow]:
     """Descriptive rows for the three designs built from one cohort."""
-    tables = [count_table(idx) for idx in (spt, cal, td)]
-    return describe_block(tables, n_persons).rows(0, tuple(t.design for t in tables))
+    return describe_block([count_table(idx) for idx in (spt, cal, td)], n_persons).rows(0)

@@ -18,7 +18,7 @@ target population's severity shares first. Risks and shares are read off
 one count table per design, never off the indexes. A block of replicates'
 tables come from their counts of each class of person types through
 person_class_map: one product of the counts with the map's int8 columns
-gives every count the tables need (PersonTypeMap.blocks), and
+gives every count the tables need (ClassMap.blocks), and
 battery_block computes their batteries from tables with a leading
 replicate axis. The person-level views (analyze_replicate and
 ipcw_km_risk) tabulate one cohort's index sets as a block of one and read
@@ -235,7 +235,7 @@ def _truth_block(events_treated: np.ndarray, events_untreated: np.ndarray, n: in
     rr = risks[0] / risks[1]
     positive = rr > 0.0
     log_rr = np.full(len(rr), np.nan)
-    log_rr[positive] = np.log(rr[positive])
+    log_rr[positive] = list(map(math.log, rr[positive].tolist()))
     flags = _join_flags(
         [(undefined, FLAG_UNDEFINED_TRUTH), (~undefined & ~positive, FLAG_ZERO_RISK_TREATED)],
         len(rr),
@@ -253,7 +253,7 @@ def battery_block(
     replicates of n persons each.
 
     tables are the SPT's and the two emulations' (censoring-weighted) count
-    tables with a leading replicate axis (PersonTypeMap.blocks); true_events
+    tables with a leading replicate axis (ClassMap.blocks); true_events
     counts the persons of each replicate with an event by HORIZON_TAU under
     sustained initiation and under never initiating.
 
@@ -333,37 +333,39 @@ def analyze_replicate(
     return battery_block(tables, events, len(cohort)).results(0)
 
 
-class PersonTypeMap(NamedTuple):
-    """The fixed map from a replicate's count of each person type
-    (designs.N_TYPES), or of each class of types (partition), to its three
-    count tables and its true-RR counts, for one scenario and
-    calendar-emulation weight mode.
+class ClassMap(NamedTuple):
+    """The fixed map from a replicate's count of each class of person types
+    to its three count tables and its true-RR counts, for one scenario and
+    calendar-emulation weight mode (person_class_map).
 
-    columns holds one int8 row per type or class: whether it is blocked (an
-    index with Pr(uncensored) <= 0), whether it has an event by HORIZON_TAU
-    under sustained initiation and under never initiating (pattern_events),
-    then each design's table_map columns in design order."""
+    columns holds one int8 row per class: whether it is blocked (an index
+    with Pr(uncensored) <= 0), whether it has an event by HORIZON_TAU under
+    sustained initiation and under never initiating (pattern_events), then
+    each design's table_map columns in cells.DESIGNS order. The types of a
+    class (designs.N_TYPES, numbered by type_class) share that row, so
+    columns[type_class] is the map of the types."""
 
-    columns: np.ndarray  # (types or classes, 3 + design columns) int8
+    type_class: np.ndarray  # (N_TYPES,) the class of each person type
+    columns: np.ndarray  # (classes, 3 + design columns) int8
     designs: tuple[TableMap, TableMap, TableMap]
 
     @property
     def blocked(self) -> np.ndarray:
-        """bool per type or class: has an index with Pr(uncensored) <= 0."""
+        """bool per class: has an index with Pr(uncensored) <= 0."""
         return self.columns[:, 0] > 0
 
     def blocks(
         self, counts: np.ndarray
     ) -> tuple[tuple[CountTable, CountTable, CountTable], tuple[np.ndarray, np.ndarray]]:
         """The three count tables and the true-event counts of a block of
-        replicates, counts[r, k] persons of type (or class) k in replicate
-        r: the tables with a leading replicate axis (TableMap.table) and,
-        per replicate, the persons with an event by HORIZON_TAU under
-        sustained initiation and under never initiating (battery_block's
-        input). All of them are column sums of one product with columns;
-        for integer counts it is exact and calls no BLAS routine. No person
-        counted may be blocked: a blocked type's year 2 weight is a
-        placeholder (harness.scenario_block checks)."""
+        replicates, counts[r, k] persons of class k in replicate r: the
+        tables with a leading replicate axis (TableMap.table) and, per
+        replicate, the persons with an event by HORIZON_TAU under sustained
+        initiation and under never initiating (battery_block's input). All
+        of them are column sums of one product with columns; for integer
+        counts it is exact and calls no BLAS routine. No person counted may
+        be blocked: a blocked class's year 2 weight is a placeholder
+        (harness.scenario_block checks)."""
         sums = counts @ self.columns.astype(counts.dtype)
         tables, start = [], 3
         for tmap in self.designs:
@@ -372,33 +374,21 @@ class PersonTypeMap(NamedTuple):
             start = stop
         return tuple(tables), (sums[:, 1], sums[:, 2])
 
-    def partition(self) -> tuple[np.ndarray, "PersonTypeMap"]:
-        """Output-equivalence classes: types whose rows of columns are
-        identical. Returns each type's class and the map over classes, the
-        lowest type of each class standing for it, whose tables of class
-        counts equal the tables of the type counts. Classes are numbered in
-        the order of their rows, and so every draw follows that order. Each
-        row is one bytes value, whose order is the row order since no entry
-        is negative; np.unique(axis=0) sorts the rows field by field, about
-        50 times slower."""
-        rows = self.columns.view(np.dtype((np.void, self.columns.shape[1]))).ravel()
-        _, first, type_class = np.unique(rows, return_index=True, return_inverse=True)
-        return type_class, self._replace(columns=self.columns[first])
 
-
-def person_type_map(spec: ScenarioSpec, cal_weight_mode: str) -> PersonTypeMap:
+def person_class_map(spec: ScenarioSpec, cal_weight_mode: str) -> ClassMap:
     """Run the design builders and the censoring-weight rule once over one
-    person of each type (designs.type_cohort). The map reads only the
-    spec's decision and treatment probabilities, so it is cached per process
-    on those and the mode: scenarios that differ in nothing else share one
-    map. Its callers only read it."""
-    return _type_map(spec.decision_prob, spec.treat_prob, cal_weight_mode)
+    person of each type (designs.type_cohort) and merge the types whose
+    rows of the map are identical into one class. The map reads only the
+    spec's decision and treatment probabilities, so it is cached per
+    process on those and the mode: scenarios that differ in nothing else
+    share one map. Its callers only read it."""
+    return _class_map(spec.decision_prob, spec.treat_prob, cal_weight_mode)
 
 
 @functools.lru_cache(maxsize=8)
-def _type_map(
+def _class_map(
     decision_prob: tuple[float, float], treat_prob: tuple[float, float], cal_weight_mode: str
-) -> PersonTypeMap:
+) -> ClassMap:
     cohort, assignment = type_cohort()
     maps = [table_map(build_spt(cohort, assignment))]
     blocked = np.zeros(len(cohort), dtype=bool)
@@ -411,19 +401,11 @@ def _type_map(
         maps.append(table_map(idx, 1.0 / np.where(certain, np.inf, p)))
     tmaps, columns = zip(*maps)
     flags = np.stack([blocked, *pattern_events(cohort)], axis=1)
-    return PersonTypeMap(np.hstack([flags, *columns]), tmaps)
-
-
-def person_class_map(
-    spec: ScenarioSpec, cal_weight_mode: str
-) -> tuple[np.ndarray, PersonTypeMap]:
-    """The class of each person type and the map over classes
-    (PersonTypeMap.partition of person_type_map), cached the same way."""
-    return _class_map(spec.decision_prob, spec.treat_prob, cal_weight_mode)
-
-
-@functools.lru_cache(maxsize=8)
-def _class_map(
-    decision_prob: tuple[float, float], treat_prob: tuple[float, float], cal_weight_mode: str
-) -> tuple[np.ndarray, PersonTypeMap]:
-    return _type_map(decision_prob, treat_prob, cal_weight_mode).partition()
+    rows = np.hstack([flags, *columns])
+    # Classes are numbered in the order of their rows, and so every draw
+    # follows that order. Each row is one bytes value, whose order is the
+    # row order since no entry is negative; np.unique(axis=0) sorts the rows
+    # field by field, about 50 times slower.
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, type_class = np.unique(keys, return_index=True, return_inverse=True)
+    return ClassMap(type_class, rows[first], tmaps)

@@ -45,8 +45,8 @@ from .estimators import AnalysisBlock, battery_block, person_class_map
 from .hazards import HazardSet
 from .population import base_type_probabilities
 
-# run_replicate no longer takes the person-level path. Its entry points stay
-# importable from this module, where perfbench/trace.py wraps them.
+# The person-level entry points stay importable from this module because
+# perfbench/trace.py wraps them here by name (ROADMAP item 4).
 from .designs import (
     assign_treatments,
     build_esnt_cal,
@@ -132,7 +132,7 @@ def class_probabilities(
     Sampling from a pool with replacement gives i.i.d. people whose type law
     is exactly that product."""
     base_p = base_type_probabilities(spec, hazards) if pool is None else pool / pool.sum()
-    type_class, _ = person_class_map(spec, cal_weight_mode)
+    type_class = person_class_map(spec, cal_weight_mode).type_class
     p_class = np.bincount(
         type_class, weights=(base_p[:, None] * treatment_probabilities(spec)).ravel()
     )
@@ -157,7 +157,7 @@ def scenario_block(
     class counts (run_replicate). Raises DegenerateWeightError naming the
     first replicate that counts a person of a blocked class."""
     replicates = np.asarray(replicate_ids, dtype=np.int64)
-    _, classes = person_class_map(spec, run.cal_weight_mode)
+    classes = person_class_map(spec, run.cal_weight_mode)
     blocked = counts[:, classes.blocked].any(axis=1)
     if blocked.any():
         raise DegenerateWeightError(

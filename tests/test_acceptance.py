@@ -254,7 +254,7 @@ def delta_method_ese(spec, n):
     of one battery_block call over frequency-weighted class counts."""
     hazards = solve(spec).hazards
     p = class_probabilities(spec, hazards, WEIGHT_MODE_INITIATION)
-    _, classes = person_class_map(spec, WEIGHT_MODE_INITIATION)
+    classes = person_class_map(spec, WEIGHT_MODE_INITIATION)
     assert (p > 0).all()
     step = np.diag(1e-2 * p)
     block = battery_block(*classes.blocks(np.vstack([p, p + step, p - step])), n)

@@ -83,7 +83,8 @@ def hand_assignment():
 
 def describe_rows(idx, n_persons):
     """The descriptive rows of one design's table, as a block of one."""
-    return describe_block([count_table(idx)], n_persons).rows(0, (idx.design,))
+    rows = describe_block([count_table(idx)], n_persons).rows(0)
+    return [row._replace(design=idx.design) for row in rows]
 
 
 class TestAssignTreatments:

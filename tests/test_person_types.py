@@ -9,13 +9,14 @@ tests check the factors against the product of the Bernoulli probabilities
 of each type's draws (type_probabilities); the pooled class counts of many
 replicates against the class law, with and without a finite pool; that a
 table map's columns count each person's indexes in the group of their cell
-and weight; that the map's flag columns equal their definitions; that the
-types of a class have identical map columns; that specs which differ only
-in what the map does not read share one map; that a cohort drawn by the
-plain-array oracle and tabulated into class counts gives, through the
-scenario block, the rows of the person-level path; that a scenario block
-equals the one-row blocks of its replicates' counts; and that exact type
-probabilities through the map give the enumerated truth.
+and weight; that the class map, expanded to types, holds the rows that the
+builders, the censoring rule and table_map give each type, and that its
+flag columns equal their definitions; that specs which differ only in what
+the map does not read share one map; that a cohort drawn by the plain-array
+oracle and tabulated into class counts gives, through the scenario block,
+the rows of the person-level path; that a scenario block equals the one-row
+blocks of its replicates' counts; and that the class law that simulate
+draws from, through the map, gives the enumerated truth.
 """
 
 import math
@@ -50,7 +51,6 @@ from snt_lab.estimators import (
     battery_block,
     censoring_weights,
     person_class_map,
-    person_type_map,
 )
 from snt_lab.harness import (
     class_probabilities,
@@ -116,8 +116,8 @@ def test_factored_probabilities_equal_the_reference(spec):
     assert abs(base_p.sum() - 1.0) <= 1e-12
     assert np.abs(cond.sum(axis=1) - 1.0).max() <= 1e-12
     for mode in MODES:
-        type_class, classes = person_class_map(spec, mode)
-        p_class = np.bincount(type_class, weights=reference)
+        classes = person_class_map(spec, mode)
+        p_class = np.bincount(classes.type_class, weights=reference)
         got = class_probabilities(spec, hazards, mode)
         assert got.shape == classes.blocked.shape
         assert np.abs(got - p_class / p_class.sum()).max() <= 1e-15
@@ -165,7 +165,7 @@ def test_pooled_class_counts_follow_the_class_law(scenario_id, superpop):
         pool = draw_superpopulation(spec, hazards, run)
         assert_pearson_below_bound(pool, law.sum(axis=1))
         law = pool[:, None] / superpop * (law / law.sum(axis=1, keepdims=True))
-    type_class, _ = person_class_map(spec, mode)
+    type_class = person_class_map(spec, mode).type_class
     p_class = class_probabilities(spec, hazards, mode, pool)
     pooled = sum(run_replicate(p_class, run, scenario_id, r) for r in range(1, 201))
     assert pooled.sum() == 200 * 5000
@@ -225,10 +225,15 @@ def person_level_rows(cohort, assignment, spec, mode):
     )
 
 
-def one_row(types, counts, n):
-    """The battery and descriptive rows of one replicate's type (or class)
-    counts, read off a block of one."""
-    tables, events = types.blocks(counts[None])
+def type_level(classes):
+    """The class map expanded to types: one row of its columns per type."""
+    return classes._replace(columns=classes.columns[classes.type_class])
+
+
+def one_row(classes, counts, n):
+    """The battery and descriptive rows of one replicate's class (or, on a
+    type_level map, type) counts, read off a block of one."""
+    tables, events = classes.blocks(counts[None])
     return battery_block(tables, events, n).results(0), describe_block(tables, n).rows(0)
 
 
@@ -254,11 +259,11 @@ def check_oracle_cohort(scenario_id, n, seed, mode):
     person-level path to 1e-12."""
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
     cohort, assignment, code = oracle_replicate(spec, hazards, n, seed)
-    type_class, classes = person_class_map(spec, mode)
-    counts = np.bincount(type_class[code], minlength=len(classes.blocked))
+    classes = person_class_map(spec, mode)
+    counts = np.bincount(classes.type_class[code], minlength=len(classes.blocked))
     run = RunConfig(n_individuals=n, cal_weight_mode=mode)
     result = replicate_rows([scenario_block(spec, run, [seed], counts[None])])[0]
-    by_type = one_row(person_type_map(spec, mode), np.bincount(code, minlength=N_TYPES), n)
+    by_type = one_row(type_level(classes), np.bincount(code, minlength=N_TYPES), n)
     assert_same_rows(result.analyses, by_type[0], tol=0.0)
     assert_same_rows(result.descriptives, by_type[1], tol=0.0)
     analyses, descriptives = person_level_rows(cohort, assignment, spec, mode)
@@ -340,7 +345,7 @@ def test_the_flag_columns_equal_their_definitions(mode):
     assert 0 < blocking.sum() < N_TYPES
     nothing = np.zeros(N_TYPES, dtype=bool)
     for spec, blocked in [(BLOCKING, blocking), *((spec, nothing) for spec in SPECS.values())]:
-        columns = person_type_map(spec, mode).columns
+        columns = type_level(person_class_map(spec, mode)).columns
         assert np.array_equal(columns[:, 0], blocked)
         assert np.array_equal(columns[:, 1], treated_events)
         assert np.array_equal(columns[:, 2], untreated_events)
@@ -348,32 +353,45 @@ def test_the_flag_columns_equal_their_definitions(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
-def test_types_of_a_class_have_identical_map_columns(scenario_id, mode):
+def test_the_class_map_holds_the_rows_the_builders_give_each_type(scenario_id, mode):
+    # each type's row rebuilt from one person of each type: no type is
+    # blocked in a built-in scenario, so every index has a censoring weight,
+    # and eSNT-TD always weighs in the initiation mode
     spec = SPECS[scenario_id]
-    types = person_type_map(spec, mode)
-    type_class, classes = person_class_map(spec, mode)
-    n_classes = len(classes.columns)
+    cohort, assignment = type_cohort()
+    spt, cal, td = (build(cohort, assignment)
+                    for build in (build_spt, build_esnt_cal, build_esnt_td))
+    maps = [table_map(spt), table_map(cal, censoring_weights(cal, spec, mode)),
+            table_map(td, censoring_weights(td, spec, WEIGHT_MODE_INITIATION))]
+    rows = np.hstack([np.zeros((N_TYPES, 1), dtype=np.int8),
+                      np.stack(pattern_events(cohort), axis=1),
+                      *(columns for _, columns in maps)])
+    classes = person_class_map(spec, mode)
+    assert classes.columns.dtype == np.int8
+    assert np.array_equal(classes.columns[classes.type_class], rows)
+    for got, (expected, _) in zip(classes.designs, maps):
+        assert np.array_equal(got.cell, expected.cell)
+        assert np.array_equal(got.weights, expected.weights)
+    # one class per distinct row, numbered in ascending row order
+    assert list(map(tuple, classes.columns.tolist())) == sorted(set(map(tuple, rows.tolist())))
     if (scenario_id, mode) == ("S4", WEIGHT_MODE_INITIATION):
         assert classes.columns.shape == (201, 69)
-    assert np.array_equal(np.unique(type_class), np.arange(n_classes))
-    assert classes.designs is types.designs
-    first = np.array([np.flatnonzero(type_class == c)[0] for c in range(n_classes)])
-    assert np.array_equal(classes.columns, types.columns[first])
-    assert np.array_equal(types.columns, classes.columns[type_class])
-    assert len(np.unique(classes.columns, axis=0)) == n_classes
 
-    # class counts give the tables and event counts of the type counts
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scenario_id", sorted(SPECS))
+def test_class_counts_give_the_tables_of_the_type_counts(scenario_id, mode):
+    spec = SPECS[scenario_id]
+    classes = person_class_map(spec, mode)
+    types = type_level(classes)
     rng = np.random.default_rng(len(scenario_id + mode))
     for counts in (rng.integers(0, 3, N_TYPES), type_probabilities(spec, HAZARDS[scenario_id])):
-        if types.blocked.any():
-            counts = np.where(types.blocked, 0, counts)
-        merged = np.zeros(n_classes, dtype=counts.dtype)
-        np.add.at(merged, type_class, counts)
+        merged = np.zeros(len(classes.columns), dtype=counts.dtype)
+        np.add.at(merged, classes.type_class, counts)
         (got_tables, got_events), (tables, events) = (
             classes.blocks(merged[None]), types.blocks(counts[None])
         )
         for got, expected in zip(got_tables, tables):
-            assert got.design == expected.design
             assert np.allclose(got.counts[0], expected.counts[0], rtol=0, atol=1e-12)
             assert np.allclose(got.weight_sums[0], expected.weight_sums[0], rtol=0, atol=1e-12)
             assert abs(got.n_people[0] - expected.n_people[0]) <= 1e-12
@@ -389,12 +407,10 @@ def test_the_maps_are_shared_by_specs_that_differ_only_in_what_they_do_not_read(
                         ("progression_prob", 0.5), ("baseline_high_prob", 0.4),
                         ("spt_treat_prob", 0.5)):
         other = spec._replace(**{name: value})
-        assert person_type_map(other, mode) is person_type_map(spec, mode)
         assert person_class_map(other, mode) is person_class_map(spec, mode)
     assert person_class_map(SPECS["S4"], mode) is person_class_map(spec, mode)
     for other in (spec._replace(decision_prob=(0.3, 0.8)),
                   spec._replace(treat_prob=(0.25, 0.8))):
-        assert person_type_map(other, mode) is not person_type_map(spec, mode)
         assert person_class_map(other, mode) is not person_class_map(spec, mode)
     other_mode = MODES[1 - MODES.index(mode)]
     assert person_class_map(spec, other_mode) is not person_class_map(spec, mode)
@@ -407,7 +423,7 @@ def test_scenario_blocks_equal_one_row_blocks_of_the_replicate_counts(scenario_i
     run = RunConfig(n_individuals=8, n_replicates=150, master_seed=3, cal_weight_mode=mode)
     rows = replicate_rows(run_scenario(spec, run, hazards))
     assert [r.replicate for r in rows] == list(range(1, 151))
-    _, classes = person_class_map(spec, mode)
+    classes = person_class_map(spec, mode)
     p_class = class_probabilities(spec, hazards, mode)
     flags = set()
     for row in rows:
@@ -424,7 +440,7 @@ def test_scenario_blocks_equal_one_row_blocks_of_the_replicate_counts(scenario_i
 def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
     # large random class counts make every float sum round, so a different
     # order of any addition would show in the last place
-    _, classes = person_class_map(SPECS[scenario_id], mode)
+    classes = person_class_map(SPECS[scenario_id], mode)
     rng = np.random.default_rng(11)
     counts = rng.integers(0, 10**6, (60, len(classes.blocked)))
     counts[:, classes.blocked] = 0
@@ -450,7 +466,7 @@ def test_block_floats_are_formed_as_the_reference_forms_them(scenario_id, mode):
 def blocked_draws(run):
     """The class counts that run_replicate draws for each replicate of a
     BLOCKING run, and per replicate whether they include a blocked class."""
-    _, classes = person_class_map(BLOCKING, run.cal_weight_mode)
+    classes = person_class_map(BLOCKING, run.cal_weight_mode)
     p_class = class_probabilities(BLOCKING, HAZARDS["S3"], run.cal_weight_mode)
     assert 0 < p_class[classes.blocked].sum() < 1
     counts = np.array([run_replicate(p_class, run, "S3", r)
@@ -474,7 +490,7 @@ def test_degenerate_weights_are_raised_only_for_classes_drawn():
 def test_the_blocked_check_names_a_replicate_by_its_id():
     # rows 1 and 2 (replicates 9 and 12) count a person of a blocked class
     run = RunConfig(n_individuals=4)
-    _, classes = person_class_map(BLOCKING, run.cal_weight_mode)
+    classes = person_class_map(BLOCKING, run.cal_weight_mode)
     blocked, allowed = np.flatnonzero(classes.blocked)[0], np.flatnonzero(~classes.blocked)[0]
     counts = np.zeros((3, len(classes.blocked)), dtype=np.int64)
     counts[:, allowed] = 4
@@ -504,12 +520,12 @@ def test_a_degenerate_replicate_in_a_later_block_is_named(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SPECS))
-def test_type_probabilities_through_the_map_give_the_enumerated_truth(scenario_id):
+def test_the_class_law_through_the_map_gives_the_enumerated_truth(scenario_id):
+    # the law that simulate draws each replicate's class counts from
     spec, hazards = SPECS[scenario_id], HAZARDS[scenario_id]
-    prob = type_probabilities(spec, hazards)
-    assert abs(prob.sum() - 1.0) <= 1e-12
-    types = person_type_map(spec, WEIGHT_MODE_INITIATION)
-    results = battery_block(*types.blocks(prob[None]), 1).results(0)
+    p_class = class_probabilities(spec, hazards, WEIGHT_MODE_INITIATION)
+    classes = person_class_map(spec, WEIGHT_MODE_INITIATION)
+    results = battery_block(*classes.blocks(p_class[None]), 1).results(0)
     truth = enumerate_truth(spec, hazards)
     spt = [r for r in results if r.design == "SPT"]
     assert [r.analysis for r in spt] == ["true_rr", "crude", "ate_spt", "att_spt"]

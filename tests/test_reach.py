@@ -8,13 +8,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Definitions that only tests reach, kept on purpose.
-TEST_ONLY = {
-    # the tests cross-check the class map (person_class_map) against the
-    # type-level map it partitions
-    "person_type_map",
-}
-
 
 def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
@@ -85,9 +78,7 @@ def unreached_definitions() -> set[str]:
 
 
 def test_every_definition_in_src_is_reached_from_src():
-    dead = unreached_definitions()
-    assert dead - TEST_ONLY == set(), "only tests reach these; remove them from src/"
-    assert TEST_ONLY <= dead, "the package now reaches these; drop them from TEST_ONLY"
+    assert unreached_definitions() == set(), "only tests reach these; remove them from src/"
 
 
 def test_a_dead_chain_drops_out_whole():
