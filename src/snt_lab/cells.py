@@ -184,7 +184,7 @@ def summarize(
 ) -> list[MetricsRow]:
     """Aggregate per-replicate estimates into one row per
     (scenario, design, analysis) cell against the truth reference (cells:
-    harness.estimate_cells or output.read_estimates). The mean, the SD and
+    output.estimate_cells or output.read_estimates). The mean, the SD and
     the RMSE are numpy's mean, std(ddof=1) and sqrt(mean(d ** 2)), bit for
     bit (pairwise_sum).
 

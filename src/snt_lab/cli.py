@@ -16,9 +16,10 @@ the summary.csv it replaces. A simulate whose summary has a cell with
 fewer than two usable replicates moves in its complete per-replicate files,
 writes no summary and exits 2.
 
-Only simulate loads the engine (harness, and with it numpy): its entry
-points are bound into this module when simulate starts, or when they are
-first read as attributes of the module. Loading it sets OpenBLAS to one
+Only simulate loads the engine (harness, and with it numpy): its
+run_scenario is bound into this module when simulate starts, or when it is
+first read as an attribute of the module; output turns the blocks it
+returns into lines and summary cells. Loading it sets OpenBLAS to one
 thread before numpy loads, unless OPENBLAS_NUM_THREADS is already set: the
 engine calls no BLAS routine. solve, truth, summarize, describe, plot-data
 and --help run on the standard library. simulate draws every replicate in
@@ -60,28 +61,24 @@ EXIT_INFEASIBLE = 3
 
 THREADS_ENV_VAR = "SNT_LAB_THREADS"
 
-#: The engine's entry points that simulate calls.
-_ENGINE_NAMES = ("estimate_cells", "run_scenario")
-
 
 def _load_engine() -> None:
-    """Bind the engine's entry points into this module. A name already bound
-    is kept, so a wrapper installed as this module's attribute (as
-    perfbench/trace.py installs them) is the one the verbs call."""
+    """Bind the engine's run_scenario into this module. One already bound is
+    kept, so a wrapper installed as this module's attribute (as
+    perfbench/trace.py installs one) is the one simulate calls."""
     # The engine calls no BLAS routine, so OpenBLAS's thread pool is only
     # start-up cost. The variable is read when numpy loads; a value the user
     # set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import harness
 
-    for name in _ENGINE_NAMES:
-        globals().setdefault(name, getattr(harness, name))
+    globals().setdefault("run_scenario", harness.run_scenario)
 
 
 def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
+    if name == "run_scenario":
         _load_engine()
-        return globals()[name]
+        return run_scenario
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -304,19 +301,11 @@ def _cmd_simulate(specs, run, tracker) -> None:
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
     tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
     # the lines are made as they are written; no file's text is held at once
-    tracker.write(
-        "estimates.csv",
-        output.ESTIMATES_COLUMNS,
-        (line for block in blocks for line in output.estimate_lines(block)),
-    )
-    tracker.write(
-        "describe.csv",
-        output.DESCRIBE_COLUMNS,
-        (line for block in blocks for line in output.describe_lines(block)),
-    )
+    tracker.write("estimates.csv", output.ESTIMATES_COLUMNS, output.estimate_lines(blocks))
+    tracker.write("describe.csv", output.DESCRIBE_COLUMNS, output.describe_lines(blocks))
     if run.n_replicates >= 2:
         try:
-            summary = summarize(estimate_cells(blocks), truths, run.truth_override)
+            summary = summarize(output.estimate_cells(blocks), truths, run.truth_override)
         except InsufficientReplicatesError as exc:
             # the per-replicate files are complete; only the summary is missing
             tracker.publish()

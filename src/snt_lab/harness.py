@@ -8,8 +8,8 @@ once per scenario, a replicate only draws its cohort's count of each class
 of person types from it, in one multinomial call, and a scenario runs as
 blocks of up to BLOCK_ROWS replicates: each block's counts are drawn, checked
 for blocked classes and read off into every analysis and descriptive row
-before the next block is drawn. estimate_cells hands the blocks' estimates
-to cells.summarize in the form output.read_estimates reads from a file.
+before the next block is drawn. output makes the blocks' lines and
+summary cells.
 
 Every replicate is drawn in the calling process, in replicate order, at any
 RunConfig.parallelism. multinomial holds the interpreter lock, so threads
@@ -26,13 +26,11 @@ truth (hazards) run on the standard library.
 from __future__ import annotations
 
 import functools
-from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .cells import ANALYSIS_LABELS, Cells
 from .config import (
     CERTAIN_CENSORING,
     DegenerateWeightError,
@@ -187,17 +185,3 @@ def run_scenario(spec: ScenarioSpec, run: RunConfig, hazards: HazardSet) -> list
                            for rid in replicate_ids])
         blocks.append(scenario_block(spec, run, replicate_ids, counts))
     return blocks
-
-
-def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
-    """The cells of scenario blocks: each cell's column of their analysis
-    blocks, appended block by block, the log RRs as an array('d') and the
-    flags as a list (the form output.read_estimates gives)."""
-    cells = {}
-    for block in blocks:
-        a = block.analyses
-        for j, label in enumerate(ANALYSIS_LABELS):
-            log_rr, flags = cells.setdefault((block.scenario_id, *label), (array("d"), []))
-            log_rr.frombytes(a.log_rr[:, j].tobytes())
-            flags += a.degenerate[:, j].tolist()
-    return cells

@@ -10,15 +10,19 @@ five digits.
 
 The module runs on the standard library: the readers return per-cell float
 sequences (array('d') columns), so the verbs that only re-read files never
-load numpy. Only the block line writers take the engine's scenario blocks,
-each a run of consecutive replicates, whose lines they make as they are
-written.
+load numpy. This module alone turns the engine's scenario blocks, each a
+run of consecutive replicates, into lines and cells: the block line makers
+take all of a run's blocks and make each block's lines as the writer
+reaches it, and estimate_cells gives summarize the form read_estimates
+reads from a file.
 """
 
 from __future__ import annotations
 
 import csv
 from array import array
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
@@ -82,39 +86,35 @@ def write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None
         fh.writelines(lines)
 
 
-def _block_lines(
-    block: ScenarioBlock, labels: tuple[tuple[str, ...], ...], template: str, columns
-) -> Iterator[str]:
-    """The CSV lines of a scenario block, made as they are written:
-    template's two leading '%s' take the 'scenario,replicate,' head and the
-    column's 'label,' tail, each joined once, and the rest that row's value
-    of each (replicates, labels) column."""
-    tails = [",".join(label) + "," for label in labels]
+def _block_lines(tails: list[str], template: str, record: str, block: ScenarioBlock) -> map:
+    """The CSV lines of one scenario block: template's two leading '%s' take
+    the 'scenario,replicate,' head and the column's 'label,' tail, each
+    joined once, and the rest that row's value of each (replicates, labels)
+    column of the block's record, its analyses or its descriptives, whose
+    columns are in the line's order."""
     heads = [f"{block.scenario_id},{r}," for r in block.replicates.tolist()]
-    yield from map(template.__mod__, zip(
+    return map(template.__mod__, zip(
         [head for head in heads for _ in tails],
         tails * len(heads),
-        *(column.ravel().tolist() for column in columns),
+        *(column.ravel().tolist() for column in getattr(block, record)),
     ))
 
 
-def estimate_lines(block: ScenarioBlock) -> Iterator[str]:
-    """The estimates.csv lines of one scenario block."""
-    a = block.analyses
-    return _block_lines(
-        block, ANALYSIS_LABELS, ESTIMATES_LINE,
-        (a.risk_treated, a.risk_untreated, a.rr, a.log_rr, a.n_treated, a.n_untreated,
-         a.degenerate),
-    )
+def _lines(blocks: Iterable[ScenarioBlock], labels, template: str, record: str) -> Iterator[str]:
+    """The CSV lines of a run's scenario blocks, in order (_block_lines): a
+    block is taken, and its lines made, only when the writer reaches it."""
+    tails = [",".join(label) + "," for label in labels]
+    return chain.from_iterable(map(partial(_block_lines, tails, template, record), blocks))
 
 
-def describe_lines(block: ScenarioBlock) -> Iterator[str]:
-    """The describe.csv lines of one scenario block."""
-    d = block.descriptives
-    return _block_lines(
-        block, DESCRIBE_LABELS, DESCRIBE_LINE,
-        (d.n_people, d.n_indexes, d.pct_high, d.avg_indexes_per_person),
-    )
+def estimate_lines(blocks: Iterable[ScenarioBlock]) -> Iterator[str]:
+    """The estimates.csv lines of a run's scenario blocks."""
+    return _lines(blocks, ANALYSIS_LABELS, ESTIMATES_LINE, "analyses")
+
+
+def describe_lines(blocks: Iterable[ScenarioBlock]) -> Iterator[str]:
+    """The describe.csv lines of a run's scenario blocks."""
+    return _lines(blocks, DESCRIBE_LABELS, DESCRIBE_LINE, "descriptives")
 
 
 def hazards_lines(specs: list[ScenarioSpec], reports: dict[str, SolveReport]) -> list[str]:
@@ -167,19 +167,28 @@ _DESCRIBE_KEYS = frozenset((sid, *label) for sid in SCENARIO_IDS for label in DE
 def _rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """The body rows of a CSV file with the given header, each with its
     line, as it is read: row i of the body is line i + 2. Each row's field
-    count is checked."""
+    count is checked, and a byte that is not UTF-8 or a field over csv's
+    size limit is a SchemaError too. Decoding is done in chunks, so a
+    decoding error names no line."""
     width = len(columns)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        if tuple(header) != columns:
-            raise SchemaError(f"{path}: header {tuple(header)} does not match expected {columns}")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise SchemaError(f"{path}:{line}: {len(row)} fields, expected {width}")
-            yield line, row
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            if tuple(header) != columns:
+                raise SchemaError(
+                    f"{path}: header {tuple(header)} does not match expected {columns}"
+                )
+            for line, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise SchemaError(f"{path}:{line}: {len(row)} fields, expected {width}")
+                yield line, row
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _unparsed(path: Path, line: int, names: Iterable[str], fields: Iterable[str]) -> SchemaError:
@@ -241,8 +250,22 @@ def _replicate_cells(
     return cells
 
 
+def estimate_cells(blocks: Iterable[ScenarioBlock]) -> Cells:
+    """The cells of scenario blocks: each cell's column of their analysis
+    blocks, appended block by block, the log RRs as an array('d') and the
+    flags as a list (the form read_estimates gives)."""
+    cells = {}
+    for block in blocks:
+        a = block.analyses
+        for j, label in enumerate(ANALYSIS_LABELS):
+            log_rr, flags = cells.setdefault((block.scenario_id, *label), (array("d"), []))
+            log_rr.frombytes(a.log_rr[:, j].tobytes())
+            flags += a.degenerate[:, j].tolist()
+    return cells
+
+
 def read_estimates(path: Path, scenarios: Container[str] = SCENARIO_IDS) -> Cells:
-    """summarize's cells of an estimates.csv, in the form harness.estimate_cells
+    """summarize's cells of an estimates.csv, in the form estimate_cells
     gives for blocks: per (scenario, design, analysis, target) key of the given
     scenarios, the log RR and the flag of each of its rows, in file order."""
     return _replicate_cells(

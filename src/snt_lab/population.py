@@ -133,11 +133,10 @@ def base_type_probabilities(spec: ScenarioSpec, hazards: HazardSet) -> np.ndarra
     for before, after in zip(high, high[1:]):  # high severity never reverts
         prob *= np.where(before, 1.0, _bernoulli(after, spec.progression_prob))
     prob *= _bernoulli((base >> 6) & 1, _by_severity(high[1], spec.decision_prob))
-    p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
     po = ((base[:, None] >> np.arange(5, -1, -1)) & 1).reshape(-1, N_VISITS, 2)
     for visit in range(N_VISITS):
         for arm in (0, 1):
-            prob *= _bernoulli(po[:, visit, arm], _by_severity(high[visit], p[arm]))
+            prob *= _bernoulli(po[:, visit, arm], _by_severity(high[visit], hazards.for_arm(arm)))
     return prob
 
 
@@ -151,8 +150,6 @@ def draw_base_codes(
     given stream always reproduces the same cohort.
     """
     pi = spec.progression_prob
-    # p[arm] = (low, high) probability the outcome is determined at a visit
-    p = ((hazards.p00, hazards.p01), (hazards.p10, hazards.p11))
     s1 = rng.random(n) < spec.baseline_high_prob
     s2 = s1 | (rng.random(n) < pi)
     s3 = s2 | (rng.random(n) < pi)
@@ -167,7 +164,7 @@ def draw_base_codes(
     for visit, high in enumerate((s1, s2, s3)):
         for arm in (0, 1):
             code *= 2
-            code |= u[:, visit, arm] < _by_severity(high, p[arm])
+            code |= u[:, visit, arm] < _by_severity(high, hazards.for_arm(arm))
     return code
 
 

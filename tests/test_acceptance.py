@@ -37,7 +37,7 @@ from snt_lab.estimators import (
     censoring_weights,
     person_class_map,
 )
-from snt_lab.harness import class_probabilities, estimate_cells, run_scenario
+from snt_lab.harness import class_probabilities, run_scenario
 from snt_lab.hazards import (
     RESIDUAL_TOL,
     SolverInfeasible,
@@ -45,6 +45,7 @@ from snt_lab.hazards import (
     solve,
     truth_tables,
 )
+from snt_lab.output import estimate_cells
 
 THREADS = min(8, os.cpu_count() or 1)
 ADJUSTED_ANALYSES = ("ate_snt", "att_snt", "ate_spt", "att_spt")

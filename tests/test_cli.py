@@ -44,6 +44,10 @@ SIMULATE_FILES = (
     "summary.csv", "figure3.csv", "figureS3.csv",
 )
 
+#: a field one character over csv's size limit, and the reader's error for it
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+FIELD_LIMIT_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -425,8 +429,8 @@ class TestSimulateVerb:
         """Raise exc once estimates.csv has its header and one row."""
         real_lines = output.estimate_lines
 
-        def estimate_lines(block):
-            yield next(real_lines(block))
+        def estimate_lines(blocks):
+            yield next(real_lines(blocks))
             raise exc
 
         monkeypatch.setattr(output, "estimate_lines", estimate_lines)
@@ -618,6 +622,11 @@ class TestReaggregationVerbs:
         # line 2 holds the (S1, SPT, true_rr, none) cell
         ("plot-data", "summary.csv", "analysis", "true_rr",
          "cell ('S1', 'SPT', 'true_rr', 'none') repeats line 2"),
+        # a field over csv's size limit stops the reader on its line
+        *(pytest.param(verb, name, "design", LONG_FIELD, FIELD_LIMIT_MESSAGE,
+                       id=f"{verb}-{name}-design-long_field")
+          for verb, name in (("summarize", "estimates.csv"), ("describe", "describe.csv"),
+                             ("plot-data", "summary.csv"))),
     ])
     def test_malformed_input_is_io_error_naming_the_line(
         self, sim_dir, capsys, verb, name, column, value, message
@@ -632,6 +641,22 @@ class TestReaggregationVerbs:
         before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
         assert run_cli(verb, "--out", str(sim_dir)) == EXIT_IO
         assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+        assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
+        assert staging_dirs(sim_dir) == []
+
+    @pytest.mark.parametrize("verb, name", [
+        ("summarize", "estimates.csv"), ("describe", "describe.csv"), ("plot-data", "summary.csv"),
+    ])
+    def test_a_byte_that_is_not_utf8_is_io_error_naming_the_file(
+        self, sim_dir, capsys, verb, name
+    ):
+        # decoding is done in chunks, so no line can be named
+        path = sim_dir / name
+        with open(path, "ab") as fh:
+            fh.write(b"S1,1,SPT,all,lo\xffw,1,1,1,1\n")
+        before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
+        assert run_cli(verb, "--out", str(sim_dir)) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
         assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
         assert staging_dirs(sim_dir) == []
 

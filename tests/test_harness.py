@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from block_rows import replicate_rows
-from snt_lab import harness
+from snt_lab import harness, output
 from snt_lab.cells import (
     InsufficientReplicatesError,
     pairwise_sum,
@@ -18,7 +18,6 @@ from snt_lab.cells import (
 from snt_lab.config import RunConfig, builtin_scenarios, validate_run
 from snt_lab.harness import (
     class_probabilities,
-    estimate_cells,
     replicate_stream,
     run_replicate,
     run_scenario,
@@ -26,6 +25,7 @@ from snt_lab.harness import (
     scenario_ordinal,
 )
 from snt_lab.hazards import enumerate_truth, solve, truth_tables
+from snt_lab.output import estimate_cells
 
 
 def scenario(name="S1", pi=0.6):
@@ -155,6 +155,28 @@ class TestRunScenario:
         assert cells.keys() == whole_cells.keys()
         for key, (log_rr, flags) in cells.items():
             assert log_rr.tobytes() == whole_cells[key][0].tobytes() and flags == whole_cells[key][1]
+
+    @pytest.mark.parametrize("make", [output.estimate_lines, output.describe_lines])
+    def test_the_line_makers_take_one_block_at_a_time(self, make, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+        spec = scenario("S2")
+        blocks = run_scenario(spec, small_run(n_replicates=20), solve(spec).hazards)
+        assert len(blocks) == 3
+        per_block = [list(make([block])) for block in blocks]
+        taken = []
+
+        def each():
+            for block in blocks:
+                taken.append(block)
+                yield block
+
+        lines = make(each())
+        assert not taken
+        for k, expected in enumerate(per_block, start=1):
+            # the first line of block k takes that block, and no other
+            assert [next(lines) for _ in expected] == expected
+            assert len(taken) == k
+        assert next(lines, None) is None
 
     def test_superpop_mode_resamples_deterministically(self):
         spec = scenario()
