@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: solve, truth, simulate, summarize, describe, plot-data, each taking
-only the flags it reads (`_VERBS`); only simulate reads SNT_LAB_THREADS.
+only the flags it reads (`_VERBS`).
 Exit codes: 0 success, 1 I/O failure or malformed input file (named with
 its line), 2 usage error, 3 infeasible calibration, an undefined truth
 (an untreated two-year risk of 0) or an infinite censoring weight (a
@@ -23,8 +23,8 @@ returns into lines and summary cells. Loading it sets OpenBLAS to one
 thread before numpy loads, unless OPENBLAS_NUM_THREADS is already set: the
 engine calls no BLAS routine. solve, truth, summarize, describe, plot-data
 and --help run on the standard library. simulate draws every replicate in
-its own process: --threads and SNT_LAB_THREADS are still validated, into
-RunConfig.parallelism, and change no output.
+its own process: --threads is checked to be an integer >= 1 and changes
+nothing else.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
-THREADS_ENV_VAR = "SNT_LAB_THREADS"
-
 
 def _load_engine() -> None:
     """Bind the engine's run_scenario into this module. One already bound is
@@ -82,37 +80,29 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _int_within(text: str, rule: str, low: int, high: float = float("inf")) -> int:
+    """text as an integer in [low, high), or a usage error that states the
+    rule and the text given."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if low <= value < high:
+            return value
+    raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _int_within(text, "an integer >= 0", 0)
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_within(text, "an integer >= 1", 1)
 
 
 def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("must be an unsigned 64-bit integer")
-    return value
-
-
-def _default_threads() -> int | None:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return _positive_int(raw)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-        ) from None
+    return _int_within(text, "an unsigned 64-bit integer", 0, 2**64)
 
 
 def _cal_weights(text: str) -> str:
@@ -134,9 +124,9 @@ _FLAGS = {
     "--n": dict(dest="n_individuals", type=_positive_int, metavar="N",
                 help="individuals per cohort"),
     "--seed": dict(dest="master_seed", type=_seed, metavar="SEED", help="master seed"),
-    "--threads": dict(dest="parallelism", type=_positive_int, metavar="THREADS",
-                      help=f"validated, but every replicate is drawn in one process "
-                           f"(default: ${THREADS_ENV_VAR} or 1)"),
+    "--threads": dict(dest="threads", type=_positive_int,
+                      help="checked to be >= 1 but changes nothing: every replicate "
+                           "is drawn in one process"),
     "--superpop": dict(type=_positive_int,
                        help="draw a finite pool of this size once per scenario "
                             "and sample cohorts from it with replacement"),
@@ -172,8 +162,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
-    """Config file values first, then the verb's flags on top; a verb that
-    takes --threads and is not given it reads SNT_LAB_THREADS."""
+    """Config file values first, then the verb's flags on top."""
     if args.config is not None:
         specs, run = load_config(args.config)
     else:
@@ -184,8 +173,6 @@ def _resolve(args: argparse.Namespace) -> tuple[list[ScenarioSpec], RunConfig]:
         specs = [s._replace(progression_prob=args.progression_prob) for s in specs]
     if args.scenario != "all":
         specs = [s for s in specs if s.scenario_id == args.scenario]
-    if "parallelism" in given and given["parallelism"] is None:
-        given = {**given, "parallelism": _default_threads()}
     run = run._replace(**{
         name: given[name] for name in run._fields if given.get(name) is not None
     })
@@ -286,6 +273,10 @@ def _cmd_simulate(specs, run, tracker) -> None:
     _load_engine()
     tracker.stale = _DERIVED_FILES
     reports, truths = _solve_with_truths(specs)
+    # written first, so an output directory that cannot be made fails the
+    # run before any replicate is drawn
+    tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
+    tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
 
     blocks = []
     for spec in specs:
@@ -298,8 +289,6 @@ def _cmd_simulate(specs, run, tracker) -> None:
             file=sys.stderr,
         )
 
-    tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
-    tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
     # the lines are made as they are written; no file's text is held at once
     tracker.write("estimates.csv", output.ESTIMATES_COLUMNS, output.estimate_lines(blocks))
     tracker.write("describe.csv", output.DESCRIBE_COLUMNS, output.describe_lines(blocks))

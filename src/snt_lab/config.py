@@ -57,8 +57,6 @@ class RunConfig(NamedTuple):
     n_individuals: int = 5000
     n_replicates: int = 5000
     master_seed: int = 42
-    #: --threads: validated, but every replicate is drawn in one process
-    parallelism: int = 1
     output_dir: Path = Path("runs")
     cal_weight_mode: str = WEIGHT_MODE_INITIATION
     superpop: int | None = None
@@ -140,8 +138,6 @@ def validate_run(run: RunConfig) -> list[str]:
         bad.append("n_replicates must be >= 0")
     if not _is_int(run.master_seed) or not 0 <= run.master_seed < 2**64:
         bad.append("master_seed must be an unsigned 64-bit integer")
-    if not _is_int(run.parallelism) or run.parallelism < 1:
-        bad.append("parallelism must be >= 1")
     if run.cal_weight_mode not in WEIGHT_MODES:
         bad.append(f"cal_weight_mode must be one of {WEIGHT_MODES}")
     if run.superpop is not None and (not _is_int(run.superpop) or run.superpop < 1):

@@ -11,11 +11,8 @@ for blocked classes and read off into every analysis and descriptive row
 before the next block is drawn. output makes the blocks' lines and
 summary cells.
 
-Every replicate is drawn in the calling process, in replicate order, at any
-RunConfig.parallelism. multinomial holds the interpreter lock, so threads
-cannot share the draws, and at about 50 us a draw, worker processes cost
-more to start than they save on runs of tens of replicates per scenario;
-at 5,000 per scenario two of them saved under 10% of the run.
+Every replicate is drawn in the calling process, in replicate order:
+multinomial holds the interpreter lock, so threads cannot share the draws.
 
 This module is the engine, with population, designs and estimators: it
 needs numpy, and the CLI imports it only for simulate. The labels, the

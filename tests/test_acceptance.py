@@ -14,7 +14,6 @@ repository history.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -47,7 +46,6 @@ from snt_lab.hazards import (
 )
 from snt_lab.output import estimate_cells
 
-THREADS = min(8, os.cpu_count() or 1)
 ADJUSTED_ANALYSES = ("ate_snt", "att_snt", "ate_spt", "att_spt")
 
 
@@ -62,9 +60,7 @@ def desk():
     specs = builtin_scenarios()
     hazards = {s.scenario_id: solve(s).hazards for s in specs}
     truths = truth_tables(specs, hazards)
-    run = RunConfig(
-        n_individuals=5000, n_replicates=1000, master_seed=42, parallelism=THREADS
-    )
+    run = RunConfig(n_individuals=5000, n_replicates=1000, master_seed=42)
     blocks, elapsed = [], {}
     for spec in specs:
         start = time.perf_counter()
@@ -199,7 +195,7 @@ def test_criterion_4_homogeneous_unbiasedness(desk):
     assert report(
         "criterion 4 (homogeneous unbiasedness)",
         ok,
-        f"max |bias|/mcse = {worst:.2f}, S1+S3 runtime {runtime:.1f}s on {THREADS} workers",
+        f"max |bias|/mcse = {worst:.2f}, S1+S3 runtime {runtime:.1f}s in one process",
     )
 
 
@@ -285,9 +281,7 @@ def test_criterion_7_law_level_precision_ordering(desk):
 
 def test_criterion_8_descriptive_calibration():
     spec = builtin_scenarios(0.78)[0]
-    run = RunConfig(
-        n_individuals=5000, n_replicates=200, master_seed=42, parallelism=THREADS
-    )
+    run = RunConfig(n_individuals=5000, n_replicates=200, master_seed=42)
     blocks = run_scenario(spec, run, solve(spec).hazards)
     # summarize_descriptives' cells: per label, the blocks' column of each statistic
     columns = [np.concatenate(parts) for parts in zip(*(b.descriptives for b in blocks))]
@@ -375,9 +369,7 @@ def test_criterion_10_full_scale_mcse_range():
     specs = builtin_scenarios()
     spec = specs[0]
     hazards = solve(spec).hazards
-    run = RunConfig(
-        n_individuals=5000, n_replicates=5000, master_seed=42, parallelism=THREADS
-    )
+    run = RunConfig(n_individuals=5000, n_replicates=5000, master_seed=42)
     blocks = run_scenario(spec, run, hazards)
     rows = summarize(estimate_cells(blocks), truth_tables([spec], {"S1": hazards}))
     mcses = [r.mcse_bias for r in rows]

@@ -142,15 +142,15 @@ class TestParsing:
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_each_flag_sets_its_config_field(self, monkeypatch):
-        monkeypatch.delenv("SNT_LAB_THREADS", raising=False)
+    def test_each_flag_sets_its_config_field(self):
         assert _resolve(parse_args(["simulate"]))[1] == RunConfig()
         flags = [token for flag, value in FLAG_VALUES.items() if flag != "--config"
                  for token in (flag, value)]
         specs, run = _resolve(parse_args(["simulate", *flags]))
         assert [(s.scenario_id, s.progression_prob) for s in specs] == [("S1", 0.5)]
+        # --threads is checked but sets no field
         assert run == RunConfig(
-            n_individuals=10, n_replicates=3, master_seed=7, parallelism=2,
+            n_individuals=10, n_replicates=3, master_seed=7,
             output_dir=Path("out"), cal_weight_mode=WEIGHT_MODE_PAPER, superpop=100,
             truth_override=0.8,
         )
@@ -162,6 +162,21 @@ class TestParsing:
         for usage in ("--pi PI", "--reps REPS", "--n N", "--seed SEED", "--threads THREADS",
                       "--cal-weights {initiation,paper}", "--out OUT"):
             assert f"[{usage}]" in text, usage
+
+    @pytest.mark.parametrize("flag, rule, values", [
+        ("--reps", "an integer >= 0", ["abc", "1.5", "", "-1"]),
+        ("--n", "an integer >= 1", ["abc", "1e3", "0"]),
+        ("--seed", "an unsigned 64-bit integer", ["abc", "-1", str(2**64)]),
+        ("--threads", "an integer >= 1", ["abc", "0"]),
+        ("--superpop", "an integer >= 1", ["abc", "-3"]),
+    ])
+    def test_a_bad_integer_states_the_flags_rule(self, capsys, flag, rule, values):
+        for value in values:
+            with pytest.raises(SystemExit) as exc:
+                run_cli("simulate", flag, value)
+            assert exc.value.code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be {rule}, got {value!r}\n" in err, err
 
     def test_bad_cal_weights_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -310,6 +325,23 @@ class TestSimulateVerb:
             "Pr(uncensored) = 0 for some severity level"
         ]
         assert not out.exists() and staging_dirs(out) == []
+
+    def test_an_out_that_cannot_be_made_fails_before_any_draw(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        code = run_cli("simulate", "--reps", "1000", "--n", "5000", "--out", str(blocker / "x"))
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "replicates x n=" not in err and err.startswith("error: "), err
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
+
+    def test_a_config_with_parallelism_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"parallelism": 2}}))
+        out = tmp_path / "out"
+        assert run_cli(*simulate_args(out), "--config", str(cfg)) == EXIT_USAGE
+        assert "unknown run keys: ['parallelism']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_replicates_still_succeeds(self, tmp_path):
         code = run_cli(
@@ -771,31 +803,14 @@ class TestReaggregationVerbs:
 
 
 class TestEnvironmentDefaults:
-    @pytest.mark.parametrize("value", ["0", "abc", "-2", ""])
-    def test_invalid_threads_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("SNT_LAB_THREADS", value)
-        assert run_cli(*simulate_args(tmp_path / "out")) == EXIT_USAGE
-        assert "SNT_LAB_THREADS" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-        # an explicit --threads does not read the variable
-        assert run_cli(*simulate_args(tmp_path / "out"), "--threads", "1") == EXIT_OK
-
-    def test_only_simulate_reads_the_threads_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SNT_LAB_THREADS", raising=False)
-        assert run_cli(*simulate_args(tmp_path)) == EXIT_OK
+    def test_the_threads_env_var_is_not_read(self, tmp_path, monkeypatch):
+        assert run_cli(*simulate_args(tmp_path / "unset")) == EXIT_OK
         monkeypatch.setenv("SNT_LAB_THREADS", "abc")
-        for verb in ("solve", "truth", "summarize", "describe", "plot-data"):
-            assert run_cli(verb, "--out", str(tmp_path)) == EXIT_OK, verb
-
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNT_LAB_THREADS", "2")
-        assert run_cli(*simulate_args(tmp_path / "env")) == EXIT_OK
-        monkeypatch.setenv("SNT_LAB_THREADS", "1")
-        assert run_cli(*simulate_args(tmp_path / "one")) == EXIT_OK
+        assert run_cli(*simulate_args(tmp_path / "garbage")) == EXIT_OK
         for name in SIMULATE_FILES:
-            assert (tmp_path / "env" / name).read_bytes() == (
-                tmp_path / "one" / name
-            ).read_bytes()
+            assert (tmp_path / "garbage" / name).read_bytes() == (
+                tmp_path / "unset" / name
+            ).read_bytes(), name
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

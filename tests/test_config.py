@@ -78,7 +78,7 @@ def test_validate_run_defaults_ok():
 
 
 def test_validate_run_rejects_bad_values():
-    bad = validate_run(RunConfig(n_individuals=0, parallelism=0, cal_weight_mode="x"))
+    bad = validate_run(RunConfig(n_individuals=0, master_seed=-1, cal_weight_mode="x"))
     assert len(bad) == 3
 
 

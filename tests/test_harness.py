@@ -33,7 +33,7 @@ def scenario(name="S1", pi=0.6):
 
 
 def small_run(**overrides):
-    base = dict(n_individuals=400, n_replicates=6, master_seed=42, parallelism=1)
+    base = dict(n_individuals=400, n_replicates=6, master_seed=42)
     base.update(overrides)
     return RunConfig(**base)
 
@@ -120,24 +120,6 @@ class TestRunScenario:
     def test_zero_replicates(self):
         spec = scenario()
         assert run_scenario(spec, small_run(n_replicates=0), solve(spec).hazards) == []
-
-    def test_parallel_matches_serial(self):
-        run = small_run(parallelism=3)
-        for spec in (scenario("S2"), scenario("S4")):
-            parallel_blocks = run_scenario(spec, run, solve(spec).hazards)
-            serial_blocks = run_scenario(spec, small_run(parallelism=1), solve(spec).hazards)
-            assert len(serial_blocks) == len(parallel_blocks)
-            for serial_block, parallel_block in zip(serial_blocks, parallel_blocks):
-                for name in ("analyses", "descriptives"):
-                    a, b = getattr(serial_block, name), getattr(parallel_block, name)
-                    for field, x, y in zip(a._fields, a, b):
-                        assert x.dtype == y.dtype, (name, field)
-                        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, field)
-            serial, parallel = replicate_rows(serial_blocks), replicate_rows(parallel_blocks)
-            assert [r.replicate for r in parallel] == [r.replicate for r in serial]
-            for a, b in zip(serial, parallel):
-                assert a.analyses == b.analyses
-                assert a.descriptives == b.descriptives
 
     @pytest.mark.parametrize("reps", [1, 6, 7, 8, 20])
     def test_a_scenario_is_blocks_of_block_rows_replicates_in_order(self, reps, monkeypatch):

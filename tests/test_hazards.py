@@ -130,7 +130,7 @@ def test_s2_infeasible_at_pi78():
 
 
 def test_infeasible_survives_a_pickle_round_trip():
-    # it may be raised in a worker process and re-raised in the parent
+    # a caller that runs solve in another process gets the same error back
     with pytest.raises(SolverInfeasible) as err:
         solve(by_scenario(0.78)["S2"])
     for exc in (SolverInfeasible("low_treated", "x"), err.value):

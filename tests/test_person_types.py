@@ -499,9 +499,8 @@ def test_the_blocked_check_names_a_replicate_by_its_id():
         scenario_block(BLOCKING, run, [5, 9, 12], counts)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_degenerate_replicate_is_named(threads):
-    run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1, parallelism=threads)
+def test_a_degenerate_replicate_is_named():
+    run = RunConfig(n_individuals=3, n_replicates=40, master_seed=1)
     _, blocked = blocked_draws(run)
     assert blocked.any()
     first = 1 + int(np.argmax(blocked))

@@ -1,10 +1,12 @@
 """Every function, class and module-level constant defined in src/snt_lab
 is reached from the program: code that only tests name has no place in the
-package."""
+package. Every setting is read by the program outside config."""
 
 import ast
 import re
 from pathlib import Path
+
+from snt_lab.config import RunConfig, ScenarioSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,24 +63,49 @@ def unreached(sources: dict[str, str], named: set[str]) -> set[str]:
         dead = now
 
 
+def package_sources() -> dict[str, str]:
+    """The source of each module of src/snt_lab, by file name."""
+    return {
+        path.name: path.read_text()
+        for path in sorted((ROOT / "src" / "snt_lab").glob("*.py"))
+    }
+
+
 def unreached_definitions() -> set[str]:
     """The unreached definitions of src/snt_lab, counting the words of
     perfbench/trace.py, which patches functions by name, and of
     pyproject.toml as references."""
-    sources = {
-        path.name: path.read_text()
-        for path in sorted((ROOT / "src" / "snt_lab").glob("*.py"))
-    }
     named = {
         word
         for name in ("perfbench/trace.py", "pyproject.toml")
         for word in re.findall(r"\w+", (ROOT / name).read_text())
     }
-    return unreached(sources, named)
+    return unreached(package_sources(), named)
 
 
 def test_every_definition_in_src_is_reached_from_src():
     assert unreached_definitions() == set(), "only tests reach these; remove them from src/"
+
+
+def attributes_read(sources: dict[str, str]) -> set[str]:
+    """The names read as an attribute (obj.name, not assigned) in the given
+    module sources."""
+    return {
+        node.attr
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_setting_is_read_outside_config():
+    # a field that only config validates and loads changes nothing the
+    # program does, and has no place in RunConfig or ScenarioSpec
+    sources = package_sources()
+    del sources["config.py"]
+    read = attributes_read(sources)
+    fields = (*RunConfig._fields, *ScenarioSpec._fields)
+    assert [field for field in fields if field not in read] == []
 
 
 def test_a_dead_chain_drops_out_whole():
