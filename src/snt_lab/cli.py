@@ -22,14 +22,21 @@ first read as an attribute of the module; output turns the blocks it
 returns into lines and summary cells. Loading it sets OpenBLAS to one
 thread before numpy loads, unless OPENBLAS_NUM_THREADS is already set: the
 engine calls no BLAS routine. solve, truth, summarize, describe, plot-data
-and --help run on the standard library. simulate draws every replicate in
-its own process: --threads is checked to be an integer >= 1 and changes
+and --help run on the standard library.
+
+simulate runs the back half of its scenarios (S3 and S4 of all four) in a
+second process, forked once hazards.csv and truth.csv are staged, when it
+has two scenarios or more, a replicate or more, two CPUs in its affinity
+mask, os.fork and no other thread; each half draws from its own scenarios'
+substreams, so the files are byte for byte those of one process. The CPU
+count alone decides: --threads is checked to be an integer >= 1 and changes
 nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -125,8 +132,8 @@ _FLAGS = {
                 help="individuals per cohort"),
     "--seed": dict(dest="master_seed", type=_seed, metavar="SEED", help="master seed"),
     "--threads": dict(dest="threads", type=_positive_int,
-                      help="checked to be >= 1 but changes nothing: every replicate "
-                           "is drawn in one process"),
+                      help="checked to be >= 1 but changes nothing: with two CPUs or "
+                           "more, a second process runs the back half of the scenarios"),
     "--superpop": dict(type=_positive_int,
                        help="draw a finite pool of this size once per scenario "
                             "and sample cohorts from it with replacement"),
@@ -216,6 +223,10 @@ class _OutputTracker:
 
     def write(self, name: str, header: tuple[str, ...], lines) -> None:
         if self.staging is None:
+            # refused here, or publish would fail only after all the work
+            if self.out_dir.exists() and not self.out_dir.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                         str(self.out_dir))
             parent, prefix = self.out_dir.parent, f".{self.out_dir.name}."
             parent.mkdir(parents=True, exist_ok=True)
             _remove_orphans(parent, prefix)
@@ -278,23 +289,28 @@ def _cmd_simulate(specs, run, tracker) -> None:
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
     tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
 
-    blocks = []
-    for spec in specs:
-        start = time.perf_counter()
-        blocks += run_scenario(spec, run, reports[spec.scenario_id].hazards)
-        elapsed = time.perf_counter() - start
-        print(
-            f"{spec.scenario_id}: {run.n_replicates} replicates x "
-            f"n={run.n_individuals} done in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-
-    # the lines are made as they are written; no file's text is held at once
-    tracker.write("estimates.csv", output.ESTIMATES_COLUMNS, output.estimate_lines(blocks))
-    tracker.write("describe.csv", output.DESCRIBE_COLUMNS, output.describe_lines(blocks))
+    # forked before any class map or class law is built: each process builds
+    # only its own scenarios'
+    back, front = None, specs
+    if _forks(specs, run):
+        half = len(specs) // 2
+        back, front = _SecondProcess(specs[half:], run, reports, tracker.staging), specs[:half]
+    try:
+        blocks = _run_scenarios(front, run, reports,
+                                lambda spec, elapsed: _report_done(run, spec, elapsed))
+        # the lines are made as they are written; no file's text is held at once
+        for name, columns, lines in _replicate_lines(blocks):
+            tracker.write(name, columns, lines)
+        cells = output.estimate_cells(blocks)
+        del blocks  # freed before the child's cells are read in
+        if back is not None:
+            cells.update(back.join())
+    finally:
+        if back is not None:
+            back.stop()
     if run.n_replicates >= 2:
         try:
-            summary = summarize(output.estimate_cells(blocks), truths, run.truth_override)
+            summary = summarize(cells, truths, run.truth_override)
         except InsufficientReplicatesError as exc:
             # the per-replicate files are complete; only the summary is missing
             tracker.publish()
@@ -304,6 +320,141 @@ def _cmd_simulate(specs, run, tracker) -> None:
             ) from exc
         tracker.write("summary.csv", output.SUMMARY_COLUMNS, output.summary_lines(summary))
         _write_figures(tracker, summary)
+
+
+def _forks(specs: list[ScenarioSpec], run: RunConfig) -> bool:
+    """Whether simulate runs the back half of its scenarios in a second
+    process: it has two scenarios or more and a replicate or more, two CPUs
+    to run on, and no other thread, whose locks a fork would copy in
+    whatever state they were in."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not (len(specs) >= 2 and run.n_replicates >= 1 and hasattr(os, "fork")
+            and affinity is not None and len(affinity(0)) >= 2):
+        return False
+    try:  # every thread, a native one such as a BLAS pool's too, is a task
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _report_done(run: RunConfig, spec: ScenarioSpec, elapsed: float) -> None:
+    print(
+        f"{spec.scenario_id}: {run.n_replicates} replicates x "
+        f"n={run.n_individuals} done in {elapsed:.1f}s",
+        file=sys.stderr,
+    )
+
+
+def _run_scenarios(specs, run, reports, done) -> list:
+    """The scenario blocks of specs, run in order (run_scenario, looked up at
+    each call); done(spec, elapsed seconds) follows each scenario."""
+    blocks = []
+    for spec in specs:
+        start = time.perf_counter()
+        blocks += run_scenario(spec, run, reports[spec.scenario_id].hazards)
+        done(spec, time.perf_counter() - start)
+    return blocks
+
+
+def _replicate_lines(blocks):
+    """simulate's per-replicate files: each one's name, columns and lines."""
+    return (("estimates.csv", output.ESTIMATES_COLUMNS, output.estimate_lines(blocks)),
+            ("describe.csv", output.DESCRIBE_COLUMNS, output.describe_lines(blocks)))
+
+
+class _SecondProcess:
+    """The back half of simulate's scenarios, run in a child forked from the
+    simulate process, so it repeats no import. The child writes their
+    per-replicate lines, with no header, to <name>.back in the staging
+    directory, and sends back through a pipe, pickled, their summary cells,
+    each finished scenario's time and the exception it stopped on, if any;
+    then it leaves by os._exit."""
+
+    def __init__(self, specs, run, reports, staging: Path):
+        self.specs, self.run, self.staging = specs, run, staging
+        parent = os.getpid()
+        self.pipe, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(self.pipe)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self.pipe)
+                _run_back_half(specs, run, reports, staging, parent, write_end)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+
+    def join(self):
+        """Wait for the child's result and reap the child; report its
+        scenarios, raise the exception it stopped on, or else append its
+        lines to the staged files: its cells."""
+        import pickle
+
+        with open(self.pipe, "rb") as fh:
+            self.pipe = None
+            result = fh.read()
+        code = os.waitstatus_to_exitcode(self._reap())
+        if code:
+            ended = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise OSError(f"the process running {', '.join(s.scenario_id for s in self.specs)} "
+                          f"ended with {ended} before it handed back its result")
+        cells, times, error = pickle.loads(result)
+        for spec, elapsed in zip(self.specs, times):
+            _report_done(self.run, spec, elapsed)
+        if error is not None:
+            raise error
+        for name in ("estimates.csv", "describe.csv"):
+            with (open(self.staging / f"{name}.back", "rb") as part,
+                  open(self.staging / name, "ab") as whole):
+                shutil.copyfileobj(part, whole, 1 << 20)
+        return cells
+
+    def stop(self) -> None:
+        """Kill and reap the child, unless join has reaped it."""
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        """Wait for the child to end and return its wait status."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status
+
+
+def _run_back_half(specs, run, reports, staging: Path, parent: int, pipe: int) -> None:
+    """The work of simulate's second process (_SecondProcess). It leaves at
+    once when a finished scenario shows that its parent is gone."""
+    import pickle
+
+    cells, times, error = None, [], None
+
+    def done(spec, elapsed):
+        if os.getppid() != parent:
+            os._exit(1)
+        times.append(elapsed)
+
+    try:
+        blocks = _run_scenarios(specs, run, reports, done)
+        for name, _, lines in _replicate_lines(blocks):
+            output.write_csv(staging / f"{name}.back", None, lines)
+        cells = output.estimate_cells(blocks)
+    except BaseException as exc:  # raised by the parent
+        error = exc
+    result = pickle.dumps((cells, times, error))
+    with open(pipe, "wb") as fh:
+        fh.write(result)
 
 
 def _write_figures(tracker, summary) -> None:

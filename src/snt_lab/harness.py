@@ -11,8 +11,11 @@ for blocked classes and read off into every analysis and descriptive row
 before the next block is drawn. output makes the blocks' lines and
 summary cells.
 
-Every replicate is drawn in the calling process, in replicate order:
-multinomial holds the interpreter lock, so threads cannot share the draws.
+A scenario's replicates are drawn in the calling process, in replicate
+order: multinomial holds the interpreter lock, so threads cannot share the
+draws. The CLI's simulate runs the back half of its scenarios in a second,
+forked process when it has two CPUs; the scenarios' substreams are
+disjoint, so that changes no draw.
 
 This module is the engine, with population, designs and estimators: it
 needs numpy, and the CLI imports it only for simulate. The labels, the

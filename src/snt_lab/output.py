@@ -79,10 +79,12 @@ FIGURE_ATE_TARGETS = {"crude": "crude", "ate_snt": "snt", "ate_spt": "spt"}
 FIGURE_ATT_TARGETS = {"crude": "crude", "att_snt": "snt", "att_spt": "spt"}
 
 
-def write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
-    """Write the comma-joined header, then a line maker's finished lines."""
+def write_csv(path: Path, header: tuple[str, ...] | None, lines: Iterable[str]) -> None:
+    """Write the comma-joined header, unless it is None, then a line maker's
+    finished lines."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 
 

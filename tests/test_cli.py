@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import snt_lab
-from snt_lab import estimators, harness, output
+from snt_lab import cli, estimators, harness, output
 from snt_lab.cells import ANALYSES, DESIGNS
 from snt_lab.cli import (
     EXIT_INFEASIBLE,
@@ -326,13 +327,16 @@ class TestSimulateVerb:
         ]
         assert not out.exists() and staging_dirs(out) == []
 
-    def test_an_out_that_cannot_be_made_fails_before_any_draw(self, tmp_path, capsys):
+    @pytest.mark.parametrize("below", [("x",), ()], ids=["under-a-file", "a-file"])
+    def test_an_out_that_cannot_be_made_fails_before_any_draw(self, tmp_path, capsys, below):
         blocker = tmp_path / "file"
         blocker.write_text("kept")
-        code = run_cli("simulate", "--reps", "1000", "--n", "5000", "--out", str(blocker / "x"))
+        out = blocker.joinpath(*below)
+        code = run_cli("simulate", "--reps", "1000", "--n", "5000", "--out", str(out))
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "replicates x n=" not in err and err.startswith("error: "), err
+        assert len(err.splitlines()) == 1, err
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
 
     def test_a_config_with_parallelism_is_usage_error(self, tmp_path, capsys):
@@ -483,8 +487,11 @@ class TestSimulateVerb:
         assert list(tmp_path.iterdir()) == []
         assert staging_dirs(tmp_path) == []
 
-    def test_killed_simulate_leaves_no_truncated_csv(self, tmp_path):
-        args = ("simulate", "--scenario", "S1", "--reps", "4000", "--n", "20", "--seed", "8")
+    @pytest.mark.parametrize("scenario", ["S1", "all"])
+    def test_killed_simulate_leaves_no_truncated_csv(self, tmp_path, scenario):
+        # with all four scenarios on two CPUs or more, the parent is killed
+        # while it writes its half, and its child may still be running
+        args = ("simulate", "--scenario", scenario, "--reps", "4000", "--n", "20", "--seed", "8")
         ref, out = tmp_path / "ref", tmp_path / "out"
         assert run_cli(*args, "--out", str(ref)) == EXIT_OK
         proc = subprocess.Popen(
@@ -1016,6 +1023,147 @@ class TestInProcessDraws:
         argv = ["simulate", "--n", "200", "--reps", reps, "--threads", threads]
         assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
         assert pools_built == []
+
+
+def set_cpus(monkeypatch, count):
+    """Make simulate see count CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def without_times(text):
+    return [re.sub(r"done in \d+\.\ds$", "done in", line) for line in text.splitlines()]
+
+
+def assert_no_child_left():
+    # every child this process made has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestSecondProcess:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made from now on."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["default", "blocks-of-7", "superpop"])
+    def test_two_processes_write_the_files_of_one(self, tmp_path, monkeypatch, forks, case):
+        argv = ["simulate", "--scenario", "all", "--n", "200", "--reps", "20", "--seed", "17"]
+        if case == "blocks-of-7":  # blocks of 7, 7 and 6 replicates per scenario
+            monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+        if case == "superpop":
+            argv += ["--superpop", "5000"]
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            assert run_cli(*argv, "--out", str(tmp_path / str(cpus))) == EXIT_OK
+            assert len(forks) == cpus - 1
+        for name in SIMULATE_FILES:
+            assert (tmp_path / "2" / name).read_bytes() == (
+                tmp_path / "1" / name
+            ).read_bytes(), name
+        assert staging_dirs(tmp_path / "2") == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("scenario, reps, cpus, forked", [
+        ("all", "2", 2, 1), ("all", "2", 8, 1), ("S1", "2", 2, 0), ("all", "0", 2, 0),
+        ("all", "2", 1, 0),
+    ], ids=["all", "eight-cpus", "one-scenario", "no-replicates", "one-cpu"])
+    def test_only_a_run_with_two_cpus_scenarios_and_a_replicate_forks(
+        self, tmp_path, monkeypatch, capsys, forks, scenario, reps, cpus, forked
+    ):
+        set_cpus(monkeypatch, cpus)
+        argv = ["simulate", "--scenario", scenario, "--n", "100", "--reps", reps]
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+        assert len(forks) == forked
+        # the parent prints every scenario's line, in scenario order
+        ids = SCENARIO_IDS if scenario == "all" else (scenario,)
+        assert without_times(capsys.readouterr().err) == [
+            f"{sid}: {reps} replicates x n=100 done in" for sid in ids
+        ]
+        assert_no_child_left()
+
+    def test_a_process_with_another_thread_does_not_fork(self, tmp_path, monkeypatch, forks):
+        set_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert run_cli("simulate", "--n", "100", "--reps", "2",
+                           "--out", str(tmp_path)) == EXIT_OK
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+
+    def test_a_blocked_class_in_the_second_process_exits_three_as_in_one(
+        self, tmp_path, monkeypatch, capsys, forks
+    ):
+        # S3 alone always initiates at high severity (see
+        # test_a_blocked_class_draw_exits_three_with_one_error_line)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenarios": [
+            {"scenario_id": "S3", "decision_prob": [1.0, 1.0], "treat_prob": [0.5, 1.0]}
+        ]}))
+        argv = ["simulate", "--scenario", "all", "--config", str(cfg), "--n", "3",
+                "--reps", "40", "--seed", "1"]
+        errors = {}
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out{cpus}"
+            assert run_cli(*argv, "--out", str(out)) == EXIT_INFEASIBLE
+            errors[cpus] = without_times(capsys.readouterr().err)
+            assert not out.exists() and staging_dirs(out) == []
+        assert len(forks) == 1
+        assert errors[2] == errors[1] == [
+            "S1: 40 replicates x n=3 done in", "S2: 40 replicates x n=3 done in",
+            "error: replicate 1 of S3 failed: certain censoring: "
+            "Pr(uncensored) = 0 for some severity level",
+        ]
+        assert_no_child_left()
+
+    def test_a_second_process_that_dies_without_a_result_exits_one(
+        self, tmp_path, monkeypatch, capsys, forks
+    ):
+        run_scenario = cli.run_scenario
+
+        def dying(spec, *args):
+            if spec.scenario_id == "S3":
+                os._exit(7)
+            return run_scenario(spec, *args)
+
+        monkeypatch.setattr(cli, "run_scenario", dying)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--n", "100", "--reps", "3", "--out", str(out)) == EXIT_IO
+        assert len(forks) == 1
+        assert without_times(capsys.readouterr().err) == [
+            "S1: 3 replicates x n=100 done in", "S2: 3 replicates x n=100 done in",
+            "error: the process running S3, S4 ended with exit status 7 "
+            "before it handed back its result",
+        ]
+        assert not out.exists() and staging_dirs(out) == []
+        assert_no_child_left()
+
+    def test_an_interrupt_in_the_parent_kills_the_second_process(
+        self, tmp_path, monkeypatch, forks
+    ):
+        TestSimulateVerb.fail_during_estimates_write(monkeypatch, KeyboardInterrupt())
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("simulate", "--n", "100", "--reps", "3", "--out", str(out))
+        assert len(forks) == 1
+        assert not out.exists() and staging_dirs(out) == []
+        assert_no_child_left()
 
 
 def test_trace_script_patches_names_that_exist(tmp_path):
