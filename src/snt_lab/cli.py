@@ -31,6 +31,12 @@ mask, os.fork and no other thread; each half draws from its own scenarios'
 substreams, so the files are byte for byte those of one process. The CPU
 count alone decides: --threads is checked to be an integer >= 1 and changes
 nothing else.
+
+The program's own process (console_main: snt-lab and python -m snt_lab)
+flushes stdout and stderr once main returns and leaves by os._exit, as the
+second process does, skipping interpreter teardown. A library caller of main
+keeps its normal interpreter exit and its atexit handlers; a usage error
+from argparse and an uncaught exception take the normal exit too.
 """
 
 from __future__ import annotations
@@ -550,4 +556,21 @@ def console_main() -> None:
     # OpenSSL. Only the program's own process does without it: a library
     # caller of main or of the engine keeps its OpenSSL hashes.
     sys.modules.setdefault("_hashlib", None)
-    sys.exit(main())
+    status = main()
+    # When main returns, every file is published, every staging directory
+    # removed and the second process reaped: interpreter teardown (module
+    # teardown and a last garbage collection, about 16 ms once numpy is
+    # loaded) would only cost time. A flush that fails takes the normal exit,
+    # which reports it: a stream that is None (its descriptor was closed at
+    # start-up), a closed pipe or a closed file.
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.exit(status)
+    _leave_process(status)
+
+
+def _leave_process(status: int) -> None:
+    """End the program's process at once, with status (console_main)."""
+    os._exit(status)

@@ -3,7 +3,14 @@
 Every replicate owns a random substream derived from (master seed, scenario
 ordinal, replicate index) through numpy's SeedSequence entropy mixing, with
 PCG64 (period 2^128, documented cross-platform output) as the generator. A
-replicate is therefore reproducible in isolation. The class law is computed
+replicate is therefore reproducible in isolation. A block's seeds are
+computed at once (replicate_words): SeedSequence's uint32 hashing runs on
+columns and gives each replicate the exact state words that
+SeedSequence([master seed, ordinal, replicate]) gives, in about a sixth of
+the time that building one SeedSequence per replicate takes. The words are kept
+SeedSequence's, and not some cheaper hash of the same triple, so that every
+stream, and so every output byte, stays the one that list names; the pool's
+stream is the block of one (replicate_stream). The class law is computed
 once per scenario, a replicate only draws its cohort's count of each class
 of person types from it, in one multinomial call, and a scenario runs as
 blocks of up to BLOCK_ROWS replicates: each block's counts are drawn, checked
@@ -44,7 +51,7 @@ from .hazards import HazardSet
 from .population import base_type_probabilities
 
 # The person-level entry points stay importable from this module because
-# perfbench/trace.py wraps them here by name (ROADMAP item 4).
+# perfbench/trace.py wraps them here by name (ROADMAP item 5).
 from .designs import (
     assign_treatments,
     build_esnt_cal,
@@ -96,16 +103,111 @@ def _scenario_words(master_seed: int, scenario_id: str) -> tuple[int, ...]:
     return (*_seed_words(master_seed), *_seed_words(scenario_ordinal(scenario_id)))
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """init and its count successors under multiplication by mult, mod 2**32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# numpy's SeedSequence (bit_generator.pyx): a pool of 4 words, the multiplier
+# sequences of its hashmix steps (HASH_A: 4 to fill the pool, 12 to mix it,
+# 4 per entropy word beyond the pool) and of its output step (HASH_B: 8
+# uint32 words make 4 uint64 ones), and the multipliers of its mix step.
+_POOL_SIZE = 4
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value: np.ndarray, step: int) -> np.ndarray:
+    value = ((value ^ _HASH_A[step]) * _HASH_A[step + 1]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def replicate_words(
+    master_seed: int, scenario_id: str, replicate_ids: Sequence[int]
+) -> np.ndarray:
+    """The (replicates x 4) uint64 words that
+    SeedSequence([master_seed, ordinal, rid]).generate_state(4, np.uint64)
+    gives for each replicate id: the PCG64 seed of its stream. SeedSequence's
+    steps run on columns, one row per replicate, since their hash constants
+    do not depend on the data. A row's entropy is the seed's one or two
+    words, the ordinal's and the id's one or two; a shorter row is padded
+    with zeros, which is how SeedSequence fills its pool, and a fifth word
+    is mixed in only on the rows that have one.
+
+    The uint32 words are held in int64 columns, whose products wrap mod
+    2**64 and are masked to SeedSequence's mod 2**32: the engine's other
+    integer work runs int64 loops already, where uint32 ones would page in
+    more of numpy's code (about 70 KB of resident memory)."""
+    prefix = _scenario_words(master_seed, scenario_id)  # 2 or 3 words below 2**64
+    ids = np.asarray(replicate_ids, dtype=np.uint64).view(np.int64)
+    entropy = np.empty((len(prefix) + 2, len(ids)), dtype=np.int64)
+    entropy[:len(prefix)] = np.array(prefix)[:, None]
+    entropy[-2] = ids & _MASK32
+    entropy[-1] = (ids >> 32) & _MASK32
+    pool = [_hashmix(entropy[i], i) for i in range(_POOL_SIZE)]
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], step))
+                step += 1
+    if len(entropy) > _POOL_SIZE and entropy[-1].any():  # the id's high word is a fifth
+        fifth = entropy[-1] != 0
+        for dst in range(_POOL_SIZE):
+            mixed = _mix(pool[dst], _hashmix(entropy[_POOL_SIZE], step + dst))
+            pool[dst] = np.where(fifth, mixed, pool[dst])
+    out = []
+    for i in range(2 * _POOL_SIZE):
+        value = ((pool[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1]) & _MASK32
+        out.append(value ^ (value >> 16))
+    # each uint64 word is a pair of output words, the first as its low half
+    state = np.empty((len(ids), _POOL_SIZE), dtype=np.int64)
+    for k in range(_POOL_SIZE):
+        state[:, k] = out[2 * k] | (out[2 * k + 1] << 32)
+    return state.view(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands a row of replicate_words to PCG64 as the
+    state its SeedSequence would generate (PCG64 asks for 4 uint64 words).
+    Made on first use, since its base class loads numpy.random, which a run
+    that draws nothing never needs."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedWords
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
 def replicate_stream(
     master_seed: int, scenario_id: str, replicate_id: int
 ) -> np.random.Generator:
     """The dedicated random stream of one (scenario, replicate) cell: the
     stream of SeedSequence([master_seed, ordinal, replicate_id]), seeded
-    with the uint32 array numpy would make of that list, which skips its
-    per-int coercion."""
-    words = [*_scenario_words(master_seed, scenario_id), *_seed_words(replicate_id)]
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seq))
+    with its row of replicate_words."""
+    return _stream(replicate_words(master_seed, scenario_id, [replicate_id])[0])
 
 
 def draw_superpopulation(
@@ -137,14 +239,12 @@ def class_probabilities(
     return p_class / p_class.sum()
 
 
-def run_replicate(
-    p_class: np.ndarray, run: RunConfig, scenario_id: str, replicate_id: int
-) -> np.ndarray:
+def run_replicate(p_class: np.ndarray, run: RunConfig, words: np.ndarray) -> np.ndarray:
     """Draw one replicate as its count of people in each class of person
     types: one multinomial draw of the cohort over the class probabilities
-    (class_probabilities) from the replicate's own stream."""
-    rng = replicate_stream(run.master_seed, scenario_id, replicate_id)
-    return rng.multinomial(run.n_individuals, p_class)
+    (class_probabilities) from the replicate's own stream, seeded with its
+    row of replicate_words."""
+    return _stream(words).multinomial(run.n_individuals, p_class)
 
 
 def scenario_block(
@@ -181,7 +281,7 @@ def run_scenario(spec: ScenarioSpec, run: RunConfig, hazards: HazardSet) -> list
     blocks = []
     for start in range(1, run.n_replicates + 1, BLOCK_ROWS):
         replicate_ids = range(start, min(start + BLOCK_ROWS, run.n_replicates + 1))
-        counts = np.array([run_replicate(p_class, run, spec.scenario_id, rid)
-                           for rid in replicate_ids])
+        words = replicate_words(run.master_seed, spec.scenario_id, replicate_ids)
+        counts = np.array([run_replicate(p_class, run, row) for row in words])
         blocks.append(scenario_block(spec, run, replicate_ids, counts))
     return blocks

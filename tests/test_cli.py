@@ -870,9 +870,12 @@ class TestEnvironmentDefaults:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_the_console_entry_point_runs_without_openssl(self, tmp_path, threads):
         # numpy.random imports secrets, hmac and so _hashlib (OpenSSL's
-        # libcrypto); the program's own process uses the built-in hashes
+        # libcrypto); the program's own process uses the built-in hashes.
+        # console_main's fast exit is replaced by sys.exit, so the script
+        # goes on to check the hashes after it.
         script = (
             "import json, sys, snt_lab.cli\n"
+            "snt_lab.cli._leave_process = sys.exit\n"
             "try:\n"
             "    snt_lab.cli.console_main()\n"
             "except SystemExit as exc:\n"
@@ -1164,6 +1167,127 @@ class TestSecondProcess:
         assert len(forks) == 1
         assert not out.exists() and staging_dirs(out) == []
         assert_no_child_left()
+
+
+def console_env():
+    """package_env without PYTHONUNBUFFERED, so the child's streams buffer
+    as a user's do and a line lost to the fast exit would show."""
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestFastExit:
+    """The program's own process leaves by os._exit once main returns
+    (console_main), with every status, message and file of a normal exit."""
+
+    @staticmethod
+    def console(*argv, cwd=None):
+        return subprocess.run([sys.executable, "-m", "snt_lab", *argv], capture_output=True,
+                              text=True, env=console_env(), timeout=120, cwd=cwd)
+
+    def test_a_run_exits_zero_with_every_line_and_file(self, tmp_path):
+        argv = ("simulate", "--scenario", "all", "--n", "100", "--reps", "4", "--seed", "9")
+        proc = self.console(*argv, "--out", str(tmp_path / "console"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert without_times(proc.stderr) == [
+            f"{sid}: 4 replicates x n=100 done in" for sid in SCENARIO_IDS
+        ]
+        assert run_cli(*argv, "--out", str(tmp_path / "main")) == EXIT_OK
+        for name in SIMULATE_FILES:
+            assert (tmp_path / "console" / name).read_bytes() == (
+                tmp_path / "main" / name
+            ).read_bytes(), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["console", "main"]
+
+    @pytest.mark.parametrize("argv, status, message", [
+        (("--out", "afile", "--reps", "2"), EXIT_IO, "error: [Errno 20] Not a directory"),
+        (("--scenario", "S1", "--n", "5", "--reps", "2"), EXIT_USAGE,
+         "error: cell ('S1', 'SPT', 'true_rr', 'none') has 0 non-degenerate replicates"),
+        (("--n", "0"), EXIT_USAGE, "snt-lab simulate: error: argument --n: must be"),
+        (("--scenario", "S2", "--pi", "0.78", "--reps", "2"), EXIT_INFEASIBLE,
+         "error: calibration infeasible: S2 low_treated: "),
+    ], ids=["existing-file", "too-few-usable-replicates", "usage", "infeasible"])
+    def test_a_failure_keeps_its_status_and_its_one_error_line(
+        self, tmp_path, argv, status, message
+    ):
+        (tmp_path / "afile").write_text("kept")
+        proc = self.console("simulate", "--out", "out", "--n", "50", *argv, cwd=tmp_path)
+        assert proc.returncode == status, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.glob(".out.*")) == list(tmp_path.glob(".afile.*")) == []
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_a_failed_flush_takes_the_normal_exit(self, tmp_path):
+        script = (
+            "import sys, snt_lab.cli\n"
+            "class Closed:\n"
+            "    def write(self, text):\n"
+            "        return len(text)\n"
+            "    def flush(self):\n"
+            "        raise BrokenPipeError(32, 'Broken pipe')\n"
+            "sys.stdout = Closed()\n"
+            "try:\n"
+            "    snt_lab.cli.console_main()\n"
+            "except SystemExit as exc:\n"
+            "    sys.stdout = sys.__stdout__\n"
+            "    print('normal exit', exc.code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--scenario", "S1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=console_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "normal exit 0\n", "")
+        assert (tmp_path / "out" / "hazards.csv").exists()
+
+    @pytest.mark.parametrize("call, printed", [
+        ("sys.exit(snt_lab.cli.main(sys.argv[1:]))", "atexit ran\n"),
+        ("snt_lab.cli.console_main()", ""),
+    ], ids=["library-caller", "console"])
+    def test_only_a_library_caller_runs_its_atexit_handlers(self, tmp_path, call, printed):
+        script = "import atexit, sys, snt_lab.cli\natexit.register(print, 'atexit ran')\n" + call
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--scenario", "S1", "--n", "200",
+             "--reps", "2", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=console_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, printed), proc.stderr
+        assert (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_the_verbs_leave_nothing_open_for_the_fast_exit_to_hide(self, tmp_path):
+        # every file, pipe and child is closed or reaped by main itself: under
+        # -X dev a ResourceWarning for one is an error, printed on stderr
+        script = (
+            "import gc, os, sys\n"
+            "from snt_lab import cli\n"
+            "fork, forks = os.fork, []\n"
+            "def counted():\n"
+            "    forks.append(os.getpid())\n"
+            "    return fork()\n"
+            "os.fork = counted\n"
+            "for cpus in (1, 2):\n"
+            "    os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))\n"
+            "    out = f'{sys.argv[1]}{cpus}'\n"
+            "    assert cli.main(['simulate', '--n', '100', '--reps', '3',\n"
+            "                     '--out', out]) == 0\n"
+            "    for verb in ('summarize', 'describe', 'plot-data'):\n"
+            "        assert cli.main([verb, '--out', out]) == 0, verb\n"
+            "gc.collect()\n"
+            "print(len(forks))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script,
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env=console_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+        assert without_times(proc.stderr) == 2 * [
+            f"{sid}: 3 replicates x n=100 done in" for sid in SCENARIO_IDS
+        ]
 
 
 def test_trace_script_patches_names_that_exist(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from array import array
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from block_rows import replicate_rows
-from snt_lab import harness, output
+from snt_lab import cli, harness, output
 from snt_lab.cells import (
     InsufficientReplicatesError,
     pairwise_sum,
@@ -19,6 +20,7 @@ from snt_lab.config import RunConfig, builtin_scenarios, validate_run
 from snt_lab.harness import (
     class_probabilities,
     replicate_stream,
+    replicate_words,
     run_replicate,
     run_scenario,
     scenario_block,
@@ -57,7 +59,8 @@ EDGE_LENGTHS = (0, 1, 7, 8, 9, 127, 128, 129, 1000, 5000)
 def replicate_result(spec, hazards, replicate_id, run):
     """One replicate's rows, counted by run_replicate and read off its block."""
     p_class = class_probabilities(spec, hazards, run.cal_weight_mode)
-    counts = run_replicate(p_class, run, spec.scenario_id, replicate_id)
+    (words,) = replicate_words(run.master_seed, spec.scenario_id, [replicate_id])
+    counts = run_replicate(p_class, run, words)
     return replicate_rows([scenario_block(spec, run, [replicate_id], counts[None])])[0]
 
 
@@ -83,6 +86,63 @@ class TestReplicateStream:
                 expected = np.random.PCG64(listed).state
                 got = replicate_stream(seed, scenario_id, replicate_id).bit_generator.state
                 assert got == expected, (seed, scenario_id, replicate_id)
+
+
+#: The seven files of a --superpop run at the largest seed, as written when
+#: the pool's stream and each replicate's were seeded by a SeedSequence of
+#: their own.
+TOP_SEED_SUPERPOP = {
+    "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
+    "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
+    "estimates.csv": "63a85932f11a87c0ac9de3e947a89eb4cb70ed2092e52f92637e8b07ce24f5c7",
+    "describe.csv": "5ee1fee5d6f010e0d8a4a633fcef0725de1012a2880d629ef3fc00e3850dfc6c",
+    "summary.csv": "e3fb74efa3218e7ac76250a6469d76ef47cb0e72405c63e723886f0164dc1574",
+    "figure3.csv": "dae963983c9058a6f9412e2a50b7524d0e15f783ad69e14f988d8379dc645a99",
+    "figureS3.csv": "6cb727233981421ad330981146c26b5e7b68b672cccafbbbecd569249cf4b4d3",
+}
+
+
+def seed_sequence_words(seed, scenario_id, replicate_ids):
+    return np.array([
+        np.random.SeedSequence([seed, scenario_ordinal(scenario_id), rid])
+        .generate_state(4, np.uint64) for rid in replicate_ids
+    ])
+
+
+class TestReplicateWords:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_every_row_of_a_run_is_its_seed_sequence_state(self, seed, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+        rows = []
+        drawn = harness.run_replicate
+
+        def recorded(p_class, run, words):
+            rows.append(words.copy())
+            return drawn(p_class, run, words)
+
+        monkeypatch.setattr(harness, "run_replicate", recorded)
+        spec = scenario("S3")
+        blocks = run_scenario(spec, small_run(n_replicates=16, master_seed=seed),
+                              solve(spec).hazards)
+        assert [len(b.replicates) for b in blocks] == [7, 7, 2]
+        assert np.array_equal(rows, seed_sequence_words(seed, "S3", range(1, 17)))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_one_and_two_word_ids_share_a_block(self, seed):
+        ids = [0, 1, 2**32 - 1, 2**32, 2**33 + 5, 7, 2**64 - 1]
+        for scenario_id in ("S1", "S4"):
+            assert np.array_equal(replicate_words(seed, scenario_id, ids),
+                                  seed_sequence_words(seed, scenario_id, ids))
+
+    def test_a_superpop_run_writes_the_bytes_of_one_seed_sequence_per_replicate(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
+        argv = ["simulate", "--scenario", "all", "--n", "100", "--reps", "9",
+                "--seed", str(2**64 - 1), "--superpop", "3000", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir()} == TOP_SEED_SUPERPOP
 
 
 class TestRunReplicate:

@@ -55,6 +55,7 @@ from snt_lab.estimators import (
 from snt_lab.harness import (
     class_probabilities,
     draw_superpopulation,
+    replicate_words,
     run_replicate,
     run_scenario,
     scenario_block,
@@ -167,7 +168,8 @@ def test_pooled_class_counts_follow_the_class_law(scenario_id, superpop):
         law = pool[:, None] / superpop * (law / law.sum(axis=1, keepdims=True))
     type_class = person_class_map(spec, mode).type_class
     p_class = class_probabilities(spec, hazards, mode, pool)
-    pooled = sum(run_replicate(p_class, run, scenario_id, r) for r in range(1, 201))
+    words = replicate_words(run.master_seed, scenario_id, range(1, 201))
+    pooled = sum(run_replicate(p_class, run, row) for row in words)
     assert pooled.sum() == 200 * 5000
     assert_pearson_below_bound(pooled, np.bincount(type_class, weights=law.ravel()))
 
@@ -426,8 +428,9 @@ def test_scenario_blocks_equal_one_row_blocks_of_the_replicate_counts(scenario_i
     classes = person_class_map(spec, mode)
     p_class = class_probabilities(spec, hazards, mode)
     flags = set()
-    for row in rows:
-        counts = run_replicate(p_class, run, scenario_id, row.replicate)
+    words = replicate_words(run.master_seed, scenario_id, [r.replicate for r in rows])
+    for row, row_words in zip(rows, words):
+        counts = run_replicate(p_class, run, row_words)
         analyses, descriptives = one_row(classes, counts, run.n_individuals)
         assert_same_rows(row.analyses, analyses, tol=0.0)
         assert_same_rows(row.descriptives, descriptives, tol=0.0)
@@ -469,8 +472,8 @@ def blocked_draws(run):
     classes = person_class_map(BLOCKING, run.cal_weight_mode)
     p_class = class_probabilities(BLOCKING, HAZARDS["S3"], run.cal_weight_mode)
     assert 0 < p_class[classes.blocked].sum() < 1
-    counts = np.array([run_replicate(p_class, run, "S3", r)
-                       for r in range(1, run.n_replicates + 1)])
+    words = replicate_words(run.master_seed, "S3", range(1, run.n_replicates + 1))
+    counts = np.array([run_replicate(p_class, run, row) for row in words])
     return counts, counts[:, classes.blocked].any(axis=1)
 
 
