@@ -16,13 +16,15 @@ the summary.csv it replaces. A simulate whose summary has a cell with
 fewer than two usable replicates moves in its complete per-replicate files,
 writes no summary and exits 2.
 
-Only simulate loads the engine (harness, and with it numpy): its
-run_scenario is bound into this module when simulate starts, or when it is
-first read as an attribute of the module; output turns the blocks it
-returns into lines and summary cells. Loading it sets OpenBLAS to one
-thread before numpy loads, unless OPENBLAS_NUM_THREADS is already set: the
-engine calls no BLAS routine. solve, truth, summarize, describe, plot-data
-and --help run on the standard library.
+Only a simulate that draws a replicate loads the engine (harness, and with
+it numpy): its run_scenario is bound into this module once hazards.csv and
+truth.csv are staged, or when it is first read as an attribute of the
+module; output turns the blocks it returns into lines and summary cells.
+Loading it sets OpenBLAS to one thread before numpy loads, unless
+OPENBLAS_NUM_THREADS is already set: the engine calls no BLAS routine.
+solve, truth, summarize, describe, plot-data, --help, simulate --reps 0 and
+a simulate that fails before its first draw (an infeasible calibration, an
+--out that cannot be made) run on the standard library.
 
 simulate runs the back half of its scenarios (S3 and S4 of all four) in a
 second process, forked once hazards.csv and truth.csv are staged, when it
@@ -287,13 +289,14 @@ _DERIVED_FILES = ("summary.csv", *_FIGURES, "describe_summary.csv")
 
 
 def _cmd_simulate(specs, run, tracker) -> None:
-    _load_engine()
     tracker.stale = _DERIVED_FILES
     reports, truths = _solve_with_truths(specs)
     # written first, so an output directory that cannot be made fails the
     # run before any replicate is drawn
     tracker.write("hazards.csv", output.HAZARDS_COLUMNS, output.hazards_lines(specs, reports))
     tracker.write("truth.csv", output.TRUTH_COLUMNS, output.truth_lines(specs, truths))
+    if run.n_replicates:  # loaded before the fork, so the child repeats no import
+        _load_engine()
 
     # forked before any class map or class law is built: each process builds
     # only its own scenarios'
@@ -353,11 +356,13 @@ def _report_done(run: RunConfig, spec: ScenarioSpec, elapsed: float) -> None:
 
 def _run_scenarios(specs, run, reports, done) -> list:
     """The scenario blocks of specs, run in order (run_scenario, looked up at
-    each call); done(spec, elapsed seconds) follows each scenario."""
+    each call, and only with a replicate to draw, so that a run without one
+    loads no engine); done(spec, elapsed seconds) follows each scenario."""
     blocks = []
     for spec in specs:
         start = time.perf_counter()
-        blocks += run_scenario(spec, run, reports[spec.scenario_id].hazards)
+        if run.n_replicates:
+            blocks += run_scenario(spec, run, reports[spec.scenario_id].hazards)
         done(spec, time.perf_counter() - start)
     return blocks
 

@@ -25,9 +25,9 @@ forked process when it has two CPUs; the scenarios' substreams are
 disjoint, so that changes no draw.
 
 This module is the engine, with population, designs and estimators: it
-needs numpy, and the CLI imports it only for simulate. The labels, the
-Monte Carlo and descriptive summaries (cells) and the calibration and exact
-truth (hazards) run on the standard library.
+needs numpy, and the CLI imports it only for a simulate that draws a
+replicate. The labels, the Monte Carlo and descriptive summaries (cells)
+and the calibration and exact truth (hazards) run on the standard library.
 """
 
 from __future__ import annotations

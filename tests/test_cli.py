@@ -927,14 +927,14 @@ class TestEnvironmentDefaults:
             "        status = snt_lab.cli.main(argv)\n"
             "    except SystemExit as exc:\n"
             "        status = exc.code\n"
-            "    assert status == 0, argv\n"
+            "    assert status == int(sys.argv[2]), (argv, status)\n"
             "    loaded.append('numpy' in sys.modules)\n"
             "print(json.dumps(loaded))\n"
         )
 
-        def numpy_loaded(*verbs):
+        def numpy_loaded(*verbs, status=EXIT_OK):
             proc = subprocess.run(
-                [sys.executable, "-c", script, json.dumps(verbs)],
+                [sys.executable, "-c", script, json.dumps(verbs), str(status)],
                 capture_output=True, text=True, check=True, env=package_env(),
             )
             return json.loads(proc.stdout.splitlines()[-1])  # after --help's text
@@ -946,7 +946,49 @@ class TestEnvironmentDefaults:
                   ["plot-data", "--out", out]]
         assert numpy_loaded(*stdlib) == [False] * 6
         assert numpy_loaded(*stdlib, simulate) == [False] * 6 + [True]
-        assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [True]
+        assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--out", out]) == [False]
+        # a simulate without a replicate to draw, or one that fails before its
+        # first draw, runs on the standard library too
+        assert numpy_loaded(["simulate", *simulate[1:5], "--reps", "0", "--superpop", "1000",
+                             "--out", out]) == [False]
+        infeasible = ["simulate", "--scenario", "S2", "--pi", "0.78", "--reps", "2", "--out", out]
+        assert numpy_loaded(infeasible, status=EXIT_INFEASIBLE) == [False]
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        unmakeable = ["simulate", *simulate[1:5], "--reps", "2", "--out", str(blocker)]
+        assert numpy_loaded(unmakeable, status=EXIT_IO) == [False]
+
+    def test_the_engine_loads_once_after_hazards_and_truth_are_staged(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        staged = []
+        load_engine = cli._load_engine
+
+        def recorded():
+            staged.append(sorted(p.name for d in staging_dirs(out) for p in d.iterdir()))
+            load_engine()
+
+        monkeypatch.setattr(cli, "_load_engine", recorded)
+        argv = ["simulate", "--scenario", "all", "--n", "50", "--out", str(out)]
+        assert run_cli(*argv, "--reps", "0") == EXIT_OK
+        assert staged == []
+        assert run_cli(*argv, "--reps", "3") == EXIT_OK
+        assert staged == [["hazards.csv", "truth.csv"]]
+
+    def test_the_console_path_of_a_set_up_run_imports_no_numpy(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "snt_lab", "simulate", "--reps", "0",
+             "--n", "50", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert [line for line in lines if "numpy" in line] == []
+        assert without_times("\n".join(line for line in lines
+                                        if not line.startswith("import time:"))) == [
+            f"{sid}: 0 replicates x n=50 done in" for sid in SCENARIO_IDS
+        ]
 
     def test_no_verb_loads_dataclasses_or_an_unused_parser(self, tmp_path):
         # the child reads its verbs with eval and prints a repr, so that

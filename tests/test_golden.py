@@ -75,6 +75,16 @@ GOLDEN = {
             "figureS3.csv": "5fd1deb5dda891565dda706e4abea81f8fc4daeeeeb67dc407f54dedbb0beb6c",
         },
     ),
+    "setup-only": (
+        ("--scenario", "all", "--reps", "0", "--superpop", "2000", "--cal-weights", "paper",
+         "--seed", "11"),
+        {
+            "hazards.csv": "c86fe2f66772a487329769d2c1cd6776941cf965ad5f3500e024db5d8fc69c21",
+            "truth.csv": "ad4d8c7161d0fed9207ff456ec116b84da73bd5489acf6683ceec629119323b2",
+            "estimates.csv": "29af98498a4a4a6e75453dde107cd336d0a43e3e0361d90c9406e695c525bf20",
+            "describe.csv": "9fda288276ef09eb76147c3b2f42d43de037668964ca8a739f782392349482a7",
+        },
+    ),
 }
 
 
@@ -112,6 +122,12 @@ REAGGREGATED = {
         "figure3.csv": "ae258f00ebcc714df5b4a5f211fdd87e92a979b914381e8993ca958a048f1e2e",
         "figureS3.csv": "0140f4331587ad690ad5781677852e3ea288778fd1237b55d8310cd15ad98aa2",
     },
+    "setup-only": {  # header-only files
+        "summary.csv": "a5fd1a12c79d7c7350e0c7ae84dcfeb58fa052715fc723f26cc7d92a5e0310c7",
+        "describe_summary.csv": "d1bd1c363f8a1750c6cc6a7847980cd443aa39bf3ca43b4c1054405e64883c90",
+        "figure3.csv": "56106795b96baf3681d1ecc9c811f6adc02c0fd4d385da29578b35cee9527aa3",
+        "figureS3.csv": "56106795b96baf3681d1ecc9c811f6adc02c0fd4d385da29578b35cee9527aa3",
+    },
 }
 REAGGREGATION_VERBS = ("summarize", "describe", "plot-data")
 
@@ -129,3 +145,11 @@ def test_simulate_outputs_match_golden_digests(case, tmp_path):
         assert main([verb, "--out", str(tmp_path)]) == EXIT_OK, verb
     reaggregated = REAGGREGATED[case]
     assert digests_of(tmp_path / name for name in reaggregated) == reaggregated
+
+
+@pytest.mark.parametrize("flags", [(), ("--pi", "0.5")], ids=["builtin", "pi-0.5"])
+def test_a_set_up_run_writes_the_files_of_solve_and_truth(flags, tmp_path):
+    assert main(["simulate", *flags, "--reps", "0", "--out", str(tmp_path / "sim")]) == EXIT_OK
+    for verb, name in (("solve", "hazards.csv"), ("truth", "truth.csv")):
+        assert main([verb, *flags, "--out", str(tmp_path / verb)]) == EXIT_OK
+        assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / verb / name).read_bytes()
