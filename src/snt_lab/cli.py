@@ -30,7 +30,9 @@ simulate runs the back half of its scenarios (S3 and S4 of all four) in a
 second process, forked once hazards.csv and truth.csv are staged, when it
 has two scenarios or more, a replicate or more, two CPUs in its affinity
 mask, os.fork and no other thread; each half draws from its own scenarios'
-substreams, so the files are byte for byte those of one process. The CPU
+substreams, so the files are byte for byte those of one process. The staging
+directory is the one channel back: the child leaves its lines and its
+pickled result there, and the parent reads them once it has reaped it. The CPU
 count alone decides: --threads is checked to be an integer >= 1 and changes
 nothing else.
 
@@ -120,6 +122,12 @@ def _seed(text: str) -> int:
     return _int_within(text, "an unsigned 64-bit integer", 0, 2**64)
 
 
+def _out_dir(text: str) -> Path:
+    if not text:  # Path("") would be the current directory
+        raise argparse.ArgumentTypeError("must not be empty")
+    return Path(text)
+
+
 def _cal_weights(text: str) -> str:
     modes = {"initiation": WEIGHT_MODE_INITIATION, "paper": WEIGHT_MODE_PAPER}
     if text not in modes:
@@ -152,7 +160,7 @@ _FLAGS = {
                              help="summarize against this fixed true risk ratio instead "
                                   "of the enumerated truth"),
     "--config": dict(type=Path, help="JSON config file"),
-    "--out": dict(dest="output_dir", type=Path, metavar="OUT",
+    "--out": dict(dest="output_dir", type=_out_dir, metavar="OUT",
                   help="output directory (default: runs)"),
 }
 
@@ -375,47 +383,37 @@ def _replicate_lines(blocks):
 
 class _SecondProcess:
     """The back half of simulate's scenarios, run in a child forked from the
-    simulate process, so it repeats no import. The child writes their
-    per-replicate lines, with no header, to <name>.back in the staging
-    directory, and sends back through a pipe, pickled, their summary cells,
-    each finished scenario's time and the exception it stopped on, if any;
-    then it leaves by os._exit."""
+    simulate process, so it repeats no import. The child writes to the
+    staging directory their per-replicate lines, with no header, as
+    <name>.back, and then, pickled as result.back, their summary cells, each
+    finished scenario's time and the exception it stopped on, if any; then
+    it leaves by os._exit."""
 
     def __init__(self, specs, run, reports, staging: Path):
         self.specs, self.run, self.staging = specs, run, staging
         parent = os.getpid()
-        self.pipe, write_end = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(self.pipe)
-            os.close(write_end)
-            raise
+        self.pid = os.fork()
         if self.pid == 0:
             status = 1
             try:
-                os.close(self.pipe)
-                _run_back_half(specs, run, reports, staging, parent, write_end)
+                _run_back_half(specs, run, reports, staging, parent)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(write_end)
 
     def join(self):
-        """Wait for the child's result and reap the child; report its
-        scenarios, raise the exception it stopped on, or else append its
-        lines to the staged files: its cells."""
+        """Reap the child and read its result; report its scenarios, raise
+        the exception it stopped on, or else append its lines to the staged
+        files: its cells."""
         import pickle
 
-        with open(self.pipe, "rb") as fh:
-            self.pipe = None
-            result = fh.read()
         code = os.waitstatus_to_exitcode(self._reap())
         if code:
             ended = f"signal {-code}" if code < 0 else f"exit status {code}"
             raise OSError(f"the process running {', '.join(s.scenario_id for s in self.specs)} "
                           f"ended with {ended} before it handed back its result")
-        cells, times, error = pickle.loads(result)
+        with open(self.staging / "result.back", "rb") as fh:
+            cells, times, error = pickle.load(fh)
         for spec, elapsed in zip(self.specs, times):
             _report_done(self.run, spec, elapsed)
         if error is not None:
@@ -428,9 +426,6 @@ class _SecondProcess:
 
     def stop(self) -> None:
         """Kill and reap the child, unless join has reaped it."""
-        if self.pipe is not None:
-            os.close(self.pipe)
-            self.pipe = None
         if self.pid is not None:
             import signal
 
@@ -444,7 +439,7 @@ class _SecondProcess:
         return status
 
 
-def _run_back_half(specs, run, reports, staging: Path, parent: int, pipe: int) -> None:
+def _run_back_half(specs, run, reports, staging: Path, parent: int) -> None:
     """The work of simulate's second process (_SecondProcess). It leaves at
     once when a finished scenario shows that its parent is gone."""
     import pickle
@@ -463,9 +458,8 @@ def _run_back_half(specs, run, reports, staging: Path, parent: int, pipe: int) -
         cells = output.estimate_cells(blocks)
     except BaseException as exc:  # raised by the parent
         error = exc
-    result = pickle.dumps((cells, times, error))
-    with open(pipe, "wb") as fh:
-        fh.write(result)
+    with open(staging / "result.back", "wb") as fh:
+        pickle.dump((cells, times, error), fh)
 
 
 def _write_figures(tracker, summary) -> None:

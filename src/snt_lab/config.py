@@ -197,8 +197,9 @@ def load_config(path: str | Path) -> tuple[list[ScenarioSpec], RunConfig]:
     if unknown:
         raise ConfigError(f"unknown run keys: {sorted(unknown)}")
     if "output_dir" in run_doc:
-        if not isinstance(run_doc["output_dir"], str):
-            raise ConfigError("run field 'output_dir' must be a path string")
+        # Path("") would be the current directory
+        if not isinstance(run_doc["output_dir"], str) or not run_doc["output_dir"]:
+            raise ConfigError("run field 'output_dir' must be a non-empty path string")
         run_doc = dict(run_doc, output_dir=Path(run_doc["output_dir"]))
     run = RunConfig()._replace(**run_doc)
 

@@ -1,8 +1,10 @@
 """Observed-treatment assignment and index-level dataset construction.
 
-Three designs are built from one cohort and one treatment assignment:
+Three designs are built from one cohort and one treatment assignment, by
+one builder that differs only in who is re-indexed at Visit 2:
 
-  SPT       one Visit 1 index per person, arm randomized marginally
+  SPT       the Visit 1 block alone, arm randomized marginally: nobody
+            initiates at Visit 2 and nobody is re-indexed
   eSNT-CAL  Visit 1 index for everyone; every alive non-initiator is
             re-indexed at Visit 2
   eSNT-TD   like eSNT-CAL, but an untreated Visit 2 index exists only when
@@ -150,79 +152,56 @@ def _follow(pattern_time: np.ndarray, start_year: int):
     return futime, event
 
 
-def build_spt(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
-    """One Visit 1 index per person; the randomized arm selects between the
-    sustained-initiation and never-initiate potential event times."""
-    n = len(cohort)
-    pattern = np.where(assignment.spt_arm, PATTERN_VISIT1, PATTERN_NEVER)
-    t = cohort.event_time[np.arange(n), pattern]
-    futime, event = _follow(t, start_year=0)
-    return IndexSet(
-        design=DESIGN_SPT,
-        person_id=np.arange(n, dtype=np.int64),
-        index_visit=np.ones(n, dtype=np.int8),
-        severity_at_index=cohort.severity[:, 0].copy(),
-        treated=assignment.spt_arm.copy(),
-        futime=futime,
-        event=event,
-        censored=np.zeros(n, dtype=bool),
-        severity_next=cohort.severity[:, 1].copy(),
-    )
-
-
-def _build_esnt(cohort: Cohort, assignment: TreatmentAssignment, design: str) -> IndexSet:
+def _build_indexes(
+    cohort: Cohort, design: str, treated1: np.ndarray, a2: np.ndarray, gate
+) -> IndexSet:
+    """Every person's Visit 1 index, treated as treated1 and censored at
+    year 1 by a Visit 2 initiation (a2), then a Visit 2 index for each alive
+    non-initiator wherever gate holds (a bool or a per-person mask)."""
     n = len(cohort)
     ids = np.arange(n, dtype=np.int64)
-    a1, a2 = assignment.a1, assignment.a2
     alive1 = cohort.event_time[:, PATTERN_NEVER] != 1
 
     # Visit 1 block: everyone. Initiators follow sustained initiation;
     # non-initiators follow never-initiate until (possibly) censored at year
     # 1 by their own Visit 2 initiation. A year-1 outcome precedes censoring.
-    pattern1 = np.where(a1, PATTERN_VISIT1, PATTERN_NEVER)
-    t1 = cohort.event_time[ids, pattern1]
-    futime1, event1 = _follow(t1, start_year=0)
-    censored1 = ~a1 & alive1 & a2
+    pattern1 = np.where(treated1, PATTERN_VISIT1, PATTERN_NEVER)
+    futime1, event1 = _follow(cohort.event_time[ids, pattern1], start_year=0)
+    censored1 = ~treated1 & alive1 & a2
     futime1 = np.where(censored1, 1, futime1).astype(np.int16)
     event1 = np.where(censored1, False, event1)
 
-    # Visit 2 block: alive non-initiators, re-indexed with their Visit 2
-    # treatment status. The treatment-decision design additionally gates
-    # untreated re-indexing on the decision point (treated re-indexing is
-    # already gated: initiation implies a decision point).
-    m = ~a1 & alive1
-    if design == DESIGN_TD:
-        m &= cohort.decision2
-    ids2 = ids[m]
+    # Visit 2 block: alive non-initiators where the gate holds, re-indexed
+    # with their Visit 2 treatment status.
+    ids2 = ids[~treated1 & alive1 & gate]
     pattern2 = np.where(a2[ids2], PATTERN_VISIT2, PATTERN_NEVER)
-    t2 = cohort.event_time[ids2, pattern2]
-    futime2, event2 = _follow(t2, start_year=1)
+    futime2, event2 = _follow(cohort.event_time[ids2, pattern2], start_year=1)
 
     return IndexSet(
         design=design,
         person_id=np.concatenate([ids, ids2]),
-        index_visit=np.concatenate(
-            [np.ones(n, dtype=np.int8), np.full(len(ids2), 2, dtype=np.int8)]
-        ),
-        severity_at_index=np.concatenate(
-            [cohort.severity[:, 0], cohort.severity[ids2, 1]]
-        ),
-        treated=np.concatenate([a1, a2[ids2]]),
+        index_visit=np.concatenate([np.ones(n, np.int8), np.full(len(ids2), 2, np.int8)]),
+        severity_at_index=np.concatenate([cohort.severity[:, 0], cohort.severity[ids2, 1]]),
+        treated=np.concatenate([treated1, a2[ids2]]),
         futime=np.concatenate([futime1, futime2]),
         event=np.concatenate([event1, event2]),
         censored=np.concatenate([censored1, np.zeros(len(ids2), dtype=bool)]),
-        severity_next=np.concatenate(
-            [cohort.severity[:, 1], cohort.severity[ids2, 2]]
-        ),
+        severity_next=np.concatenate([cohort.severity[:, 1], cohort.severity[ids2, 2]]),
     )
 
 
+def build_spt(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
+    nobody = np.zeros(len(cohort), dtype=bool)
+    return _build_indexes(cohort, DESIGN_SPT, assignment.spt_arm, nobody, False)
+
+
 def build_esnt_cal(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
-    return _build_esnt(cohort, assignment, DESIGN_CAL)
+    return _build_indexes(cohort, DESIGN_CAL, assignment.a1, assignment.a2, True)
 
 
 def build_esnt_td(cohort: Cohort, assignment: TreatmentAssignment) -> IndexSet:
-    return _build_esnt(cohort, assignment, DESIGN_TD)
+    # initiation implies a decision point, so the gate drops untreated indexes only
+    return _build_indexes(cohort, DESIGN_TD, assignment.a1, assignment.a2, cohort.decision2)
 
 
 class CountTable(NamedTuple):

@@ -97,6 +97,46 @@ VERB_FLAGS = {
 }
 
 
+class TestEmptyOutputDirectory:
+    """An empty output directory is refused, never taken for the current
+    directory, whose files stay as they were; "." still names it."""
+
+    @staticmethod
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    @pytest.fixture
+    def cwd(self, tmp_path, monkeypatch):
+        """A current directory that holds a run's files."""
+        monkeypatch.chdir(tmp_path)
+        for name in SIMULATE_FILES + ("describe_summary.csv",):
+            (tmp_path / name).write_text("kept")
+        (tmp_path / "cfg.json").write_text('{"run": {"output_dir": ""}}')
+        return tmp_path
+
+    @pytest.mark.parametrize("verb", VERB_FLAGS)
+    def test_an_empty_out_exits_two(self, cwd, capsys, verb):
+        before = self.files(cwd)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--scenario", "S1", "--out", "")
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --out: must not be empty\n" in capsys.readouterr().err
+        assert self.files(cwd) == before
+
+    @pytest.mark.parametrize("verb", VERB_FLAGS)
+    def test_an_empty_config_output_dir_exits_two(self, cwd, capsys, verb):
+        before = self.files(cwd)
+        assert run_cli(verb, "--scenario", "S1", "--config", "cfg.json") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: run field 'output_dir' must be a non-empty path string\n"
+        )
+        assert self.files(cwd) == before
+
+    def test_out_dot_is_the_current_directory(self, cwd):
+        assert run_cli("solve", "--scenario", "S1", "--out", ".") == EXIT_OK
+        assert (cwd / "hazards.csv").read_text().startswith("scenario_id,")
+
+
 def simulate_args(out, *extra):
     return (
         "simulate", "--scenario", "S1", "--reps", "8", "--n", "300",
@@ -1198,6 +1238,17 @@ class TestSecondProcess:
         assert not out.exists() and staging_dirs(out) == []
         assert_no_child_left()
 
+    def test_the_staging_channel_leaves_only_the_run_files(self, tmp_path, monkeypatch, forks):
+        # the child's <name>.back parts and its pickled result stay in the
+        # staging directory, which goes with them
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--n", "100", "--reps", "3", "--out", str(out)) == EXIT_OK
+        assert len(forks) == 1
+        assert sorted(p.name for p in out.iterdir()) == sorted(SIMULATE_FILES)
+        assert staging_dirs(out) == []
+        assert_no_child_left()
+
     def test_an_interrupt_in_the_parent_kills_the_second_process(
         self, tmp_path, monkeypatch, forks
     ):
@@ -1301,7 +1352,7 @@ class TestFastExit:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_the_verbs_leave_nothing_open_for_the_fast_exit_to_hide(self, tmp_path):
-        # every file, pipe and child is closed or reaped by main itself: under
+        # every file and child is closed or reaped by main itself: under
         # -X dev a ResourceWarning for one is an error, printed on stderr
         script = (
             "import gc, os, sys\n"

@@ -11,6 +11,7 @@ from snt_lab.designs import (
     DESIGN_CAL,
     DESIGN_SPT,
     DESIGN_TD,
+    IndexSet,
     TreatmentAssignment,
     assign_treatments,
     build_esnt_cal,
@@ -19,6 +20,7 @@ from snt_lab.designs import (
     count_table,
     describe_block,
     describe_replicate,
+    type_cohort,
 )
 from snt_lab.hazards import solve
 from snt_lab.population import Cohort, PATTERN_NEVER, draw_cohort
@@ -161,6 +163,21 @@ class TestBuildSPT:
         a.spt_arm[3] = False
         spt = build_spt(cohort, a)
         assert (spt.futime[3], bool(spt.event[3])) == (2, False)
+
+
+    def test_spt_is_the_emulations_visit1_block_with_the_arm_and_no_visit2_initiation(self):
+        # the single point trial is the calendar emulation with the
+        # randomized arm at Visit 1 and nobody initiating at Visit 2, its
+        # re-indexed Visit 2 block dropped
+        cohort, a = type_cohort()
+        no_a2 = np.zeros(len(cohort), dtype=bool)
+        spt = build_spt(cohort, a)
+        cal = build_esnt_cal(cohort, a._replace(a1=a.spt_arm, a2=no_a2))
+        assert spt.design == DESIGN_SPT and len(spt) == len(cohort)
+        for column in IndexSet.__slots__[1:]:
+            got, want = getattr(spt, column), getattr(cal, column)[: len(cohort)]
+            assert got.dtype == want.dtype, column
+            assert np.array_equal(got, want), column
 
 
 class TestBuildEsnt:

@@ -1,13 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from array import array
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from block_rows import replicate_rows
+import snt_lab
 from snt_lab import cli, harness, output
 from snt_lab.cells import (
     InsufficientReplicatesError,
@@ -86,6 +91,20 @@ class TestReplicateStream:
                 expected = np.random.PCG64(listed).state
                 got = replicate_stream(seed, scenario_id, replicate_id).bit_generator.state
                 assert got == expected, (seed, scenario_id, replicate_id)
+
+
+    def test_importing_the_engine_leaves_numpy_random_unloaded(self):
+        # simulate loads harness before it forks its second process; the
+        # streams' numpy.random is loaded after the fork, by each process
+        # that draws (harness._seed_words_type)
+        path = [str(Path(snt_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, snt_lab.harness; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.stdout == "False\n"
 
 
 #: The seven files of a --superpop run at the largest seed, as written when
